@@ -21,12 +21,9 @@
 
 use isa::{Addr, Bundle, Insn, Op, Program, TRACE_POOL_BASE};
 
-/// Slot flag: the instruction is a no-op (of any slot kind) and can be
-/// retired without predicate, scoreboard, or execute work.
-pub const FLAG_NOP: u8 = 1 << 0;
 /// Slot flag: the instruction reads floating-point registers and needs
 /// the FP scoreboard walk.
-pub const FLAG_FR_READS: u8 = 1 << 1;
+pub const FLAG_FR_READS: u8 = 1 << 0;
 
 /// One predecoded instruction slot: the instruction plus its scoreboard
 /// read sets, resolved to plain register indices.
@@ -40,6 +37,11 @@ pub const FLAG_FR_READS: u8 = 1 << 1;
 pub struct DecodedSlot {
     /// The instruction itself.
     pub insn: Insn,
+    /// Index of the qualifying predicate, `0` when the instruction is
+    /// unpredicated: `p0` is hardwired true, so "no predicate" and
+    /// "predicated on `p0`" issue alike and the predicate check needs
+    /// no `Option` branch.
+    pub qp: u8,
     /// General registers read (scoreboard sources), `r0`-padded.
     /// No operation reads more than two general registers.
     pub gr_reads: [u8; 2],
@@ -64,14 +66,12 @@ impl DecodedSlot {
             _ => [0u8; 3],
         };
         let mut flags = 0u8;
-        if insn.is_nop() {
-            flags |= FLAG_NOP;
-        }
         if fr_reads != [0u8; 3] {
             flags |= FLAG_FR_READS;
         }
         DecodedSlot {
             insn,
+            qp: insn.qp.map_or(0, |p| p.index() as u8),
             gr_reads,
             fr_reads,
             flags,
@@ -89,10 +89,13 @@ pub struct DecodedBundle {
     /// (`br.cond`); drives the predicated-off fall-through recording
     /// without rescanning the bundle.
     pub cond_branch_mask: u8,
-    /// Bit `s` set when slot `s` is a no-op ([`FLAG_NOP`] hoisted to
-    /// bundle level): lets the fast path retire padding slots without
-    /// even copying them out of the arena.
-    pub nop_mask: u8,
+    /// Indices of the slots that are not no-ops, in slot order; only
+    /// the first `live_len` entries are meaningful. The fast path walks
+    /// this list and never touches a nop (predication of a nop has no
+    /// architectural or timing effect, so skipping one is exact).
+    pub live: [u8; 3],
+    /// Number of live slots.
+    pub live_len: u8,
     /// Store generation at which this entry was (re)decoded.
     pub generation: u64,
 }
@@ -105,21 +108,30 @@ impl DecodedBundle {
             DecodedSlot::decode(bundle.slots[2]),
         ];
         let mut cond_branch_mask = 0u8;
-        let mut nop_mask = 0u8;
+        let mut live = [0u8; 3];
+        let mut live_len = 0u8;
         for (s, insn) in bundle.slots.iter().enumerate() {
             if matches!(insn.op, Op::BrCond { .. }) {
                 cond_branch_mask |= 1 << s;
             }
-            if slots[s].flags & FLAG_NOP != 0 {
-                nop_mask |= 1 << s;
+            if !insn.is_nop() {
+                live[live_len as usize] = s as u8;
+                live_len += 1;
             }
         }
         DecodedBundle {
             slots,
             cond_branch_mask,
-            nop_mask,
+            live,
+            live_len,
             generation,
         }
+    }
+
+    /// The live (non-nop) slot indices, in slot order.
+    #[inline]
+    pub fn live(&self) -> &[u8] {
+        &self.live[..self.live_len as usize]
     }
 }
 
@@ -136,7 +148,11 @@ pub struct CodeLoc {
 /// A dense arena of predecoded bundles mirroring the static program
 /// image and the trace pool. See the module docs for the coherence
 /// protocol.
-#[derive(Debug)]
+///
+/// The default store is empty; the fast tier swaps it in while it
+/// holds the real store for the duration of a run (see
+/// [`crate::exec`]).
+#[derive(Debug, Default)]
 pub struct CodeStore {
     code_base: u64,
     static_bundles: Vec<DecodedBundle>,
@@ -289,7 +305,8 @@ mod tests {
         assert_eq!(d.slots[0].gr_reads, [14, 0]);
         assert_eq!(d.slots[1].gr_reads, [20, 15]);
         assert_eq!(d.slots[2].fr_reads, [8, 7, 9]);
-        assert_eq!(d.slots[0].flags & FLAG_NOP, 0);
+        assert_eq!(d.live(), &[0, 1, 2]);
+        assert_eq!(d.slots[0].qp, 0, "unpredicated means p0");
         assert_ne!(d.slots[2].flags & FLAG_FR_READS, 0);
         assert_eq!(d.cond_branch_mask, 0);
         assert_eq!(d.generation, 3);
@@ -307,11 +324,8 @@ mod tests {
         let d = DecodedBundle::decode(&b, 0);
         let br_slot = b.slots.iter().position(|i| i.op.is_branch()).unwrap();
         assert_eq!(d.cond_branch_mask, 1 << br_slot);
-        for (s, slot) in d.slots.iter().enumerate() {
-            if s != br_slot {
-                assert_ne!(slot.flags & FLAG_NOP, 0);
-            }
-        }
+        assert_eq!(d.live(), &[br_slot as u8], "every other slot is a nop");
+        assert_eq!(d.slots[br_slot].qp, 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! | tier                  | step                              | timing |
 //! |-----------------------|-----------------------------------|--------|
-//! | [`Reference`]         | `Machine::step_bundle`            | cycle-exact |
-//! | [`Fast`]              | `Machine::step_bundle_fast`       | cycle-exact (bit-identical to Reference) |
-//! | [`Threaded`]          | `Machine::jit_step`               | architectural state only |
+//! | [`Reference`]         | `Machine::step_bundle`: one bundle | cycle-exact |
+//! | [`Fast`]              | `Machine::run_fast`: a fused loop over many bundles, up to the next stop condition | cycle-exact (bit-identical to Reference) |
+//! | [`Threaded`]          | `Machine::jit_step`: one compiled region, or one cold bundle on the fast path | architectural state only |
 //!
 //! `SAMPLING` is a compile-time split: the unsampled instantiation of
 //! each step carries no sample checks at all. The reference step
@@ -31,7 +31,10 @@ use crate::machine::Machine;
 /// consistent, so the next step (on any tier) continues correctly.
 /// `cycle_limit` is advisory for single-bundle tiers (the drive loop
 /// checks it between steps) but binding for multi-bundle steps, which
-/// must return soon after `cycle` reaches it.
+/// must return soon after `cycle` reaches it — a cycle-exact one right
+/// after the first bundle that reaches it, like every other stop
+/// condition the drive loop checks, so that its stops are those of
+/// single-bundle stepping.
 pub(crate) trait ExecTier {
     /// Advances the machine by one step.
     fn step<const SAMPLING: bool>(m: &mut Machine, cycle_limit: u64);
@@ -47,12 +50,15 @@ impl ExecTier for Reference {
 }
 
 /// The predecoded fast implementation (cycle-exact, bit-identical to
-/// [`Reference`]).
+/// [`Reference`]). One step runs bundles until the machine halts or
+/// faults, the cycle limit is reached, or a sample fills the buffer —
+/// the conditions `Machine::drive` checks between steps — so the stop
+/// reason and resume point match single-bundle stepping.
 pub(crate) struct Fast;
 
 impl ExecTier for Fast {
-    fn step<const SAMPLING: bool>(m: &mut Machine, _cycle_limit: u64) {
-        m.step_bundle_fast::<SAMPLING>();
+    fn step<const SAMPLING: bool>(m: &mut Machine, cycle_limit: u64) {
+        m.run_fast::<SAMPLING>(cycle_limit);
     }
 }
 
