@@ -94,11 +94,14 @@ impl<'p, T> Submitter<'p, T> {
     pub fn push(&self, item: T) -> usize {
         let index = self.next_index.fetch_add(1, Ordering::SeqCst);
         let shard = index % self.shared.shards.len();
+        let mut gate = self.shared.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Queue under the gate: a worker can take the job as soon as it
+        // is queued, but uncounts it under the gate, so only after this
+        // push has counted it (otherwise `pending` could underflow).
         self.shared.shards[shard]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push_back((index, item));
-        let mut gate = self.shared.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         gate.pending += 1;
         gate.submitted += 1;
         let depth = gate.pending;
@@ -360,6 +363,19 @@ mod tests {
             assert_eq!(stats.executed, 40);
             assert_eq!(stats.shards, jobs.min(40));
             assert_eq!(states.iter().sum::<u64>(), 40, "every job counted exactly once");
+        }
+    }
+
+    #[test]
+    fn repeated_batches_never_uncount_a_job_before_it_is_counted() {
+        // A worker may take a job the moment it is queued; `pending`
+        // must already count it. Many short batches make that race
+        // likely (it underflowed within a few thousand batches when the
+        // count came after the queueing).
+        for _ in 0..3000 {
+            let (results, _, stats) = run_indexed(2, (0..40u64).collect(), |_| (), |_, _, i| i);
+            assert_eq!(results.len(), 40);
+            assert_eq!(stats.executed, 40);
         }
     }
 

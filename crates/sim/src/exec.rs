@@ -42,17 +42,17 @@
 //!   `cycle >= next_at` compare per bundle; the sample itself is out of
 //!   line. The unsampled instantiation carries no sample check at all.
 //!
-//! Instruction semantics are not duplicated: both paths call the same
-//! `Machine::exec_slot_op` / `advance_after_bundle` helpers, so the fast
-//! path cannot drift on what an instruction *does* — only on how the
-//! bundle is fetched and scheduled, which is exactly what the golden
-//! cycle-exactness tests and the per-path differential fuzz smoke pin
-//! down.
+//! Instruction semantics are not duplicated: every tier runs the one
+//! definition in `Machine::exec_slot_op`, and both interpreters share
+//! `advance_after_bundle`, so the fast path cannot drift on what an
+//! instruction *does* — only on how the bundle is fetched and
+//! scheduled, which is exactly what the golden cycle-exactness tests
+//! and the per-path differential fuzz smoke pin down.
 
 use isa::{Addr, Insn, Pc};
 
 use crate::code::FLAG_FR_READS;
-use crate::machine::{Fault, Machine};
+use crate::machine::{Fault, Flow, Machine};
 
 impl Machine {
     /// Executes predecoded bundles until the machine halts or faults,
@@ -113,16 +113,17 @@ impl Machine {
                     }
                 }
 
-                self.exec_slot_op(
-                    ds.insn,
+                match self.exec_slot_op::<true, true>(
+                    ds.insn.op,
                     Pc::new(bundle_addr, slot),
                     fall_through,
-                    &mut taken,
-                );
-                if self.fault.is_some() || taken.is_some() || self.halted {
-                    retired = u64::from(slot) + 1;
-                    break;
+                ) {
+                    Flow::Next => continue,
+                    Flow::Taken(target) => taken = Some(target),
+                    Flow::Stop => {}
                 }
+                retired = u64::from(slot) + 1;
+                break;
             }
             self.pmu.counters.retired += retired;
 

@@ -1,20 +1,20 @@
 //! The threaded-code compile tier behind [`ExecPath::Threaded`].
 //!
-//! The fast path (PR 4) removed per-step decode costs; this tier
-//! removes the *dispatch* itself for hot code. Cold code is stepped on
-//! the fast path while per-bundle entry counts accumulate; once a
-//! bundle has been entered [`HOT_THRESHOLD`] times it becomes the head
-//! of a **compiled region**: a contiguous run of bundles translated
-//! into chains of block closures ([`OpFn`]) executed with
-//! direct-threaded dispatch — no fetch, no scoreboard walk, no
-//! per-slot decode.
+//! The fast path removes per-step decode costs; this tier removes the
+//! *dispatch* itself for hot code. Cold code is stepped on the fast
+//! path while per-bundle entry counts accumulate; once a bundle has been
+//! entered [`HOT_THRESHOLD`] times it becomes the head of a **compiled
+//! region**: a contiguous run of bundles translated into chains of
+//! closures ([`OpFn`]) executed with direct-threaded dispatch — no
+//! fetch, no scoreboard walk, no per-slot decode.
 //!
-//! Branch binding uses the pending-fixup idiom: every static branch
-//! target is recorded as an unresolved [`Dest::External`] while the
-//! region is laid out, then a single resolution pass rewrites targets
-//! that landed inside the region to [`Dest::Local`] bundle indices, so
-//! loop backedges dispatch straight to a closure index without an
-//! address lookup.
+//! A closure does not define what its instruction does. It checks the
+//! qualifying predicate and calls `Machine::exec_slot_op` (the one
+//! definition of instruction semantics, shared by every tier) on the op
+//! rebuilt from the fields it captured, so that the inlined call folds
+//! to that one variant's body. Taken branches leave the closure as a
+//! target address; the region executor maps a target inside the region
+//! to a bundle index, so loop backedges stay in compiled code.
 //!
 //! # The tier contract
 //!
@@ -26,17 +26,19 @@
 //! region executor reproduces the interpreters' slot-accounting rules,
 //! so `retired` agrees with the cycle-exact tiers bundle for bundle.
 //!
-//! Two compile modes, chosen by whether the machine samples:
+//! Closures run `exec_slot_op` untimed (every write is ready at once),
+//! in one of two modes chosen by whether the machine samples, which is
+//! its `MEM` parameter:
 //!
-//! - **lean** (no sampling configured): pure architectural semantics.
-//!   Loads and stores skip the cache hierarchy, TLB, and PMU entirely;
-//!   this is the mode the throughput benchmark measures.
-//! - **profile** (sampling configured, i.e. the machine runs under
-//!   ADORE): memory closures still drive the caches, DTLB, and PMU
-//!   event capture (DEAR, BTB, miss counters), and branch closures
-//!   record outcomes, so sampling keeps observing real events and the
-//!   optimizer keeps finding delinquent loads while hot code runs
-//!   compiled.
+//! - **lean** (`MEM = false`, no sampling configured): pure
+//!   architectural semantics. Loads and stores skip the cache hierarchy,
+//!   TLB, and PMU entirely; this is the mode the throughput benchmark
+//!   measures.
+//! - **profile** (`MEM = true`, sampling configured, i.e. the machine
+//!   runs under ADORE): memory ops still drive the caches, DTLB, and PMU
+//!   event capture (DEAR, BTB, miss counters), and branches record
+//!   outcomes, so sampling keeps observing real events and the optimizer
+//!   keeps finding delinquent loads while hot code runs compiled.
 //!
 //! # Deopt at patch boundaries
 //!
@@ -57,9 +59,8 @@ use std::sync::Arc;
 
 use isa::{Addr, Insn, Op, Pc};
 
-use crate::cache::HitLevel;
 use crate::code::CodeStore;
-use crate::machine::{ExecPath, Fault, Machine, StallSource};
+use crate::machine::{ExecPath, Flow, Machine};
 
 /// Fast-path entries of a bundle address before it is compiled as a
 /// region head. Low enough that loops compile early, high enough that
@@ -121,23 +122,9 @@ impl JitState {
     }
 }
 
-/// Outcome of one compiled op closure.
-enum OpOutcome {
-    /// Continue with the next op (or fall through the bundle).
-    Next,
-    /// Static branch taken: dispatch through `CompiledRegion::dests`.
-    Branch(u32),
-    /// Dynamic branch taken (`br.ret`): resolve the target at runtime.
-    Jump(Addr),
-    /// `Halt` executed (`machine.halted` already set).
-    Halt,
-    /// The op faulted (`machine.fault` already set); the machine is
-    /// frozen at this bundle.
-    Fault,
-}
-
-/// One translated instruction: a block closure over the machine.
-type OpFn = Box<dyn Fn(&mut Machine) -> OpOutcome + Send + Sync>;
+/// One translated instruction: a thin closure over
+/// `Machine::exec_slot_op`.
+type OpFn = Box<dyn Fn(&mut Machine) -> Flow + Send + Sync>;
 
 /// A translated (non-nop) slot. `slot` preserves the source position
 /// for exact retired-count accounting.
@@ -153,23 +140,12 @@ struct CompiledBundle {
     ops: Vec<CompiledOp>,
 }
 
-/// A branch destination, bound after region layout (pending-fixup):
-/// targets inside the region become direct bundle indices.
-#[derive(Debug, Clone, Copy)]
-enum Dest {
-    /// Bundle index within the same region.
-    Local(u32),
-    /// Bundle-aligned address outside the region (region exit).
-    External(Addr),
-}
-
 /// A contiguous run of bundles compiled to closure chains, valid for
 /// exactly one code-store generation.
 struct CompiledRegion {
     start: Addr,
     generation: u64,
     bundles: Vec<CompiledBundle>,
-    dests: Vec<Dest>,
 }
 
 impl Machine {
@@ -179,6 +155,9 @@ impl Machine {
     /// crossed the hotness threshold, and otherwise interpret one
     /// bundle on the fast path (full timing/PMU, so sampling and ADORE
     /// patching keep working while code warms up).
+    ///
+    /// `SAMPLING` is set exactly when sampling is configured, so it
+    /// also selects the compile mode (profile or lean).
     pub(crate) fn jit_step<const SAMPLING: bool>(&mut self, cycle_limit: u64) {
         let ip = self.ip.bundle_align();
         let generation = self.store.generation();
@@ -204,8 +183,7 @@ impl Machine {
             *count += 1;
             if *count >= HOT_THRESHOLD {
                 *count = 0;
-                let profile = self.config.sampling.is_some();
-                if let Some(r) = compile_region(&self.store, ip, generation, profile) {
+                if let Some(r) = compile_region::<SAMPLING>(&self.store, ip, generation) {
                     jit.stats.regions_compiled += 1;
                     jit.stats.compiled_bundles += r.bundles.len() as u64;
                     jit.stats.region_entries += 1;
@@ -238,7 +216,6 @@ impl Machine {
     /// predicated-off slots included), a fully fallen-through bundle
     /// counts all three. Timing is a flat cycle per bundle.
     fn run_region<const SAMPLING: bool>(&mut self, region: &CompiledRegion, cycle_limit: u64) {
-        let cap = self.config.sampling.as_ref().map(|s| s.buffer_capacity);
         let len = region.bundles.len();
         let mut idx = 0usize;
         loop {
@@ -252,58 +229,45 @@ impl Machine {
                 break;
             }
 
-            let mut exit: Option<(u8, OpOutcome)> = None;
+            let mut flow = Flow::Next;
+            let mut retired = 3;
             for op in &cb.ops {
-                match (op.f)(self) {
-                    OpOutcome::Next => {}
-                    out => {
-                        exit = Some((op.slot, out));
-                        break;
-                    }
+                flow = (op.f)(self);
+                if flow != Flow::Next {
+                    retired = u64::from(op.slot) + 1;
+                    break;
                 }
             }
-            let (retired, outcome) = match exit {
-                Some((slot, out)) => (u64::from(slot) + 1, out),
-                None => (3, OpOutcome::Next),
-            };
             self.pmu.counters.retired += retired;
 
-            if matches!(outcome, OpOutcome::Fault) {
-                // Freeze at the faulting bundle, like the interpreters:
-                // no ip advance, no cycle charge, no sample.
-                self.ip = cb.addr;
-                break;
-            }
-
-            self.cycle += 1;
-            self.half_bundle = false;
-
-            let next = match outcome {
-                OpOutcome::Next => Some(idx + 1),
-                OpOutcome::Branch(di) => match region.dests[di as usize] {
-                    Dest::Local(i) => Some(i as usize),
-                    Dest::External(a) => {
-                        self.ip = a;
-                        None
-                    }
-                },
-                OpOutcome::Jump(a) => {
-                    let a = a.bundle_align();
-                    let off = a.0.wrapping_sub(region.start.0) / Addr::BUNDLE_BYTES;
-                    if a.0 >= region.start.0 && (off as usize) < len {
+            let next = match flow {
+                Flow::Next => Some(idx + 1),
+                Flow::Taken(target) => {
+                    let target = target.bundle_align();
+                    let off = target.0.wrapping_sub(region.start.0) / Addr::BUNDLE_BYTES;
+                    if target.0 >= region.start.0 && (off as usize) < len {
                         Some(off as usize)
                     } else {
-                        self.ip = a;
+                        self.ip = target;
                         None
                     }
                 }
-                OpOutcome::Halt => {
+                Flow::Stop if self.fault.is_some() => {
+                    // Freeze at the faulting bundle, like the
+                    // interpreters: no ip advance, no cycle charge, no
+                    // sample.
+                    self.ip = cb.addr;
+                    break;
+                }
+                Flow::Stop => {
+                    // Halted.
                     self.ip = cb.addr.offset_bundles(1);
                     None
                 }
-                OpOutcome::Fault => unreachable!("fault handled above"),
             };
 
+            self.cycle += 1;
+            self.half_bundle = false;
             if SAMPLING {
                 self.take_sample(Pc::new(cb.addr, 0));
             }
@@ -311,11 +275,7 @@ impl Machine {
             match next {
                 Some(i) => {
                     idx = i;
-                    if SAMPLING
-                        && cap.is_some_and(|c| {
-                            self.samples.as_ref().is_some_and(|s| s.buffer.len() >= c)
-                        })
-                    {
+                    if SAMPLING && self.sample_buffer_full() {
                         // Let the drive loop report the overflow; resume
                         // at the next bundle (which may be the region's
                         // fall-through when `i == len`).
@@ -330,53 +290,20 @@ impl Machine {
     }
 }
 
-/// Writes a general register from compiled code: architectural value
-/// plus a "ready now" scoreboard entry, so a later deopt to the
-/// cycle-exact interpreters never observes a stale pending latency.
-#[inline]
-fn set_gr(m: &mut Machine, r: usize, v: i64) {
-    if r != 0 {
-        m.gr[r] = v;
-        m.gr_ready[r] = m.cycle;
-        m.gr_source[r] = StallSource::None;
-    }
-}
-
-/// Writes a floating-point register from compiled code (`f0`/`f1` are
-/// architecturally fixed).
-#[inline]
-fn set_fr(m: &mut Machine, r: usize, v: f64) {
-    if r > 1 {
-        m.fr[r] = v;
-        m.fr_ready[r] = m.cycle;
-        m.fr_source[r] = StallSource::None;
-    }
-}
-
-/// Writes a predicate register from compiled code (`p0` is hardwired).
-#[inline]
-fn set_pr(m: &mut Machine, r: usize, v: bool) {
-    if r != 0 {
-        m.pr[r] = v;
-    }
-}
-
 /// Translates the contiguous bundle run starting at `start` (bounded by
 /// [`REGION_MAX_BUNDLES`], the end of the code segment, or the first
 /// unconditional control transfer) into a compiled region stamped with
-/// `generation`. Returns `None` when `start` maps to no bundle — the
-/// cold path then raises the fetch fault.
-fn compile_region(
+/// `generation`, in profile mode when `MEM`. Returns `None` when `start`
+/// maps to no bundle — the cold path then raises the fetch fault.
+fn compile_region<const MEM: bool>(
     store: &CodeStore,
     start: Addr,
     generation: u64,
-    profile: bool,
 ) -> Option<CompiledRegion> {
     let start = start.bundle_align();
     store.locate(start)?;
 
     let mut bundles = Vec::new();
-    let mut dests: Vec<Dest> = Vec::new();
     for i in 0..REGION_MAX_BUNDLES {
         let addr = start.offset_bundles(i as i64);
         let Some(loc) = store.locate(addr) else {
@@ -395,8 +322,7 @@ fn compile_region(
                 // transfer, so the region need not extend further.
                 region_ends = true;
             }
-            if let Some(f) = compile_op(insn, Pc::new(addr, slot), fall_through, profile, &mut dests)
-            {
+            if let Some(f) = compile_op::<MEM>(insn, Pc::new(addr, slot), fall_through) {
                 ops.push(CompiledOp { slot, f });
             }
         }
@@ -405,389 +331,96 @@ fn compile_region(
             break;
         }
     }
-    if bundles.is_empty() {
-        return None;
-    }
-
-    // Pending-fixup resolution: branch targets that landed inside the
-    // region bind to direct bundle indices.
-    let len = bundles.len() as u64;
-    for d in &mut dests {
-        if let Dest::External(a) = *d {
-            if a.0 >= start.0 {
-                let off = (a.0 - start.0) / Addr::BUNDLE_BYTES;
-                if off < len {
-                    *d = Dest::Local(off as u32);
-                }
-            }
-        }
-    }
-
     Some(CompiledRegion {
         start,
         generation,
         bundles,
-        dests,
     })
 }
 
-/// Translates one instruction into a block closure with exactly the
-/// architectural semantics of `Machine::exec_slot_op` (fault-before-
-/// write ordering, post-increment after the destination write,
-/// speculative loads deferring to zero). In profile mode, memory and
-/// branch closures additionally drive the caches, DTLB, and PMU so
-/// sampling keeps observing real events. Returns `None` for slots with
-/// no translation (nops, `alloc`, lean-mode `lfetch` without
-/// post-increment).
-fn compile_op(
-    insn: Insn,
-    pc: Pc,
-    fall_through: Addr,
-    profile: bool,
-    dests: &mut Vec<Dest>,
-) -> Option<OpFn> {
-    // A lean-mode lfetch with no post-increment has no architectural
-    // effect at all.
-    if let Op::Lfetch { post_inc: 0, .. } = insn.op {
-        if !profile {
-            return None;
-        }
-    }
-
-    // Conditional branches fold their own predicate so the profile
-    // variant can record the fall-through outcome of an off branch,
-    // mirroring `record_off_cond_branches`.
-    if let Op::BrCond { target } = insn.op {
-        dests.push(Dest::External(target.bundle_align()));
-        let di = (dests.len() - 1) as u32;
-        let qp = insn.qp.map(|q| q.index());
-        return Some(Box::new(move |m| {
-            if let Some(q) = qp {
-                if !m.pr[q] {
-                    if profile {
+/// Translates one instruction into a closure that checks its qualifying
+/// predicate and then runs `Machine::exec_slot_op::<false, MEM>` on the
+/// op rebuilt from the captured fields. In profile mode (`MEM`), an off
+/// `br.cond` also records its fall-through outcome, in slot order (the
+/// interpreters record it at the end of the bundle). Returns `None` for
+/// slots with no effect on this tier: nops, `alloc`, and a lean-mode
+/// `lfetch` without post-increment.
+fn compile_op<const MEM: bool>(insn: Insn, pc: Pc, fall_through: Addr) -> Option<OpFn> {
+    // An unpredicated slot reads `p0`, which is hardwired true.
+    let qp = insn.qp.map_or(0, |q| q.index());
+    let record_off = MEM && matches!(insn.op, Op::BrCond { .. });
+    macro_rules! thin {
+        ($($op:tt)+) => {
+            Box::new(move |m: &mut Machine| {
+                if !m.pr[qp] {
+                    if record_off {
                         m.pmu.record_branch(pc, fall_through, false);
                     }
-                    return OpOutcome::Next;
+                    return Flow::Next;
                 }
-            }
-            if profile {
-                m.pmu.record_branch(pc, target, true);
-            }
-            OpOutcome::Branch(di)
-        }));
+                m.exec_slot_op::<false, MEM>(Op::$($op)+, pc, fall_through)
+            })
+        };
     }
-
-    let body: OpFn = match insn.op {
+    let f: OpFn = match insn.op {
         Op::Nop(_) | Op::Alloc => return None,
-        Op::BrCond { .. } => unreachable!("handled above"),
-        Op::Add { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.gr[a].wrapping_add(m.gr[b]);
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::AddI { d, a, imm } => {
-            let (d, a) = (d.index(), a.index());
-            Box::new(move |m| {
-                let v = m.gr[a].wrapping_add(imm);
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Sub { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.gr[a].wrapping_sub(m.gr[b]);
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Shladd { d, a, count, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = (m.gr[a] << count).wrapping_add(m.gr[b]);
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::And { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.gr[a] & m.gr[b];
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Or { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.gr[a] | m.gr[b];
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Xor { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.gr[a] ^ m.gr[b];
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::MovL { d, imm } => {
-            let d = d.index();
-            Box::new(move |m| {
-                set_gr(m, d, imm);
-                OpOutcome::Next
-            })
-        }
-        Op::Mov { d, s } => {
-            let (d, s) = (d.index(), s.index());
-            Box::new(move |m| {
-                let v = m.gr[s];
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Cmp { op, pt, pf, a, b } => {
-            let (pt, pf, a, b) = (pt.index(), pf.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let r = op.eval(m.gr[a], m.gr[b]);
-                set_pr(m, pt, r);
-                set_pr(m, pf, !r);
-                OpOutcome::Next
-            })
-        }
-        Op::CmpI { op, pt, pf, a, imm } => {
-            let (pt, pf, a) = (pt.index(), pf.index(), a.index());
-            Box::new(move |m| {
-                let r = op.eval(m.gr[a], imm);
-                set_pr(m, pt, r);
-                set_pr(m, pf, !r);
-                OpOutcome::Next
-            })
-        }
+        Op::Lfetch { post_inc: 0, .. } if !MEM => return None,
+        Op::Add { d, a, b } => thin!(Add { d, a, b }),
+        Op::AddI { d, a, imm } => thin!(AddI { d, a, imm }),
+        Op::Sub { d, a, b } => thin!(Sub { d, a, b }),
+        Op::Shladd { d, a, count, b } => thin!(Shladd { d, a, count, b }),
+        Op::And { d, a, b } => thin!(And { d, a, b }),
+        Op::Or { d, a, b } => thin!(Or { d, a, b }),
+        Op::Xor { d, a, b } => thin!(Xor { d, a, b }),
+        Op::MovL { d, imm } => thin!(MovL { d, imm }),
+        Op::Mov { d, s } => thin!(Mov { d, s }),
+        Op::Cmp { op, pt, pf, a, b } => thin!(Cmp { op, pt, pf, a, b }),
+        Op::CmpI { op, pt, pf, a, imm } => thin!(CmpI { op, pt, pf, a, imm }),
         Op::Ld {
             d,
             base,
             post_inc,
             size,
             spec,
-        } => {
-            let (d, base) = (d.index(), base.index());
-            let bytes = size.bytes();
-            Box::new(move |m| {
-                let addr = m.gr[base] as u64;
-                let value = if spec {
-                    m.mem.read_spec(addr, bytes)
-                } else if m.mem.contains(addr, bytes) {
-                    m.mem.read(addr, bytes)
-                } else {
-                    m.fault = Some(Fault::UnmappedLoad { addr, len: bytes });
-                    return OpOutcome::Fault;
-                };
-                if profile {
-                    let tlb_lat = m.tlb.access(addr);
-                    if tlb_lat > 0 {
-                        m.pmu.record_tlb_miss(pc, addr, tlb_lat);
-                    }
-                    let res = m.caches.load(addr, m.cycle + tlb_lat, false);
-                    m.pmu
-                        .record_load(pc, addr, res.latency, res.level == HitLevel::L1);
-                }
-                set_gr(m, d, value as i64);
-                if post_inc != 0 {
-                    let nb = m.gr[base].wrapping_add(post_inc);
-                    set_gr(m, base, nb);
-                }
-                OpOutcome::Next
-            })
-        }
+        } => thin!(Ld {
+            d,
+            base,
+            post_inc,
+            size,
+            spec
+        }),
         Op::St {
             s,
             base,
             post_inc,
             size,
-        } => {
-            let (s, base) = (s.index(), base.index());
-            let bytes = size.bytes();
-            Box::new(move |m| {
-                let addr = m.gr[base] as u64;
-                if !m.mem.contains(addr, bytes) {
-                    m.fault = Some(Fault::UnmappedStore { addr, len: bytes });
-                    return OpOutcome::Fault;
-                }
-                m.mem.write(addr, bytes, m.gr[s] as u64);
-                if profile {
-                    let _ = m.tlb.access(addr);
-                    m.caches.store(addr);
-                }
-                if post_inc != 0 {
-                    let nb = m.gr[base].wrapping_add(post_inc);
-                    set_gr(m, base, nb);
-                }
-                OpOutcome::Next
-            })
-        }
-        Op::Ldf { d, base, post_inc } => {
-            let (d, base) = (d.index(), base.index());
-            Box::new(move |m| {
-                let addr = m.gr[base] as u64;
-                if !m.mem.contains(addr, 8) {
-                    m.fault = Some(Fault::UnmappedLoad { addr, len: 8 });
-                    return OpOutcome::Fault;
-                }
-                let value = m.mem.read_f64(addr);
-                if profile {
-                    let tlb_lat = m.tlb.access(addr);
-                    if tlb_lat > 0 {
-                        m.pmu.record_tlb_miss(pc, addr, tlb_lat);
-                    }
-                    let res = m.caches.load(addr, m.cycle + tlb_lat, true);
-                    m.pmu.record_load(pc, addr, res.latency, false);
-                }
-                set_fr(m, d, value);
-                if post_inc != 0 {
-                    let nb = m.gr[base].wrapping_add(post_inc);
-                    set_gr(m, base, nb);
-                }
-                OpOutcome::Next
-            })
-        }
-        Op::Stf { s, base, post_inc } => {
-            let (s, base) = (s.index(), base.index());
-            Box::new(move |m| {
-                let addr = m.gr[base] as u64;
-                if !m.mem.contains(addr, 8) {
-                    m.fault = Some(Fault::UnmappedStore { addr, len: 8 });
-                    return OpOutcome::Fault;
-                }
-                m.mem.write_f64(addr, m.fr[s]);
-                if profile {
-                    m.caches.store(addr);
-                }
-                if post_inc != 0 {
-                    let nb = m.gr[base].wrapping_add(post_inc);
-                    set_gr(m, base, nb);
-                }
-                OpOutcome::Next
-            })
-        }
-        Op::Lfetch { base, post_inc } => {
-            let base = base.index();
-            Box::new(move |m| {
-                if profile {
-                    let addr = m.gr[base] as u64;
-                    if m.mem.contains(addr, 1) {
-                        let _ = m.tlb.access(addr);
-                        m.caches.lfetch(addr, m.cycle);
-                    }
-                }
-                if post_inc != 0 {
-                    let nb = m.gr[base].wrapping_add(post_inc);
-                    set_gr(m, base, nb);
-                }
-                OpOutcome::Next
-            })
-        }
-        Op::Fma { d, a, b, c } => {
-            let (d, a, b, c) = (d.index(), a.index(), b.index(), c.index());
-            Box::new(move |m| {
-                let v = m.fr[a].mul_add(m.fr[b], m.fr[c]);
-                set_fr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Fadd { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.fr[a] + m.fr[b];
-                set_fr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Fmul { d, a, b } => {
-            let (d, a, b) = (d.index(), a.index(), b.index());
-            Box::new(move |m| {
-                let v = m.fr[a] * m.fr[b];
-                set_fr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Getf { d, s } => {
-            let (d, s) = (d.index(), s.index());
-            Box::new(move |m| {
-                let v = m.fr[s] as i64;
-                set_gr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Setf { d, s } => {
-            let (d, s) = (d.index(), s.index());
-            Box::new(move |m| {
-                let v = m.gr[s] as f64;
-                set_fr(m, d, v);
-                OpOutcome::Next
-            })
-        }
-        Op::Br { target } => {
-            dests.push(Dest::External(target.bundle_align()));
-            let di = (dests.len() - 1) as u32;
-            Box::new(move |m| {
-                if profile {
-                    m.pmu.record_branch(pc, target, true);
-                }
-                OpOutcome::Branch(di)
-            })
-        }
-        Op::BrCall { target } => {
-            dests.push(Dest::External(target.bundle_align()));
-            let di = (dests.len() - 1) as u32;
-            Box::new(move |m| {
-                if profile {
-                    m.pmu.record_branch(pc, target, true);
-                }
-                m.ret_stack.push(fall_through);
-                OpOutcome::Branch(di)
-            })
-        }
-        Op::BrRet => Box::new(move |m| {
-            let Some(target) = m.ret_stack.pop() else {
-                m.fault = Some(Fault::ReturnUnderflow);
-                return OpOutcome::Fault;
-            };
-            if profile {
-                m.pmu.record_branch(pc, target, true);
-            }
-            OpOutcome::Jump(target)
+        } => thin!(St {
+            s,
+            base,
+            post_inc,
+            size
         }),
-        Op::Halt => Box::new(move |m| {
-            m.halted = true;
-            OpOutcome::Halt
-        }),
+        Op::Ldf { d, base, post_inc } => thin!(Ldf { d, base, post_inc }),
+        Op::Stf { s, base, post_inc } => thin!(Stf { s, base, post_inc }),
+        Op::Lfetch { base, post_inc } => thin!(Lfetch { base, post_inc }),
+        Op::Fma { d, a, b, c } => thin!(Fma { d, a, b, c }),
+        Op::Fadd { d, a, b } => thin!(Fadd { d, a, b }),
+        Op::Fmul { d, a, b } => thin!(Fmul { d, a, b }),
+        Op::Getf { d, s } => thin!(Getf { d, s }),
+        Op::Setf { d, s } => thin!(Setf { d, s }),
+        Op::Br { target } => thin!(Br { target }),
+        Op::BrCond { target } => thin!(BrCond { target }),
+        Op::BrCall { target } => thin!(BrCall { target }),
+        Op::BrRet => thin!(BrRet),
+        Op::Halt => thin!(Halt),
     };
-
-    match insn.qp {
-        Some(q) => {
-            let q = q.index();
-            Some(Box::new(move |m| {
-                if m.pr[q] {
-                    body(m)
-                } else {
-                    OpOutcome::Next
-                }
-            }))
-        }
-        None => Some(body),
-    }
+    Some(f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{MachineConfig, SamplingConfig, StopReason};
+    use crate::machine::{Fault, MachineConfig, SamplingConfig, StopReason};
     use isa::{AccessSize, Asm, CmpOp, Gr, Pr, CODE_BASE};
 
     fn sum_loop_program(iters: i64) -> isa::Program {
@@ -836,6 +469,181 @@ mod tests {
         assert!(stats.compiled_bundles >= 1);
         assert_eq!(stats.deopts, 0, "nothing patched, nothing deopts");
         assert_eq!(fast.jit_stats(), None, "cycle-exact tiers carry no jit");
+    }
+
+    #[test]
+    fn lean_compiled_loads_bypass_the_memory_model() {
+        // Lean mode runs `exec_slot_op` without its memory model: loads
+        // inside compiled regions never reach the PMU, so only the
+        // bundles stepped on the fast path while the loop warmed up
+        // count.
+        let mut fast = sum_loop_machine(ExecPath::Fast, 4000, 4004);
+        let mut thr = sum_loop_machine(ExecPath::Threaded, 4000, 4004);
+        fast.run(u64::MAX);
+        thr.run(u64::MAX);
+        assert_eq!(fast.pmu().counters.loads, 4000);
+        assert!(
+            thr.pmu().counters.loads < fast.pmu().counters.loads,
+            "compiled loads reached the PMU: {} of {}",
+            thr.pmu().counters.loads,
+            fast.pmu().counters.loads
+        );
+        assert!(thr.jit_stats().unwrap().regions_compiled >= 1);
+    }
+
+    /// A hot loop holding every `Op` variant: predicated on and off
+    /// instances (on alternate iterations), a speculative load from an
+    /// unmapped address, post-incrementing memory ops and `lfetch`, the
+    /// FP ops and transfers, a call and return, an unconditional branch
+    /// and a halt. `alloc` and the nops come along in the bundles.
+    fn every_op_program(iters: i64, data: u64) -> isa::Program {
+        use isa::Fr;
+        let (ints, out, fps, fout) = (data, data + 0x800, data + 0x1000, data + 0x1800);
+        let pred = |q: u8, op: Op| Insn::predicated(Pr(q), op);
+        let mut a = Asm::new();
+        a.movl(Gr(10), ints as i64);
+        a.movl(Gr(14), out as i64);
+        a.movl(Gr(15), fps as i64);
+        a.movl(Gr(16), 0x10); // unmapped
+        a.movl(Gr(29), fout as i64);
+        a.movl(Gr(31), data as i64);
+        a.movl(Gr(26), 1);
+        a.label("loop");
+        a.emit(Op::Alloc);
+        a.ld(AccessSize::U8, Gr(13), Gr(10), 8);
+        a.ld_s(AccessSize::U4, Gr(17), Gr(16), 0);
+        a.add(Gr(12), Gr(12), Gr(13));
+        a.sub(Gr(18), Gr(12), Gr(11));
+        a.shladd(Gr(19), Gr(11), 2, Gr(18));
+        a.emit(Op::And {
+            d: Gr(25),
+            a: Gr(11),
+            b: Gr(26),
+        });
+        a.emit(Op::Or {
+            d: Gr(20),
+            a: Gr(19),
+            b: Gr(13),
+        });
+        a.emit(Op::Xor {
+            d: Gr(21),
+            a: Gr(20),
+            b: Gr(12),
+        });
+        a.mov(Gr(22), Gr(21));
+        a.movl(Gr(24), -7);
+        a.cmp(CmpOp::Eq, Pr(3), Pr(4), Gr(25), Gr(0));
+        a.emit(pred(3, Op::AddI { d: Gr(27), a: Gr(27), imm: 5 }));
+        a.emit(pred(4, Op::AddI { d: Gr(28), a: Gr(28), imm: 3 }));
+        a.emit(pred(
+            3,
+            Op::St {
+                s: Gr(22),
+                base: Gr(14),
+                post_inc: 8,
+                size: AccessSize::U8,
+            },
+        ));
+        a.emit(pred(
+            4,
+            Op::St {
+                s: Gr(24),
+                base: Gr(14),
+                post_inc: 8,
+                size: AccessSize::U2,
+            },
+        ));
+        a.emit(pred(
+            4,
+            Op::Ld {
+                d: Gr(23),
+                base: Gr(10),
+                post_inc: 0,
+                size: AccessSize::U1,
+                spec: false,
+            },
+        ));
+        a.emit(Op::Setf { d: Fr(3), s: Gr(13) });
+        a.ldf(Fr(4), Gr(15), 8);
+        a.fma(Fr(5), Fr(3), Fr(4), Fr(5));
+        a.emit(pred(3, Op::Fadd { d: Fr(6), a: Fr(5), b: Fr(3) }));
+        a.emit(Op::Fmul { d: Fr(7), a: Fr(3), b: Fr(4) });
+        a.stf(Gr(29), Fr(7), 8);
+        a.emit(Op::Getf { d: Gr(30), s: Fr(6) });
+        a.lfetch(Gr(31), 64);
+        a.lfetch(Gr(10), 0);
+        a.emit(pred(3, Op::Lfetch { base: Gr(32), post_inc: 8 }));
+        a.br_call("bump");
+        a.br_cond(Pr(3), "skip");
+        a.addi(Gr(33), Gr(33), 1);
+        a.label("skip");
+        a.addi(Gr(11), Gr(11), 1);
+        a.cmpi(CmpOp::Lt, Pr(1), Pr(2), Gr(11), iters);
+        a.br_cond(Pr(1), "loop");
+        a.br("done");
+        a.halt(); // never reached
+        a.label("done");
+        a.halt();
+        a.global("bump");
+        a.addi(Gr(34), Gr(34), 3);
+        a.ret();
+        a.finish(CODE_BASE).unwrap()
+    }
+
+    #[test]
+    fn every_op_compiled_matches_fast() {
+        let sampling = SamplingConfig {
+            interval_cycles: 500,
+            buffer_capacity: 8,
+            per_sample_cost: 0,
+            ..Default::default()
+        };
+        for profile in [false, true] {
+            let run = |path| {
+                let mut cfg = MachineConfig::default();
+                cfg.exec_path = path;
+                cfg.sampling = profile.then(|| sampling.clone());
+                let mut m = Machine::new(every_op_program(200, crate::DATA_BASE), cfg);
+                let data = m.mem_mut().alloc(0x2000, 8);
+                assert_eq!(data, crate::DATA_BASE);
+                for i in 0..200u64 {
+                    m.mem_mut().write(data + 8 * i, 8, i * 7 + 1);
+                    m.mem_mut().write_f64(data + 0x1000 + 8 * i, i as f64 * 0.5);
+                }
+                m.run_to_halt();
+                assert!(m.is_halted(), "{path:?}: {:?}", m.fault());
+                m
+            };
+            let fast = run(ExecPath::Fast);
+            let thr = run(ExecPath::Threaded);
+            let stats = thr.jit_stats().unwrap();
+            assert!(stats.regions_compiled >= 1, "profile={profile}: {stats:?}");
+
+            assert_eq!(fast.gr, thr.gr, "profile={profile}");
+            let bits = |m: &Machine| m.fr.map(f64::to_bits);
+            assert_eq!(bits(&fast), bits(&thr), "profile={profile}");
+            assert_eq!(fast.pr, thr.pr, "profile={profile}");
+            let bytes = |m: &Machine| -> Vec<u64> {
+                (0..0x2000 / 8)
+                    .map(|w| m.mem().read(crate::DATA_BASE + 8 * w, 8))
+                    .collect()
+            };
+            assert_eq!(bytes(&fast), bytes(&thr), "profile={profile}");
+            assert_eq!(fast.retired(), thr.retired(), "profile={profile}");
+            assert_eq!(fast.ip(), thr.ip(), "profile={profile}");
+            if profile {
+                assert_eq!(
+                    fast.pmu().counters.loads,
+                    thr.pmu().counters.loads,
+                    "profile-mode loads reach the PMU"
+                );
+            }
+            // Both predicate arms ran, and so did the call.
+            assert_eq!(
+                [27, 28, 33, 34].map(|r| thr.gr(Gr(r))),
+                [5 * 100, 3 * 100, 100, 3 * 200]
+            );
+        }
     }
 
     #[test]

@@ -275,6 +275,19 @@ pub(crate) enum StallSource {
     Fp,
 }
 
+/// Where control goes after one instruction, as
+/// [`Machine::exec_slot_op`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// On to the next slot (or fall through the bundle).
+    Next,
+    /// A branch was taken to this (not necessarily bundle-aligned)
+    /// target.
+    Taken(Addr),
+    /// The machine halted or faulted; the bundle ends at this slot.
+    Stop,
+}
+
 #[derive(Debug)]
 pub(crate) struct SampleState {
     next_at: u64,
@@ -312,7 +325,7 @@ pub struct Machine {
     /// `gr_ready`/`fr_ready` by `exec_slot_op`. No register is ready
     /// later than `max(pending_until, cycle)`, so while
     /// `cycle >= pending_until` no read can stall and the fast tier
-    /// skips the stall walk. (The threaded tier's compiled writes set
+    /// skips the stall walk. (The threaded tier's untimed writes set
     /// ready cycles to the current cycle, which never stalls.)
     pub(crate) pending_until: u64,
     pub(crate) ip: Addr,
@@ -859,9 +872,13 @@ impl Machine {
                 _ => {}
             }
 
-            self.exec_slot_op(insn, pc, fall_through, &mut taken);
-            if self.fault.is_some() || taken.is_some() || self.halted {
-                break;
+            match self.exec_slot_op::<true, true>(insn.op, pc, fall_through) {
+                Flow::Next => {}
+                Flow::Taken(target) => {
+                    taken = Some(target);
+                    break;
+                }
+                Flow::Stop => break,
             }
         }
 
@@ -942,26 +959,38 @@ impl Machine {
         self.pmu.counters.cycles = self.cycle;
     }
 
-    /// Executes one issued (predicate-true, scoreboard-clear)
-    /// instruction. Shared by the reference and fast paths: every
-    /// architectural and timing effect of an instruction lives here,
-    /// so the paths cannot diverge on op semantics. On a fault the
-    /// machine freezes (`self.fault` set, no destination writes) and
-    /// the caller must stop the bundle.
+    /// Executes one issued (predicate-true) instruction and reports
+    /// where control goes next. This is the one definition of what an
+    /// instruction does, on every tier: the interpreters run it as
+    /// `<true, true>` after their scoreboard walk, and each closure of
+    /// the threaded tier is a thin wrapper over `<false, MEM>` (see
+    /// [`crate::jit`]).
     ///
-    /// Always inlined, so that no slot of the fast tier's fused loop
-    /// pays a call (DESIGN.md §"Execution fast path" records the
-    /// measured gain).
+    /// - `TIMED`: destination writes carry their latency (and stall
+    ///   source) into the scoreboard. Untimed, every write is ready at
+    ///   the current cycle.
+    /// - `MEM`: memory ops drive the DTLB, the cache hierarchy and the
+    ///   PMU's load events, and branches are recorded in the BTB.
+    ///   Without it, only memory contents and the return stack are
+    ///   touched. Nothing runs `TIMED` without `MEM`.
+    ///
+    /// On a fault the machine freezes (`self.fault` set, no destination
+    /// writes) and the result is [`Flow::Stop`], as it is for `halt`;
+    /// the caller must stop the bundle. Always inlined, so that no slot
+    /// of the fast tier's fused loop pays a call (DESIGN.md §"Execution
+    /// fast path" records the measured gain), and so that a compiled
+    /// closure folds the match down to its own variant's body.
     #[inline(always)]
-    pub(crate) fn exec_slot_op(
+    pub(crate) fn exec_slot_op<const TIMED: bool, const MEM: bool>(
         &mut self,
-        insn: Insn,
+        op: Op,
         pc: Pc,
         fall_through: Addr,
-        taken: &mut Option<Addr>,
-    ) {
+    ) -> Flow {
         let now = self.cycle;
-        match insn.op {
+        // The cycle a result with latency `lat` is ready at.
+        let ready = |lat: u64| if TIMED { now + lat } else { now };
+        match op {
             Op::Nop(_) | Op::Alloc => {}
             Op::Add { d, a, b } => {
                 let v = self.gr[a.index()].wrapping_add(self.gr[b.index()]);
@@ -1020,21 +1049,14 @@ impl Machine {
                         addr,
                         len: size.bytes(),
                     });
-                    return;
+                    return Flow::Stop;
                 };
-                let tlb_lat = self.tlb.access(addr);
-                if tlb_lat > 0 {
-                    self.pmu.record_tlb_miss(pc, addr, tlb_lat);
-                }
-                let res = self.caches.load(addr, now + tlb_lat, false);
-                self.pmu
-                    .record_load(pc, addr, res.latency, res.level == HitLevel::L1);
-                self.write_gr_src(
-                    d,
-                    value as i64,
-                    now + tlb_lat + res.latency,
-                    StallSource::Memory,
-                );
+                let lat = if MEM {
+                    self.load_latency(pc, addr, false)
+                } else {
+                    0
+                };
+                self.write_gr_src(d, value as i64, ready(lat), StallSource::Memory);
                 if post_inc != 0 {
                     let nb = self.gr[base.index()].wrapping_add(post_inc);
                     self.write_gr(base, nb, now);
@@ -1052,12 +1074,14 @@ impl Machine {
                         addr,
                         len: size.bytes(),
                     });
-                    return;
+                    return Flow::Stop;
                 }
                 self.mem
                     .write(addr, size.bytes(), self.gr[s.index()] as u64);
-                let _ = self.tlb.access(addr); // stores fill but don't stall
-                self.caches.store(addr);
+                if MEM {
+                    let _ = self.tlb.access(addr); // stores fill but don't stall
+                    self.caches.store(addr);
+                }
                 if post_inc != 0 {
                     let nb = self.gr[base.index()].wrapping_add(post_inc);
                     self.write_gr(base, nb, now);
@@ -1067,16 +1091,15 @@ impl Machine {
                 let addr = self.gr[base.index()] as u64;
                 if !self.mem.contains(addr, 8) {
                     self.fault = Some(Fault::UnmappedLoad { addr, len: 8 });
-                    return;
+                    return Flow::Stop;
                 }
                 let value = self.mem.read_f64(addr);
-                let tlb_lat = self.tlb.access(addr);
-                if tlb_lat > 0 {
-                    self.pmu.record_tlb_miss(pc, addr, tlb_lat);
-                }
-                let res = self.caches.load(addr, now + tlb_lat, true);
-                self.pmu.record_load(pc, addr, res.latency, false);
-                self.write_fr_src(d, value, now + tlb_lat + res.latency, StallSource::Memory);
+                let lat = if MEM {
+                    self.load_latency(pc, addr, true)
+                } else {
+                    0
+                };
+                self.write_fr_src(d, value, ready(lat), StallSource::Memory);
                 if post_inc != 0 {
                     let nb = self.gr[base.index()].wrapping_add(post_inc);
                     self.write_gr(base, nb, now);
@@ -1086,10 +1109,12 @@ impl Machine {
                 let addr = self.gr[base.index()] as u64;
                 if !self.mem.contains(addr, 8) {
                     self.fault = Some(Fault::UnmappedStore { addr, len: 8 });
-                    return;
+                    return Flow::Stop;
                 }
                 self.mem.write_f64(addr, self.fr[s.index()]);
-                self.caches.store(addr);
+                if MEM {
+                    self.caches.store(addr);
+                }
                 if post_inc != 0 {
                     let nb = self.gr[base.index()].wrapping_add(post_inc);
                     self.write_gr(base, nb, now);
@@ -1102,7 +1127,7 @@ impl Machine {
                 // and is dropped only when the translation would
                 // fault — e.g. the wild addresses an extrapolated
                 // pointer-chase prefetch can produce.
-                if self.mem.contains(addr, 1) {
+                if MEM && self.mem.contains(addr, 1) {
                     let _ = self.tlb.access(addr);
                     self.caches.lfetch(addr, now);
                 }
@@ -1113,50 +1138,70 @@ impl Machine {
             }
             Op::Fma { d, a, b, c } => {
                 let v = self.fr[a.index()].mul_add(self.fr[b.index()], self.fr[c.index()]);
-                self.write_fr(d, v, now + self.config.fp_latency);
+                self.write_fr(d, v, ready(self.config.fp_latency));
             }
             Op::Fadd { d, a, b } => {
                 let v = self.fr[a.index()] + self.fr[b.index()];
-                self.write_fr(d, v, now + self.config.fp_latency);
+                self.write_fr(d, v, ready(self.config.fp_latency));
             }
             Op::Fmul { d, a, b } => {
                 let v = self.fr[a.index()] * self.fr[b.index()];
-                self.write_fr(d, v, now + self.config.fp_latency);
+                self.write_fr(d, v, ready(self.config.fp_latency));
             }
             Op::Getf { d, s } => {
                 let v = self.fr[s.index()] as i64;
-                self.write_gr(d, v, now + self.config.xfer_latency);
+                self.write_gr(d, v, ready(self.config.xfer_latency));
             }
             Op::Setf { d, s } => {
                 let v = self.gr[s.index()] as f64;
-                self.write_fr(d, v, now + self.config.xfer_latency);
+                self.write_fr(d, v, ready(self.config.xfer_latency));
             }
-            Op::Br { target } => {
-                self.pmu.record_branch(pc, target, true);
-                *taken = Some(target);
-            }
-            Op::BrCond { target } => {
-                // Reached only when the qualifying predicate held.
-                self.pmu.record_branch(pc, target, true);
-                *taken = Some(target);
+            // `br.cond` is reached only when its qualifying predicate
+            // held.
+            Op::Br { target } | Op::BrCond { target } => {
+                if MEM {
+                    self.pmu.record_branch(pc, target, true);
+                }
+                return Flow::Taken(target);
             }
             Op::BrCall { target } => {
-                self.pmu.record_branch(pc, target, true);
+                if MEM {
+                    self.pmu.record_branch(pc, target, true);
+                }
                 self.ret_stack.push(fall_through);
-                *taken = Some(target);
+                return Flow::Taken(target);
             }
             Op::BrRet => {
                 let Some(target) = self.ret_stack.pop() else {
                     self.fault = Some(Fault::ReturnUnderflow);
-                    return;
+                    return Flow::Stop;
                 };
-                self.pmu.record_branch(pc, target, true);
-                *taken = Some(target);
+                if MEM {
+                    self.pmu.record_branch(pc, target, true);
+                }
+                return Flow::Taken(target);
             }
             Op::Halt => {
                 self.halted = true;
+                return Flow::Stop;
             }
         }
+        Flow::Next
+    }
+
+    /// Drives a data load at `addr` through the DTLB and the cache
+    /// hierarchy, records its PMU events, and returns its latency. An
+    /// FP load (`fp`) bypasses L1D and never counts as an L1 hit.
+    #[inline(always)]
+    fn load_latency(&mut self, pc: Pc, addr: u64, fp: bool) -> u64 {
+        let tlb_lat = self.tlb.access(addr);
+        if tlb_lat > 0 {
+            self.pmu.record_tlb_miss(pc, addr, tlb_lat);
+        }
+        let res = self.caches.load(addr, self.cycle + tlb_lat, fp);
+        self.pmu
+            .record_load(pc, addr, res.latency, !fp && res.level == HitLevel::L1);
+        tlb_lat + res.latency
     }
 }
 

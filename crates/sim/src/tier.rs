@@ -1,12 +1,12 @@
 //! The pluggable execution-tier dispatch behind [`Machine::run`].
 //!
-//! [`Machine::run`](crate::Machine::run) used to hold two hand-copied
-//! run loops (sampled and unsampled, once per execution path); the
-//! loop now lives once in `Machine::drive`, generic over an
+//! The run loop lives once in `Machine::drive`, generic over an
 //! [`ExecTier`], and each tier contributes only its *step*: how one
-//! bundle (or, for the threaded tier, one compiled region) executes.
-//! The stop protocol — fault, cycle cap, sample-buffer overflow — is
-//! shared, so a new tier cannot get it subtly wrong.
+//! bundle (or, for the fast and threaded tiers, a run of bundles or one
+//! compiled region) executes. The stop protocol — fault, cycle cap,
+//! sample-buffer overflow — is shared, so a new tier cannot get it
+//! subtly wrong; so is what each instruction does, which every tier
+//! takes from `Machine::exec_slot_op`.
 //!
 //! Tier contract:
 //!

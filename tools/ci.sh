@@ -50,9 +50,10 @@
 #      and coverage scheduling on) run at --jobs 1 and --jobs 4 must
 #      produce byte-identical reports and corpus directories; the
 #      campaign report schema (coverage keys, mutation/origin ledgers,
-#      inconclusive counter) is validated, and the snapshot path is
-#      A/B-timed against --campaign-no-snapshot. ADORE_NIGHTLY=1
-#      additionally runs a >=100k-case campaign sweep.
+#      inconclusive counter) is validated, cases must have run on both
+#      tiers and through compiled and deopted threaded regions, and the
+#      snapshot path is A/B-timed against --campaign-no-snapshot.
+#      ADORE_NIGHTLY=1 additionally runs a >=100k-case campaign sweep.
 #   6. per-pass ablation smoke: every optimizer pass disabled once on
 #      one workload, then schema validation of the per-pass overhead
 #      ledger, rejection taxonomy and event stream in
@@ -387,6 +388,10 @@ assert c["coverage_keys"] == len(c["coverage_hits"])
 hits = c["coverage_hits"]
 for prefix in ("feat:", "outcome:", "pass:"):
     assert any(k.startswith(prefix) for k in hits), f"no {prefix}* coverage key observed"
+# The zero-mismatch verdict above covers the threaded tier's compiled
+# code only if cases ran compiled regions and deopted them.
+for key in ("tier:fast", "tier:threaded", "tier:compiled", "tier:deopt"):
+    assert hits.get(key, 0) > 0, f"campaign never hit {key}"
 assert c["origins"].get("gen", 0) > 0, "fresh generation must contribute cases"
 assert c["origins"].get("mutate", 0) > 0, "corpus mutation must contribute cases"
 assert sum(c["origins"].values()) == doc["cases"]
