@@ -95,5 +95,5 @@ pub use policy::{
 };
 pub use prefetch::{optimize_trace, InsertionStats, OptimizedTrace, PrefetchConfig};
 pub use reject::Rejection;
-pub use runtime::{run, run_with_limit, AdoreConfig, RunReport, TimePoint};
+pub use runtime::{run, run_legs, run_with_limit, AdoreConfig, LegReport, RunReport, TimePoint};
 pub use trace::{select_traces, select_traces_with_drops, PathProfile, Trace, TraceConfig};

@@ -13,7 +13,7 @@
 use isa::Pc;
 use obs::{EventStream, Json, ToJson};
 use perfmon::{Perfmon, PerfmonConfig};
-use sim::{Machine, MachineConfig, SamplingConfig};
+use sim::{Machine, MachineConfig, SamplingConfig, StopReason};
 
 use crate::instrument::InstrumentConfig;
 use crate::phase::PhaseConfig;
@@ -210,33 +210,216 @@ pub fn run(machine: &mut Machine, config: &AdoreConfig) -> RunReport {
 /// to halt. The differential fuzzing oracle uses this to bound
 /// generated programs that never terminate.
 pub fn run_with_limit(machine: &mut Machine, config: &AdoreConfig, cycle_limit: u64) -> RunReport {
-    let mut perfmon = Perfmon::new(config.perfmon.clone());
-    let mut pipeline = Pipeline::from_config(&config.pipeline);
-    let mut ctx = OptContext::new(config);
-    let mut report = RunReport::default();
+    let mut legs = run_legs(machine, std::slice::from_ref(config), cycle_limit);
+    legs.pop().expect("one leg in, one report out").report
+}
 
-    perfmon.run_with_windows_until(machine, cycle_limit, |m, w, ueb| {
-        pipeline.run_window(&mut ctx, m, w, ueb);
-    });
+/// One leg's result from [`run_legs`].
+#[derive(Debug, Clone)]
+pub struct LegReport {
+    /// The report the leg would produce run alone under [`run`].
+    pub report: RunReport,
+    /// The window at which the leg split from the leader: the count of
+    /// profile windows it had received when its pipeline first left
+    /// the machine in a different state than the leader's (or, at the
+    /// end of the run, when its teardown did). `None` for the leader
+    /// and for a follower that stayed joined to the end.
+    pub split_window: Option<u64>,
+}
 
-    // Detach teardown: every §6 recording buffer — harvested or still
-    // pending — is zeroed now that execution has stopped, so transient
-    // instrumentation leaves no footprint in data memory (its cycles
-    // are already on the books).
-    let buffers = ctx
-        .retired_buffers
-        .iter()
-        .copied()
-        .chain(ctx.pending_instr.iter().map(|pi| (pi.buffer, pi.capacity)));
-    for (buffer, capacity) in buffers.collect::<Vec<_>>() {
-        crate::pipeline::zero_buffer(machine, buffer, capacity);
+/// Runs several ADORE legs — configurations of one program on one
+/// machine — as a single simulation for as long as their optimizers
+/// agree, and returns one report per leg, in `configs` order. The
+/// first config is the leader: its leg runs on `machine`, which ends
+/// in exactly the state [`run_with_limit`] would leave it in.
+///
+/// The legs share the machine and one [`Perfmon`], so every window is
+/// simulated and sampled once. Each window is delivered to the
+/// leader's pipeline on the shared machine and to each joined
+/// follower's pipeline on the pre-window state; a follower whose
+/// resulting machine differs from the leader's in any bit splits off
+/// with its own copy of the machine and perfmon and finishes alone.
+/// Legs never re-join. The pre-window state is a copy-on-first-edit
+/// checkpoint ([`Machine::arm_checkpoint`]): pipelines edit the
+/// machine only when they patch, unpatch or instrument, so most
+/// windows copy nothing. Every report equals the one the leg would
+/// produce run alone.
+///
+/// # Panics
+///
+/// Panics when `configs` is empty, or when the legs disagree on the
+/// `sampling` or `perfmon` configuration: one machine and one perfmon
+/// cannot serve both.
+pub fn run_legs(
+    machine: &mut Machine,
+    configs: &[AdoreConfig],
+    cycle_limit: u64,
+) -> Vec<LegReport> {
+    let (first, rest) = configs.split_first().expect("run_legs needs at least one leg");
+    for c in rest {
+        assert!(
+            c.sampling == first.sampling && c.perfmon == first.perfmon,
+            "joined ADORE legs must share the sampling and perfmon configuration"
+        );
+    }
+    let mut legs: Vec<Option<Leg<'_>>> = configs.iter().map(|c| Some(Leg::new(c))).collect();
+    let mut reports: Vec<Option<LegReport>> = configs.iter().map(|_| None).collect();
+
+    let mut perfmon = Perfmon::new(first.perfmon.clone());
+    let group: Vec<usize> = (0..configs.len()).collect();
+    let splits =
+        run_group(machine, &mut perfmon, &mut legs, group, None, cycle_limit, &mut reports);
+    for mut split in splits {
+        let alone = run_group(
+            &mut split.machine,
+            &mut split.perfmon,
+            &mut legs,
+            vec![split.leg],
+            Some(split.window),
+            cycle_limit,
+            &mut reports,
+        );
+        debug_assert!(alone.is_empty(), "a leg running alone cannot split");
+    }
+    reports.into_iter().map(|r| r.expect("every leg reports")).collect()
+}
+
+/// One leg's optimizer: its pipeline and run state.
+struct Leg<'a> {
+    pipeline: Pipeline,
+    ctx: OptContext<'a>,
+}
+
+impl<'a> Leg<'a> {
+    fn new(config: &'a AdoreConfig) -> Leg<'a> {
+        Leg { pipeline: Pipeline::from_config(&config.pipeline), ctx: OptContext::new(config) }
     }
 
-    report.cycles = machine.cycles();
-    report.retired = machine.retired();
-    report.windows = perfmon.windows_produced();
-    ctx.finish(&mut report);
-    report
+    /// Detach teardown: every §6 recording buffer — harvested or still
+    /// pending — is zeroed now that execution has stopped, so transient
+    /// instrumentation leaves no footprint in data memory (its cycles
+    /// are already on the books).
+    fn teardown(&mut self, machine: &mut Machine) {
+        let ctx = &self.ctx;
+        let buffers = ctx
+            .retired_buffers
+            .iter()
+            .copied()
+            .chain(ctx.pending_instr.iter().map(|pi| (pi.buffer, pi.capacity)));
+        for (buffer, capacity) in buffers.collect::<Vec<_>>() {
+            crate::pipeline::zero_buffer(machine, buffer, capacity);
+        }
+    }
+
+    fn finish(self, machine: &Machine, perfmon: &Perfmon) -> RunReport {
+        let mut report = RunReport {
+            cycles: machine.cycles(),
+            retired: machine.retired(),
+            windows: perfmon.windows_produced(),
+            ..RunReport::default()
+        };
+        self.ctx.finish(&mut report);
+        report
+    }
+}
+
+/// A follower that left its group, with the state it continues from.
+struct Split {
+    leg: usize,
+    machine: Machine,
+    perfmon: Perfmon,
+    window: u64,
+}
+
+/// The run loop: runs the legs of `group` (leader first) on `machine`
+/// until it halts, faults or reaches `cycle_limit`, tears them down,
+/// and assembles the reports of the legs still joined at the end,
+/// tagged with `split_window`. Returns the followers that split off
+/// along the way.
+fn run_group<'a>(
+    machine: &mut Machine,
+    perfmon: &mut Perfmon,
+    legs: &mut [Option<Leg<'a>>],
+    mut group: Vec<usize>,
+    split_window: Option<u64>,
+    cycle_limit: u64,
+    reports: &mut [Option<LegReport>],
+) -> Vec<Split> {
+    let mut splits = Vec::new();
+    while let StopReason::SampleBufferOverflow = machine.run(cycle_limit) {
+        perfmon.on_overflow(machine);
+        let perfmon = &*perfmon;
+        let window = perfmon.ueb().last().expect("on_overflow pushed a window");
+        step_group(machine, perfmon, legs, &mut group, &mut splits, |leg, m| {
+            leg.pipeline.run_window(&mut leg.ctx, m, window, perfmon.ueb());
+        });
+    }
+    // A follower whose teardown leaves a different machine splits here
+    // too; re-running its stopped machine alone is a no-op, and zeroing
+    // its buffers a second time changes nothing.
+    step_group(machine, perfmon, legs, &mut group, &mut splits, Leg::teardown);
+    for i in group {
+        let leg = legs[i].take().expect("a leg finishes once");
+        reports[i] = Some(LegReport { report: leg.finish(machine, perfmon), split_window });
+    }
+    splits
+}
+
+/// Delivers one step — a profile window or the teardown — to every leg
+/// of `group`: the leader on `machine`, each follower on the pre-step
+/// state. Followers whose resulting machine differs from the leader's
+/// leave the group for `splits`.
+fn step_group<'a>(
+    machine: &mut Machine,
+    perfmon: &Perfmon,
+    legs: &mut [Option<Leg<'a>>],
+    group: &mut Vec<usize>,
+    splits: &mut Vec<Split>,
+    mut step: impl FnMut(&mut Leg<'a>, &mut Machine),
+) {
+    let mut leg = |i: usize, m: &mut Machine| step(legs[i].as_mut().expect("leg is running"), m);
+    let (&leader, followers) = group.split_first().expect("a group has a leader");
+    if followers.is_empty() {
+        leg(leader, machine);
+        return;
+    }
+    machine.arm_checkpoint();
+    leg(leader, machine);
+    // `Some` iff the leader edited: the pre-step state.
+    let mut before = machine.take_checkpoint();
+    let leader_edited = before.is_some();
+    let mut joined = vec![leader];
+    for (k, &i) in followers.iter().enumerate() {
+        let diverged = if leader_edited {
+            // The follower runs on its own copy of the pre-step state;
+            // the last one takes the checkpoint itself.
+            let mut own = if k + 1 == followers.len() { before.take() } else { before.clone() }
+                .expect("the leader's checkpoint");
+            leg(i, &mut own);
+            (own != *machine).then_some(own)
+        } else {
+            // The shared machine is the pre-step state: the follower
+            // runs on it under a fresh checkpoint. If it edits and the
+            // result differs, it keeps the edited machine and the shared
+            // one reverts to the checkpoint.
+            machine.arm_checkpoint();
+            leg(i, machine);
+            match machine.take_checkpoint() {
+                Some(pre) if pre != *machine => Some(std::mem::replace(machine, pre)),
+                _ => None,
+            }
+        };
+        match diverged {
+            None => joined.push(i),
+            Some(own) => splits.push(Split {
+                leg: i,
+                machine: own,
+                perfmon: perfmon.clone(),
+                window: perfmon.windows_produced(),
+            }),
+        }
+    }
+    *group = joined;
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -335,10 +335,11 @@ impl ExperimentSpec {
         let progress = Progress::new(&self.tool, n);
         let store = self.open_store();
         let cache = BaselineCache::with_store(store.clone());
+        let legs = LegStats::default();
         let jobs = self.jobs.clamp(1, n.max(1));
 
         let mut ordered: Vec<Json> = Vec::with_capacity(n);
-        let (cells_ref, suite_ref, cache_ref) = (&cells, &suite, &cache);
+        let (cells_ref, suite_ref, cache_ref, legs_ref) = (&cells, &suite, &cache, &legs);
         let (sections_ref, progress_ref) = (&self.sections, &progress);
         let (_, pool_stats) = obs::pool::service_scope(
             jobs,
@@ -346,7 +347,7 @@ impl ExperimentSpec {
             |_: &mut (), i: usize, (): ()| {
                 let (si, cell) = &cells_ref[i];
                 let t = Instant::now();
-                let row = match run_cell(cell, suite_ref, cache_ref) {
+                let row = match run_cell(cell, suite_ref, cache_ref, legs_ref) {
                     Ok(row) => row,
                     Err(e) => Json::object()
                         .with("bench", cell.workload)
@@ -405,19 +406,32 @@ impl ExperimentSpec {
                 .with("misses", store_misses),
             None => Json::object().with("enabled", false),
         };
+        let mut engine = Json::object()
+            .with("cells", n)
+            .with("cell_labels", progress.labels())
+            .with("errors", failed)
+            .with(
+                "baseline_cache",
+                Json::object()
+                    .with("lookups", lookups)
+                    .with("computes", computes)
+                    .with("hits", lookups - computes),
+            );
+        // Only grids that run joined legs carry the section, so every
+        // other report keeps its engine section unchanged.
+        let (leg_cells, shared_windows, split_cells) = legs.totals();
+        if leg_cells > 0 {
+            engine.set(
+                "joined_legs",
+                Json::object()
+                    .with("cells", leg_cells)
+                    .with("shared_windows", shared_windows)
+                    .with("split_cells", split_cells),
+            );
+        }
         report.set(
             "engine",
-            Json::object()
-                .with("cells", n)
-                .with("cell_labels", progress.labels())
-                .with("errors", failed)
-                .with(
-                    "baseline_cache",
-                    Json::object()
-                        .with("lookups", lookups)
-                        .with("computes", computes)
-                        .with("hits", lookups - computes),
-                )
+            engine
                 .with("baseline_store", store_json)
                 .with(
                     "scheduling",
@@ -440,6 +454,13 @@ impl ExperimentSpec {
             store_hits,
             store_misses
         );
+        if leg_cells > 0 {
+            eprintln!(
+                "[{}] joined legs shared {shared_windows} windows; \
+                 {split_cells} of {leg_cells} cells split",
+                self.tool
+            );
+        }
         EngineResult {
             report,
             sections: sections_out,
@@ -669,6 +690,39 @@ impl BaselineCache {
     }
 }
 
+/// Totals over the cells that run joined ADORE legs
+/// ([`adore::run_legs`]): the windows each follower shared with its
+/// leader and the cells whose legs split. Like the baseline-cache
+/// counters they depend only on the grid, never on scheduling.
+#[derive(Default)]
+pub(crate) struct LegStats {
+    cells: AtomicUsize,
+    shared_windows: AtomicU64,
+    split_cells: AtomicUsize,
+}
+
+impl LegStats {
+    /// Records one cell's legs (leader first).
+    fn record(&self, legs: &[adore::LegReport]) {
+        let windows = legs[0].report.windows;
+        let shared: u64 = legs[1..].iter().map(|l| l.split_window.unwrap_or(windows)).sum();
+        self.cells.fetch_add(1, Ordering::SeqCst);
+        self.shared_windows.fetch_add(shared, Ordering::SeqCst);
+        if legs[1..].iter().any(|l| l.split_window.is_some()) {
+            self.split_cells.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// `(cells, shared windows, split cells)` so far.
+    fn totals(&self) -> (usize, u64, usize) {
+        (
+            self.cells.load(Ordering::SeqCst),
+            self.shared_windows.load(Ordering::SeqCst),
+            self.split_cells.load(Ordering::SeqCst),
+        )
+    }
+}
+
 /// Deterministic key for compile options (the `Debug` form of the
 /// filter set would depend on hash order). Shared with the persistent
 /// store's content hash, so the two layers agree on identity.
@@ -721,6 +775,7 @@ pub(crate) fn run_cell(
     cell: &Cell,
     suite: &[Workload],
     cache: &BaselineCache,
+    legs: &LegStats,
 ) -> Result<Json, CellError> {
     let w = suite
         .iter()
@@ -736,7 +791,7 @@ pub(crate) fn run_cell(
         Measure::Timeline => timeline_cell(w, cell),
         Measure::GuidedPrefetch { coverage } => guided_cell(w, cell, *coverage, cache),
         Measure::Breakdown => breakdown_cell(w, cell, cache),
-        Measure::Policy => policy_cell(w, cell, cache),
+        Measure::Policy => policy_cell(w, cell, cache, legs),
         Measure::Diag { profile, adore } => diag_cell(w, cell, *profile, *adore),
     }
 }
@@ -949,20 +1004,29 @@ pub fn breakdown_side(c: &Counters, cycles: u64) -> Json {
         .with("busy_pct", pct(cycles.saturating_sub(accounted)))
 }
 
-fn policy_cell(w: &Workload, cell: &Cell, cache: &BaselineCache) -> Result<Json, CellError> {
+fn policy_cell(
+    w: &Workload,
+    cell: &Cell,
+    cache: &BaselineCache,
+    legs: &LegStats,
+) -> Result<Json, CellError> {
     let base = cache.plain(w, &cell.opts, &cell.machine)?;
     // Static leg: the cell's config as delivered — the paper's fixed
-    // policy (policy.enable stays false).
-    let mut static_cell = cell.clone();
-    static_cell.adore.policy.enable = false;
-    let (static_report, _) = run_adore_in(&static_cell, w, &base.bin);
-    // Adaptive leg: identical config and sampling seed, controller on.
-    // Both legs replay the same PMU window stream up to the first
-    // divergent optimization decision, so the comparison isolates the
-    // policy itself.
-    let mut adaptive_cell = cell.clone();
-    adaptive_cell.adore.policy.enable = true;
-    let (adaptive_report, _) = run_adore_in(&adaptive_cell, w, &base.bin);
+    // policy (policy.enable stays false). Adaptive leg: identical
+    // config and sampling seed, controller on. Both legs see the same
+    // PMU window stream up to the first divergent optimization
+    // decision, so the comparison isolates the policy itself — and
+    // `run_legs` simulates that common prefix once, splitting the
+    // adaptive leg off only when its machine first differs.
+    let mut static_config = cell.adore.clone();
+    static_config.policy.enable = false;
+    let mut adaptive_config = cell.adore.clone();
+    adaptive_config.policy.enable = true;
+    let mut m = w.prepare(&base.bin, cell.adore.machine_config(cell.machine.clone()));
+    let run = adore::run_legs(&mut m, &[static_config, adaptive_config], u64::MAX);
+    legs.record(&run);
+    let [static_leg, adaptive_leg] = <[adore::LegReport; 2]>::try_from(run).expect("two legs");
+    let (static_report, adaptive_report) = (static_leg.report, adaptive_leg.report);
     let static_speedup = speedup_pct(base.cycles, static_report.cycles);
     let adaptive_speedup = speedup_pct(base.cycles, adaptive_report.cycles);
     Ok(Json::object()

@@ -5,7 +5,9 @@
 //! (no-prefetch) run, a static-policy ADORE run, and an ADORE run with
 //! the per-phase policy controller enabled ([`Measure::Policy`] turns
 //! the controller on itself — the spec-wide config keeps the paper
-//! default, so every other experiment is untouched). The printed table
+//! default, so every other experiment is untouched). The two ADORE
+//! legs run as one simulation until their machines first differ
+//! ([`adore::run_legs`]). The printed table
 //! is the win/loss grid; `results/policy.json` carries the full rows
 //! including each cell's per-phase decision log, byte-identical for
 //! any `--jobs` value and to the `lab serve` `"policy"` measure.

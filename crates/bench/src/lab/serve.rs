@@ -43,7 +43,7 @@ use obs::Json;
 use workloads::Workload;
 
 use crate::cli::{Cli, Registry};
-use crate::engine::{cell_seed, run_cell};
+use crate::engine::{cell_seed, run_cell, LegStats};
 use crate::store::{resolve_default_dir, BaselineStore};
 use crate::{BaselineCache, Cell, ExperimentSpec, Measure};
 
@@ -173,16 +173,17 @@ pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> 
     let suite = workloads::all(cli.scale);
     let store = open_store(cli);
     let cache = BaselineCache::with_store(store.clone());
+    let legs = LegStats::default();
 
     let mut cells = 0usize;
     let mut errors = 0usize;
-    let (suite_ref, cache_ref) = (&suite, &cache);
+    let (suite_ref, cache_ref, legs_ref) = (&suite, &cache, &legs);
     obs::pool::service_scope(
         cli.jobs.max(1),
         |_| (),
         |_: &mut (), _i, task: Task| {
             let row = match &task.cell {
-                Ok(cell) => match run_cell(cell, suite_ref, cache_ref) {
+                Ok(cell) => match run_cell(cell, suite_ref, cache_ref, legs_ref) {
                     Ok(row) => row,
                     Err(e) => {
                         Json::object().with("bench", task.bench.as_str()).with("error", e.to_string())

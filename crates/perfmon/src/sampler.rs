@@ -16,7 +16,7 @@ use sim::{Machine, StopReason};
 use crate::window::{ProfileWindow, UserEventBuffer};
 
 /// Driver configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfmonConfig {
     /// Number of profile windows the UEB retains (the paper's `W`,
     /// typically 8–16).
@@ -32,8 +32,9 @@ impl Default for PerfmonConfig {
     }
 }
 
-/// The sampling driver state.
-#[derive(Debug)]
+/// The sampling driver state. Cloning forks it: a run that splits in
+/// two continues each half from the same window history.
+#[derive(Debug, Clone)]
 pub struct Perfmon {
     config: PerfmonConfig,
     ueb: UserEventBuffer,
@@ -110,17 +111,9 @@ impl Perfmon {
                     return machine.cycles();
                 }
                 StopReason::SampleBufferOverflow => {
-                    let samples = machine.drain_samples();
-                    machine.charge_cycles(self.config.overflow_copy_cost);
-                    let window =
-                        ProfileWindow::new(self.windows_produced, samples, self.prev_counters);
-                    if let Some(end) = window.end_counters() {
-                        self.prev_counters = end;
-                    }
-                    self.windows_produced += 1;
-                    self.ueb.push(window);
-                    let w = self.ueb.last().expect("just pushed").clone();
-                    on_window(machine, &w, &self.ueb);
+                    self.on_overflow(machine);
+                    let window = self.ueb.last().expect("on_overflow pushed a window");
+                    on_window(machine, window, &self.ueb);
                 }
             }
         }

@@ -11,7 +11,7 @@ use std::fmt;
 use obs::{Json, ToJson};
 
 /// One set-associative, true-LRU, tag-only cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     name: &'static str,
     line_bytes: u64,
@@ -243,7 +243,7 @@ impl fmt::Display for HitLevel {
 /// zx6000 testbed: 16 KB/64 B/4-way L1D with 1-cycle loads, 256 KB/
 /// 128 B/8-way unified L2 at ~6 cycles, 1.5 MB/128 B/12-way L3 at ~13
 /// cycles, and main memory >100 cycles away.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// L1D size in bytes.
     pub l1d_size: u64,
@@ -316,7 +316,7 @@ impl Default for CacheConfig {
 pub const DEAR_LATENCY_THRESHOLD: u64 = 8;
 
 /// The full cache hierarchy plus in-flight miss tracking.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
     config: CacheConfig,
     l1d: Cache,
@@ -642,6 +642,20 @@ mod tests {
 
     fn small() -> Hierarchy {
         Hierarchy::new(CacheConfig::default())
+    }
+
+    #[test]
+    fn machine_equality_sees_a_changed_lru_stamp() {
+        let mut a = isa::Asm::new();
+        a.halt();
+        let program = a.finish(isa::CODE_BASE).unwrap();
+        let mut m = crate::Machine::new(program, crate::MachineConfig::default());
+        m.caches.load(0x1000_0000, 0, false);
+        let mut other = m.clone();
+        assert!(other == m);
+        let way = m.caches.l2.stamps.iter().position(|&s| s > 0).expect("a filled L2 way");
+        other.caches.l2.stamps[way] += 1;
+        assert!(other != m, "machines whose L2 LRU order differs are unequal");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub const FLAG_FR_READS: u8 = 1 << 0;
 /// their ready cycle stays 0 forever). Padding lets the fast path walk
 /// a fixed-size array with no length branch, and a padded entry is a
 /// guaranteed no-op in the stall check.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedSlot {
     /// The instruction itself.
     pub insn: Insn,
@@ -81,7 +81,7 @@ impl DecodedSlot {
 
 /// One predecoded bundle: three decoded slots plus bundle-level
 /// metadata the fast path would otherwise re-derive per step.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedBundle {
     /// The three decoded slots.
     pub slots: [DecodedSlot; 3],
@@ -152,7 +152,7 @@ pub struct CodeLoc {
 /// The default store is empty; the fast tier swaps it in while it
 /// holds the real store for the duration of a run (see
 /// [`crate::exec`]).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CodeStore {
     code_base: u64,
     static_bundles: Vec<DecodedBundle>,

@@ -90,6 +90,10 @@ pub struct JitStats {
 /// Threaded-tier state carried by a machine configured with
 /// [`ExecPath::Threaded`] (and only then — the other tiers carry
 /// `None` and pay nothing).
+///
+/// Cloning is cheap and exact: compiled regions are immutable once
+/// built and shared through `Arc`, so a forked machine reuses them.
+#[derive(Clone)]
 pub struct JitState {
     /// Compiled regions keyed by head bundle address.
     regions: HashMap<u64, Arc<CompiledRegion>>,
@@ -104,6 +108,29 @@ impl fmt::Debug for JitState {
             .field("regions", &self.regions.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
+    }
+}
+
+/// Closures cannot be compared, so two regions are equal when they
+/// were translated at the same head and code-store generation and
+/// cover the same bundle addresses. That is exact for every region a
+/// machine can still enter: a region is only entered while its
+/// generation is current, and it was translated from the store as it
+/// stands at that generation, which machine equality compares.
+impl PartialEq for JitState {
+    fn eq(&self, other: &JitState) -> bool {
+        let JitState { regions, counts, stats } = self;
+        *stats == other.stats
+            && *counts == other.counts
+            && regions.len() == other.regions.len()
+            && regions.iter().all(|(head, r)| {
+                other.regions.get(head).is_some_and(|o| {
+                    r.start == o.start
+                        && r.generation == o.generation
+                        && r.bundles.len() == o.bundles.len()
+                        && r.bundles.iter().zip(&o.bundles).all(|(a, b)| a.addr == b.addr)
+                })
+            })
     }
 }
 

@@ -23,7 +23,7 @@ use crate::pmu::{Pmu, Sample};
 use crate::tlb::{Tlb, TlbConfig};
 
 /// PMU sampling configuration (perfmon-style).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingConfig {
     /// Cycles between samples (paper: ≥ 100,000 on real hardware; the
     /// simulated runs are shorter so the default is scaled down).
@@ -145,7 +145,7 @@ impl std::fmt::Display for ExecPath {
 }
 
 /// Machine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Cache hierarchy geometry and latencies.
     pub cache: CacheConfig,
@@ -288,7 +288,7 @@ pub(crate) enum Flow {
     Stop,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SampleState {
     next_at: u64,
     index: u64,
@@ -302,7 +302,11 @@ pub(crate) struct SampleState {
 /// Fields are crate-visible so the predecoded fast path in
 /// [`crate::exec`] can drive the same state; everything outside the
 /// crate goes through the accessor methods.
-#[derive(Debug)]
+///
+/// `Clone` forks the machine: the copy runs exactly as the source
+/// would. `==` compares the complete machine state bit for bit (see
+/// the `PartialEq` impl).
+#[derive(Debug, Clone)]
 pub struct Machine {
     pub(crate) config: MachineConfig,
     pub(crate) program: Program,
@@ -338,6 +342,78 @@ pub struct Machine {
     /// Threaded-tier compile state; `Some` iff
     /// `config.exec_path == ExecPath::Threaded`.
     pub(crate) jit: Option<Box<crate::jit::JitState>>,
+    /// Copy-on-first-edit snapshot (see [`Machine::arm_checkpoint`]):
+    /// the machine as it was before its first edit since arming. Both
+    /// checkpoint fields are bookkeeping about the machine's history
+    /// rather than machine state, so `==` ignores them. (Two plain
+    /// fields rather than one enum: rustc places them after the hot
+    /// execution state instead of shifting it.)
+    checkpoint: Option<Box<Machine>>,
+    /// The next public mutator snapshots the machine first.
+    checkpoint_armed: bool,
+}
+
+/// Exact state equality. The destructuring names every field without
+/// `..`, so adding a field fails to compile here until it is compared.
+/// Floating-point registers compare by bit pattern: `-0.0 == 0.0`
+/// under `f64`'s `==`, yet the two behave differently. Cheap scalars
+/// go first so unequal machines usually differ before the memory
+/// comparison.
+impl PartialEq for Machine {
+    fn eq(&self, other: &Machine) -> bool {
+        let Machine {
+            config,
+            program,
+            pool,
+            store,
+            mem,
+            caches,
+            tlb,
+            pmu,
+            gr,
+            fr,
+            pr,
+            gr_ready,
+            fr_ready,
+            gr_source,
+            fr_source,
+            pending_until,
+            ip,
+            ret_stack,
+            cycle,
+            half_bundle,
+            halted,
+            fault,
+            samples,
+            jit,
+            checkpoint: _,
+            checkpoint_armed: _,
+        } = self;
+        *cycle == other.cycle
+            && *ip == other.ip
+            && *half_bundle == other.half_bundle
+            && *halted == other.halted
+            && *fault == other.fault
+            && *pending_until == other.pending_until
+            && *pmu == other.pmu
+            && *gr == other.gr
+            && fr.iter().zip(&other.fr).all(|(a, b)| a.to_bits() == b.to_bits())
+            && *pr == other.pr
+            && *gr_ready == other.gr_ready
+            && *fr_ready == other.fr_ready
+            && *gr_source == other.gr_source
+            && *fr_source == other.fr_source
+            && *ret_stack == other.ret_stack
+            && *samples == other.samples
+            && *config == other.config
+            && *jit == other.jit
+            && *tlb == other.tlb
+            && *caches == other.caches
+            && *store == other.store
+            && *pool == other.pool
+            && *program == other.program
+            && *mem == other.mem
+    }
 }
 
 // The parallel experiment engine runs one full simulation per worker
@@ -385,6 +461,8 @@ impl Machine {
             fault: None,
             samples,
             jit: crate::jit::JitState::for_path(config.exec_path),
+            checkpoint: None,
+            checkpoint_armed: false,
             pool: Vec::new(),
             store: CodeStore::new(&program),
             program,
@@ -410,6 +488,7 @@ impl Machine {
     /// entries from a previous program can never alias entries of the
     /// new one.
     pub fn reset(&mut self, program: Program, sampling: Option<SamplingConfig>) {
+        self.before_edit();
         self.config.sampling = sampling;
         self.mem.reset();
         self.caches.reset();
@@ -487,6 +566,7 @@ impl Machine {
 
     /// Mutable data memory (workload initialization).
     pub fn mem_mut(&mut self) -> &mut Memory {
+        self.before_edit();
         &mut self.mem
     }
 
@@ -508,6 +588,7 @@ impl Machine {
     /// Writes a general register (test and workload setup).
     pub fn set_gr(&mut self, r: isa::Gr, v: i64) {
         if r.index() != 0 {
+            self.before_edit();
             self.gr[r.index()] = v;
         }
     }
@@ -525,6 +606,7 @@ impl Machine {
     /// Writes a floating-point register.
     pub fn set_fr(&mut self, r: isa::Fr, v: f64) {
         if r.index() > 1 {
+            self.before_edit();
             self.fr[r.index()] = v;
         }
     }
@@ -576,6 +658,7 @@ impl Machine {
         if self.pool.len() + bundles.len() > self.config.trace_pool_bundles {
             return Err(PatchError::PoolFull);
         }
+        self.before_edit();
         let addr = Addr(TRACE_POOL_BASE + self.pool.len() as u64 * Addr::BUNDLE_BYTES);
         self.store.install_pool(&bundles);
         self.pool.extend(bundles);
@@ -594,6 +677,7 @@ impl Machine {
     ///
     /// Fails when `addr` does not map to a code bundle.
     pub fn replace_bundle(&mut self, addr: Addr, bundle: Bundle) -> Result<Bundle, PatchError> {
+        self.before_edit();
         if addr.0 >= TRACE_POOL_BASE {
             let idx = ((addr.0 - TRACE_POOL_BASE) / Addr::BUNDLE_BYTES) as usize;
             let slot = self.pool.get_mut(idx).ok_or(PatchError::BadAddress(addr))?;
@@ -615,6 +699,7 @@ impl Machine {
     /// Charges `n` cycles of overhead to the main thread (sampling
     /// signal handler, patch publication, …).
     pub fn charge_cycles(&mut self, n: u64) {
+        self.before_edit();
         self.cycle += n;
         self.pmu.counters.cycles = self.cycle;
         self.pmu.counters.overhead_cycles += n;
@@ -623,10 +708,53 @@ impl Machine {
 
     /// Drains the System Sample Buffer.
     pub fn drain_samples(&mut self) -> Vec<Sample> {
+        if self.samples.is_some() {
+            self.before_edit();
+        }
         match &mut self.samples {
             Some(s) => std::mem::take(&mut s.buffer),
             None => Vec::new(),
         }
+    }
+
+    // ---- checkpoints -------------------------------------------------
+
+    /// Arms a copy-on-first-edit checkpoint: the next public mutator
+    /// (`mem_mut`, `set_gr`, `set_fr`, `install_trace`,
+    /// `replace_bundle`, `charge_cycles`, `drain_samples`, `run`,
+    /// `reset`) snapshots the machine before it changes anything. A
+    /// machine nobody edits is never copied. Re-arming discards an
+    /// earlier snapshot.
+    pub fn arm_checkpoint(&mut self) {
+        self.checkpoint = None;
+        self.checkpoint_armed = true;
+    }
+
+    /// Disarms the checkpoint and returns the machine as it was before
+    /// its first edit since [`Machine::arm_checkpoint`], or `None` when
+    /// no mutator ran in between (the machine is then unchanged).
+    pub fn take_checkpoint(&mut self) -> Option<Machine> {
+        self.checkpoint_armed = false;
+        self.checkpoint.take().map(|before| *before)
+    }
+
+    /// Snapshots the machine if a checkpoint is armed; every public
+    /// mutator calls this before its first change.
+    #[inline]
+    fn before_edit(&mut self) {
+        if self.checkpoint_armed {
+            self.take_snapshot();
+        }
+    }
+
+    /// The copy itself, kept out of line so the mutators that check
+    /// for it stay small.
+    #[cold]
+    #[inline(never)]
+    fn take_snapshot(&mut self) {
+        self.checkpoint_armed = false;
+        let before = self.clone();
+        self.checkpoint = Some(Box::new(before));
     }
 
     // ---- execution ---------------------------------------------------
@@ -638,6 +766,7 @@ impl Machine {
     /// state. Resuming after any stop (on any tier) continues exactly
     /// where the previous call left off.
     pub fn run(&mut self, cycle_limit: u64) -> StopReason {
+        self.before_edit();
         match self.config.exec_path {
             ExecPath::Reference => self.drive::<crate::tier::Reference>(cycle_limit),
             ExecPath::Fast => self.drive::<crate::tier::Fast>(cycle_limit),
@@ -1869,6 +1998,137 @@ mod tests {
         let a: Vec<_> = reused.drain_samples();
         let b: Vec<_> = fresh.drain_samples();
         assert_eq!(a.len(), b.len(), "sampler state must be rebuilt from the new seed");
+    }
+
+    /// A sampled loop with loads, stores and FP work, stopped part-way
+    /// with samples pending: every kind of machine state is live.
+    fn mid_run_machine() -> Machine {
+        mid_run_machine_on(ExecPath::default())
+    }
+
+    fn mid_run_machine_on(exec_path: ExecPath) -> Machine {
+        let mut a = Asm::new();
+        a.movl(Gr(10), crate::DATA_BASE as i64);
+        a.movl(Gr(21), 400);
+        a.label("loop");
+        a.ld(AccessSize::U8, Gr(11), Gr(10), 0);
+        a.addi(Gr(11), Gr(11), 3);
+        a.st(AccessSize::U8, Gr(10), Gr(11), 64);
+        a.ldf(Fr(4), Gr(10), 0);
+        a.fma(Fr(5), Fr(4), Fr(4), Fr(5));
+        a.addi(Gr(21), Gr(21), -1);
+        a.cmpi(CmpOp::Gt, Pr(7), Pr(8), Gr(21), 0);
+        a.br_cond(Pr(7), "loop");
+        a.halt();
+        let config = MachineConfig {
+            mem_capacity: 64 << 10,
+            sampling: Some(SamplingConfig {
+                interval_cycles: 50,
+                buffer_capacity: 1 << 20,
+                per_sample_cost: 7,
+                jitter: 0.3,
+                ..SamplingConfig::default()
+            }),
+            exec_path,
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(a.finish(CODE_BASE).unwrap(), config);
+        m.mem_mut().alloc(32 << 10, 64);
+        assert_eq!(m.run(3_000), StopReason::CycleLimit);
+        assert!(m.samples.as_ref().is_some_and(|s| !s.buffer.is_empty()));
+        m
+    }
+
+    #[test]
+    fn forked_machine_equals_its_source_and_runs_identically() {
+        for path in ExecPath::ALL {
+            let mut source = mid_run_machine_on(path);
+            let mut fork = source.clone();
+            assert!(fork == source, "{path}: a fork equals its source");
+            assert_eq!(source.run_to_halt(), fork.run_to_halt());
+            assert!(source.is_halted());
+            assert!(fork == source, "{path}: source and fork run to identical state");
+            assert!(fork != mid_run_machine_on(path), "{path}: a finished run differs");
+            if path == ExecPath::Threaded {
+                assert!(
+                    fork.jit_stats().is_some_and(|s| s.regions_compiled > 0),
+                    "the threaded machines compared compiled regions"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equality_sees_signed_zeros_and_single_memory_bytes() {
+        let base = mid_run_machine();
+
+        let (mut pos, mut neg) = (base.clone(), base.clone());
+        pos.set_fr(Fr(9), 0.0);
+        neg.set_fr(Fr(9), -0.0);
+        // `0.0 == -0.0` under f64's `==`; the registers still differ.
+        assert!(pos != neg, "FP registers compare by bit pattern");
+
+        let mut poked = base.clone();
+        let addr = crate::DATA_BASE + 20_000;
+        let byte = poked.mem().read(addr, 1);
+        poked.mem_mut().write(addr, 1, byte ^ 1);
+        assert!(poked != base, "one changed memory byte makes machines unequal");
+        poked.mem_mut().write(addr, 1, byte);
+        assert!(poked == base, "restoring the byte restores equality");
+    }
+
+    #[test]
+    fn checkpoint_is_the_machine_before_each_mutator() {
+        let patch = || Bundle::branch_only(isa::Insn::new(Op::Halt));
+        type Mutator = Box<dyn Fn(&mut Machine)>;
+        let mutators: Vec<(&str, Mutator)> = vec![
+            ("mem_mut", Box::new(|m| m.mem_mut().write(crate::DATA_BASE + 8, 8, 0xfeed))),
+            ("set_gr", Box::new(|m| m.set_gr(Gr(30), -5))),
+            ("set_fr", Box::new(|m| m.set_fr(Fr(30), 2.5))),
+            ("install_trace", Box::new(move |m| {
+                m.install_trace(vec![patch()]).unwrap();
+            })),
+            ("replace_bundle", Box::new(move |m| {
+                m.replace_bundle(Addr(CODE_BASE), patch()).unwrap();
+            })),
+            ("charge_cycles", Box::new(|m| m.charge_cycles(1_000))),
+            ("drain_samples", Box::new(|m| assert!(!m.drain_samples().is_empty()))),
+            ("run", Box::new(|m| {
+                m.run(6_000);
+            })),
+            ("reset", Box::new(|m| {
+                let program = m.code().clone();
+                m.reset(program, None);
+            })),
+            ("charge_cycles then set_gr", Box::new(|m| {
+                m.charge_cycles(1);
+                m.set_gr(Gr(30), 1);
+            })),
+        ];
+        for (name, mutate) in &mutators {
+            let mut m = mid_run_machine();
+            let before = m.clone();
+            m.arm_checkpoint();
+            mutate(&mut m);
+            assert!(m != before, "{name} must change the machine");
+            let checkpoint =
+                m.take_checkpoint().unwrap_or_else(|| panic!("{name} took no checkpoint"));
+            assert!(checkpoint == before, "{name}: the checkpoint is the machine before the call");
+            assert!(m.take_checkpoint().is_none(), "{name}: taking disarms");
+        }
+    }
+
+    #[test]
+    fn checkpoint_copies_nothing_without_an_edit() {
+        let mut m = mid_run_machine();
+        m.arm_checkpoint();
+        let _ = (m.cycles(), m.gr(Gr(11)), m.mem().read(crate::DATA_BASE, 8), m.pmu().counters);
+        // Writes that cannot change state (r0, f0/f1) are not edits.
+        m.set_gr(Gr(0), 9);
+        m.set_fr(Fr(1), 9.0);
+        assert!(m.take_checkpoint().is_none(), "reads and no-op writes take no snapshot");
+        m.charge_cycles(1);
+        assert!(m.take_checkpoint().is_none(), "an unarmed machine takes no snapshot");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::fmt;
 pub const DATA_BASE: u64 = 0x1000_0000;
 
 /// A flat byte-addressable data arena.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Memory {
     base: u64,
     data: Vec<u8>,

@@ -79,7 +79,7 @@ pub struct BtbEntry {
 }
 
 /// The 4-entry circular branch trace buffer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BranchTraceBuffer {
     entries: [Option<BtbEntry>; 4],
     next: usize,
@@ -137,7 +137,7 @@ pub struct DearRecord {
 /// re-arms it. (A naive most-recent-overwrite model would make samples
 /// observe almost exclusively the last load of each miss burst, hiding
 /// the other delinquent loads from the optimizer.)
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pmu {
     /// Accumulative counters.
     pub counters: Counters,
@@ -222,7 +222,7 @@ impl Pmu {
 /// One PMU sample: the n-tuple ADORE receives from perfmon
 /// (paper §2.1): `<sample index, pc, cycles, d-cache miss count,
 /// retired count, BTB values, DEAR values>`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Monotonically increasing sample index.
     pub index: u64,

@@ -9,7 +9,7 @@
 
 /// DTLB configuration. Defaults approximate the Itanium 2 L2 DTLB with
 /// 16 KB pages.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: usize,
@@ -30,7 +30,7 @@ impl Default for TlbConfig {
 }
 
 /// A fully associative, true-LRU translation buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tlb {
     config: TlbConfig,
     /// (page number, LRU stamp); linear scan — entry counts are small.

@@ -29,7 +29,8 @@
 #      gc family must actually plant jump-pointer prefetches
 #   4d. adaptive-policy smoke: the `lab policy --quick` grid run at
 #      --jobs 1 and --jobs 2 must produce byte-identical reports
-#      (including every per-phase decision log), the decision-log
+#      (including every per-phase decision log and the joined-legs
+#      counters, which must show shared windows), the decision-log
 #      schema is validated, and the default-off contract is checked:
 #      reports from the default-config grids must carry no policy
 #      section (the golden tiers of step 3, which run the default
@@ -230,6 +231,13 @@ sa, sb = (json.dumps(x, indent=1) for x in (a, b))
 assert sa == sb, \
     "policy report (including decision logs) differs between --jobs 1 and --jobs 2"
 
+# Joined legs: each cell runs its static and adaptive legs as one
+# simulation until they diverge; the counters are deterministic (the
+# diff above covers them) and the legs must actually share windows.
+legs = b["engine"]["joined_legs"]
+assert legs["cells"] == len(b["grid"]), f"every policy cell runs joined legs: {legs}"
+assert legs["shared_windows"] > 0, f"the joined legs shared no window: {legs}"
+
 ACTIONS = {"trial", "score", "commit", "fallback", "redeploy"}
 ARMS = {"static", "wide", "near", "lean"}
 decisions = commits = 0
@@ -264,7 +272,9 @@ for section in ("part_a", "part_b"):
             f"fig7 {row['bench']}: default-config row grew a policy section"
 print(f"  ok: {len(sa)} canonical bytes identical across --jobs;"
       f" {decisions} decisions / {commits} commits schema-valid over"
-      f" {len(b['grid'])} workloads; fig7 rows stay policy-free")
+      f" {len(b['grid'])} workloads; joined legs shared"
+      f" {legs['shared_windows']} windows, {legs['split_cells']} cells split;"
+      f" fig7 rows stay policy-free")
 EOF
 rm -f results/policy.jobs1.json
 
