@@ -1,9 +1,9 @@
 //! Observability and reporting for the ADORE reproduction.
 //!
 //! This crate is intentionally **dependency-free** (std only): the
-//! repository builds fully offline, so anything `serde`/`criterion`
-//! would normally provide lives here instead, scoped to exactly what
-//! the experiment harness needs:
+//! repository builds fully offline, so anything `serde` would
+//! normally provide lives here instead, scoped to exactly what the
+//! experiment harness needs:
 //!
 //! * [`json`] — a minimal JSON value type, the [`ToJson`] trait, a
 //!   deterministic serializer (object keys keep insertion order) and a
@@ -12,9 +12,6 @@
 //! * [`events`] — an append-only stream of structured events (the
 //!   optimizer pipeline's deploy/unpatch/instrument/promote record),
 //!   serialized as a JSON array inside experiment reports.
-//! * [`bench`] — a lightweight bench timer (warmup + N measured
-//!   iterations; min/median/mean wall time, plus simulated-cycle and
-//!   cycles-per-element figures when the benched closure reports them).
 //! * [`report`] — schema-versioned experiment reports written as
 //!   `results/<tool>.json`, so successive PRs can diff speedups,
 //!   coverage and accuracy run-over-run.
@@ -29,14 +26,12 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod events;
 pub mod json;
 pub mod pool;
 pub mod progress;
 pub mod report;
 
-pub use bench::{BenchConfig, BenchResult, BenchSuite};
 pub use events::EventStream;
 pub use json::{Json, ToJson};
 pub use pool::{run_indexed, service_scope, PoolStats, Submitter};

@@ -1,12 +1,13 @@
 //! Coverage-guided snapshot fuzzing campaign.
 //!
-//! The classic fuzz path (`bench fuzz`) generates each case from a
-//! seed, runs it once through the three-way harness, and forgets it.
-//! The campaign engine closes the loop: cases that light up coverage
-//! the campaign has not seen before are admitted to a corpus, the
-//! corpus is mutated to derive new cases ([`crate::mutate`]), and
-//! scheduling is weighted toward entries that earned their place with
-//! more novelty. Coverage combines the generator's static feature
+//! This is the only fuzz driver. A one-round campaign with no corpus
+//! directory is classic fuzzing (`lab fuzz` without `--campaign`):
+//! the corpus is empty when the round is planned, so every case is
+//! freshly generated from its seed and checked once. Further rounds
+//! close the loop: cases that light up coverage the campaign has not
+//! seen before are admitted to a corpus, the corpus is mutated to
+//! derive new cases ([`crate::mutate`]), and scheduling is weighted
+//! toward entries that earned their place with more novelty. Coverage combines the generator's static feature
 //! vector ([`crate::generator::static_coverage`], `feat:` keys) with
 //! runtime signals the ADORE leg produced ([`crate::diff::RunCoverage`]:
 //! pass invocations, rejection-taxonomy labels, deployed trace shapes,
@@ -67,9 +68,6 @@ pub struct CampaignConfig {
     /// Persistent corpus directory: minimized entries are written here
     /// and `*.txt` reproducers found here are imported in round 0.
     pub corpus_dir: Option<PathBuf>,
-    /// Evaluate on snapshot-reset machines (`false` rebuilds machines
-    /// per case — the A/B baseline for the snapshot path).
-    pub reuse_machines: bool,
     /// Shrinker budget per admitted corpus entry (0 disables corpus
     /// minimization).
     pub minimize_evals: usize,
@@ -90,7 +88,6 @@ impl Default for CampaignConfig {
             alternate_exec: false,
             mutate: MutateConfig::default(),
             corpus_dir: None,
-            reuse_machines: true,
             minimize_evals: 24,
             progress: false,
         }
@@ -136,6 +133,10 @@ pub struct CampaignStats {
     pub inconclusive: u64,
     /// Structural non-verdicts (assembly failures).
     pub undecided: u64,
+    /// The case seed and reason of every inconclusive or undecided
+    /// case, in merge order (output only; the counters above stay the
+    /// tally).
+    pub non_verdicts: Vec<(u64, String)>,
     /// Agreeing terminations by outcome label.
     pub outcomes: std::collections::BTreeMap<&'static str, u64>,
     /// Coverage-key hit counts across all cases.
@@ -268,19 +269,10 @@ fn evaluate_batch(
     let (results, runners, _pool) = obs::pool::run_indexed(
         cfg.jobs.max(1),
         (0..plan.len()).collect(),
-        |_| (CaseRunner::new(), 0u64),
-        |(runner, fresh_builds): &mut (CaseRunner, u64), _shard, i: usize| {
+        |_| CaseRunner::new(),
+        |runner: &mut CaseRunner, _shard, i: usize| {
             let started = Instant::now();
-            let diff = case_diff(cfg, plan[i].case_seed);
-            let result = if cfg.reuse_machines {
-                check_case(&plan[i].spec, &diff, runner)
-            } else {
-                // A/B baseline: fresh machines per case.
-                let mut fresh = CaseRunner::new();
-                let r = check_case(&plan[i].spec, &diff, &mut fresh);
-                *fresh_builds += fresh.builds;
-                r
-            };
+            let result = check_case(&plan[i].spec, &case_diff(cfg, plan[i].case_seed), runner);
             if let Some(p) = &progress {
                 let label = format!("{} {:#018x}", plan[i].origin, plan[i].case_seed);
                 p.item_done(i, &label, started.elapsed());
@@ -289,8 +281,8 @@ fn evaluate_batch(
         },
     );
 
-    for (runner, fresh_builds) in runners {
-        stats.machine_builds += runner.builds + fresh_builds;
+    for runner in runners {
+        stats.machine_builds += runner.builds;
         stats.machine_resets += runner.resets;
     }
     results
@@ -389,8 +381,15 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
                     corpus.push(CorpusEntry { spec, novel_keys: novel, energy });
                     stats.corpus_added += 1;
                 }
-                CaseResult::Inconclusive { .. } => stats.inconclusive += 1,
-                CaseResult::Undecided(_) => stats.undecided += 1,
+                CaseResult::Inconclusive { leg, why } => {
+                    stats.inconclusive += 1;
+                    let reason = format!("inconclusive ({leg} leg): {why}");
+                    stats.non_verdicts.push((planned.case_seed, reason));
+                }
+                CaseResult::Undecided(why) => {
+                    stats.undecided += 1;
+                    stats.non_verdicts.push((planned.case_seed, format!("undecided: {why}")));
+                }
                 CaseResult::Mismatch(m) => {
                     let spec = shrink(&planned.spec, &case_diff(cfg, planned.case_seed));
                     stats.mismatches.push(CampaignMismatch {
@@ -451,25 +450,56 @@ mod tests {
         }
     }
 
+    /// Classic fuzzing: one round, no corpus directory.
+    fn classic_cfg(jobs: usize) -> CampaignConfig {
+        CampaignConfig { rounds: 1, batch: 10, corpus_dir: None, ..small_cfg(jobs) }
+    }
+
     #[test]
     fn campaign_is_deterministic_across_worker_counts() {
-        let a = run_campaign(&small_cfg(1));
-        let b = run_campaign(&small_cfg(4));
-        assert_eq!(a.cases, 10);
-        assert_eq!(a.cases, b.cases);
-        assert_eq!(a.coverage, b.coverage, "coverage map must not depend on jobs");
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.origins, b.origins);
-        assert_eq!(a.mutations, b.mutations);
-        assert_eq!(a.new_key_events, b.new_key_events);
-        assert_eq!(
-            a.corpus.iter().map(|e| &e.spec).collect::<Vec<_>>(),
-            b.corpus.iter().map(|e| &e.spec).collect::<Vec<_>>(),
-            "corpus must not depend on jobs"
-        );
-        assert!(a.mismatches.is_empty(), "seed 42 smoke corpus must agree");
-        assert!(a.machine_resets > 0, "snapshot path must actually be exercised");
-        assert!(!a.coverage.is_empty());
+        for cfg in [small_cfg as fn(usize) -> CampaignConfig, classic_cfg] {
+            let a = run_campaign(&cfg(1));
+            let b = run_campaign(&cfg(4));
+            assert_eq!(a.cases, 10);
+            assert_eq!(a.cases, b.cases);
+            assert_eq!(a.coverage, b.coverage, "coverage map must not depend on jobs");
+            assert_eq!(a.outcomes, b.outcomes);
+            assert_eq!(a.origins, b.origins);
+            assert_eq!(a.mutations, b.mutations);
+            assert_eq!(a.new_key_events, b.new_key_events);
+            assert_eq!(
+                a.corpus.iter().map(|e| &e.spec).collect::<Vec<_>>(),
+                b.corpus.iter().map(|e| &e.spec).collect::<Vec<_>>(),
+                "corpus must not depend on jobs"
+            );
+            assert!(a.mismatches.is_empty(), "seed 42 smoke corpus must agree");
+            assert!(a.machine_resets > 0, "snapshot path must actually be exercised");
+            assert!(!a.coverage.is_empty());
+            if a.rounds == 1 {
+                // Classic mode is exactly one round of fresh generation.
+                assert_eq!(a.origins, [("gen", 10)].into_iter().collect());
+                assert!(a.mutations.is_empty(), "one round never mutates");
+                assert_eq!(a.corpus_imported, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn non_verdicts_name_their_case_seeds() {
+        // A tiny interpreter budget makes every looping case
+        // inconclusive; each one must be listed with its seed.
+        let cfg = CampaignConfig {
+            diff: DiffConfig { fuel: 50, ..DiffConfig::default() },
+            ..classic_cfg(2)
+        };
+        let stats = run_campaign(&cfg);
+        assert!(stats.inconclusive > 0, "fuel 50 must cap some case");
+        assert_eq!(stats.non_verdicts.len() as u64, stats.inconclusive + stats.undecided);
+        let plan = plan_round(0, &[], &cfg);
+        for (seed, reason) in &stats.non_verdicts {
+            assert!(plan.iter().any(|p| p.case_seed == *seed), "{seed:#x} was not planned");
+            assert!(reason.contains("fuel"), "reason must name the budget: {reason}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 # Steps:
 #   1. release build of every crate, warnings denied
 #   2. full test suite (unit + integration + doc tests), wall-clock
-#      logged
+#      logged, then the tests of the standalone perf/ benchmark package
+#      (the workspace build does not cover it)
 #   3. release run of the ignored slow tiers: the quick-scale golden
 #      cycle-exactness pass and the full-scale (ADORE_FULL_E2E=1)
 #      end-to-end tier
@@ -38,7 +39,8 @@
 #      full-scale 20-workload grid and requires a controller win on at
 #      least one scenario family.
 #   5. differential fuzz smoke: 512 fixed-seed cases through the
-#      three-way oracle, once per simulator execution path
+#      three-way oracle (classic mode: a one-round campaign with no
+#      corpus directory), once per simulator execution path
 #      (--exec-path=fast, reference, then threaded — the compile tier
 #      is held to the same architectural-state bar as the cycle-exact
 #      paths); any semantic mismatch, undecided or budget-capped
@@ -52,16 +54,19 @@
 #      produce byte-identical reports and corpus directories; the
 #      campaign report schema (coverage keys, mutation/origin ledgers,
 #      inconclusive counter) is validated, cases must have run on both
-#      tiers and through compiled and deopted threaded regions, and the
-#      snapshot path is A/B-timed against --campaign-no-snapshot.
+#      tiers and through compiled and deopted threaded regions (every
+#      case runs on snapshot-reset machines).
 #      ADORE_NIGHTLY=1 additionally runs a >=100k-case campaign sweep.
 #   6. per-pass ablation smoke: every optimizer pass disabled once on
 #      one workload, then schema validation of the per-pass overhead
 #      ledger, rejection taxonomy and event stream in
 #      results/ablation.json
-#   7. simulator benchmark + throughput gate: the predecoded fast path
-#      must stay at least 2x the reference path on the quick suite, and
-#      the threaded compile tier at least 4x the reference path (both
+#   7. simulator benchmark + throughput gate: three interleaved rounds,
+#      each running every tier once (retired counts asserted equal per
+#      round), so the gates compare numbers from the same rounds; the
+#      predecoded fast path must stay at least 2x the reference path on
+#      the quick suite, and the threaded compile tier at least 4x the
+#      reference path (both
 #      gates are anchored on the reference tier, the one neither
 #      optimized tier changes); the threaded/fast ratio is printed
 #      without a gate
@@ -82,6 +87,11 @@ echo "== test (default quick tiers) =="
 t0=$(date +%s%N)
 cargo test -q --workspace
 echo "wall-clock: workspace test suite $(ms_since "$t0")ms"
+
+echo "== test (perf/ benchmark package) =="
+t0=$(date +%s%N)
+cargo test -q --offline --manifest-path perf/Cargo.toml
+echo "wall-clock: perf package tests $(ms_since "$t0")ms"
 
 echo "== test (release, ignored tiers: quick-scale golden + full-scale e2e) =="
 t0=$(date +%s%N)
@@ -386,7 +396,7 @@ assert doc["inconclusive"] >= 0, "inconclusive counter must be present"
 assert sum(doc["outcomes"].values()) + doc["inconclusive"] + doc["undecided"] \
     + doc["mismatches"] == doc["cases"], "verdict counts must cover all cases"
 c = doc["campaign"]
-for key in ("rounds", "batch", "snapshot", "corpus_imported", "corpus_added",
+for key in ("rounds", "batch", "corpus_imported", "corpus_added",
             "corpus_len", "new_key_events", "coverage_keys", "coverage_hits",
             "mutations", "origins"):
     assert key in c, f"campaign section missing {key!r}"
@@ -411,22 +421,6 @@ print(f"  ok: {doc['cases']} campaign cases, corpus +{c['corpus_added']},"
       f" origins {dict(c['origins'])}, {doc['inconclusive']} inconclusive")
 EOF
 rm -rf "$cdir1" "$cdir2"
-
-echo "== A/B: snapshot-reset machines vs fresh machines per case =="
-cdir3=$(mktemp -d)
-t0=$(date +%s%N)
-ADORE_CAMPAIGN_DIR="$cdir3" cargo run --release -q -p adore-bench --bin lab -- fuzz \
-    --campaign --rounds=2 --batch=32 --seed=11 --minimize-evals=0 --jobs 2 \
-    --campaign-no-snapshot
-nosnap_ms=$(ms_since "$t0")
-rm -rf "$cdir3"; cdir3=$(mktemp -d)
-t0=$(date +%s%N)
-ADORE_CAMPAIGN_DIR="$cdir3" cargo run --release -q -p adore-bench --bin lab -- fuzz \
-    --campaign --rounds=2 --batch=32 --seed=11 --minimize-evals=0 --jobs 2
-snap_ms=$(ms_since "$t0")
-rm -rf "$cdir3"
-echo "wall-clock: fresh-machines ${nosnap_ms}ms, snapshot-reset ${snap_ms}ms" \
-     "(ratio $(python3 -c "print(f'{$nosnap_ms/max($snap_ms,1):.2f}x')"))"
 
 if [ "${ADORE_NIGHTLY:-0}" = "1" ]; then
     echo "== nightly: campaign sweep (>=100k cases) =="
