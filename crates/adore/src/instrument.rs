@@ -13,7 +13,7 @@
 //! if one stride dominates — replaces the instrumentation with an
 //! ordinary prefetch stream anchored to the load's address register.
 
-use isa::{AccessSize, Addr, Bundle, Gr, Insn, Op, Pr};
+use isa::{AccessSize, Bundle, Gr, Insn, Op, Pr};
 use sim::Memory;
 
 use crate::patch::PatchedTrace;
@@ -249,15 +249,10 @@ pub fn count_recording_stores(bundles: &[Bundle]) -> usize {
         .count()
 }
 
-/// True when `addr` falls inside the recording buffer.
-pub fn in_buffer(addr: Addr, buffer: u64, capacity: u64) -> bool {
-    addr.0 >= buffer && addr.0 < buffer + 8 * capacity
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa::{Asm, CmpOp, CODE_BASE};
+    use isa::{Addr, Asm, CmpOp, CODE_BASE};
 
     /// An fp-conversion loop trace (unanalyzable address computation).
     fn fpconv_trace() -> (Trace, (usize, u8)) {

@@ -302,24 +302,27 @@ impl<'a> OptContext<'a> {
         self.policy.active(self.scratch.entry_idx)
     }
 
-    /// The optimized entry whose live patches cover a pool-side sample
-    /// center — the unpatch monitor's recognition rule, reused by the
-    /// policy controller so windows spent inside patched traces still
-    /// credit (and can re-optimize) the originating phase.
-    fn pool_phase(&self, sig: &PhaseSignature) -> Option<usize> {
+    /// Position in `live_patches` of the first group whose patched
+    /// traces cover a pool-side sample center — the unpatch monitor's
+    /// recognition rule for a phase running entirely in the trace pool.
+    fn pool_group(&self, sig: &PhaseSignature) -> Option<usize> {
         if sig.pc_center < isa::TRACE_POOL_BASE as f64 {
             return None;
         }
-        self.live_patches.iter().find_map(|(idx, _, patches)| {
-            patches
-                .iter()
-                .any(|p| {
-                    let start = p.pool_addr.0 as f64;
-                    let end = start + (p.len as f64) * 16.0;
-                    sig.pc_center >= start && sig.pc_center < end
-                })
-                .then_some(*idx)
+        self.live_patches.iter().position(|(_, _, patches)| {
+            patches.iter().any(|p| {
+                let start = p.pool_addr.0 as f64;
+                let end = start + (p.len as f64) * 16.0;
+                sig.pc_center >= start && sig.pc_center < end
+            })
         })
+    }
+
+    /// The optimized entry of [`Self::pool_group`]'s group, reused by the
+    /// policy controller so windows spent inside patched traces still
+    /// credit (and can re-optimize) the originating phase.
+    fn pool_phase(&self, sig: &PhaseSignature) -> Option<usize> {
+        self.pool_group(sig).map(|pi| self.live_patches[pi].0)
     }
 
     /// Running prefetch-schedule ledger accepts — the controller's
@@ -693,18 +696,7 @@ impl Pass for UnpatchMonitor {
             .scratch
             .entry_idx
             .and_then(|i| ctx.live_patches.iter().position(|(idx, _, _)| *idx == i))
-            .or_else(|| {
-                if sig.pc_center < isa::TRACE_POOL_BASE as f64 {
-                    return None;
-                }
-                ctx.live_patches.iter().position(|(_, _, patches)| {
-                    patches.iter().any(|p| {
-                        let start = p.pool_addr.0 as f64;
-                        let end = start + (p.len as f64) * 16.0;
-                        sig.pc_center >= start && sig.pc_center < end
-                    })
-                })
-            });
+            .or_else(|| ctx.pool_group(&sig));
         if let Some(pi) = group {
             let (idx, cpi_before, _) = ctx.live_patches[pi];
             if sig.cpi > cpi_before * 1.02 {

@@ -32,9 +32,10 @@
 //!   `error` row and the rest of the grid completes (previously one bad
 //!   workload panicked the whole binary);
 //! * **observability** — per-cell timing goes to stderr through
-//!   [`obs::Progress`] while the deterministic cell labels and cache
-//!   statistics are embedded in the report's `engine` section,
-//!   alongside the volatile scheduling and store counters.
+//!   [`obs::Progress`] while the deterministic cell labels (a function
+//!   of the grid) and cache statistics are embedded in the report's
+//!   `engine` section, alongside the volatile scheduling and store
+//!   counters.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -332,6 +333,10 @@ impl ExperimentSpec {
         }
 
         let n = cells.len();
+        let labels: Vec<String> = cells
+            .iter()
+            .map(|(si, cell)| format!("{}/{}", self.sections[*si].key, cell.workload))
+            .collect();
         let progress = Progress::new(&self.tool, n);
         let store = self.open_store();
         let cache = BaselineCache::with_store(store.clone());
@@ -340,12 +345,12 @@ impl ExperimentSpec {
 
         let mut ordered: Vec<Json> = Vec::with_capacity(n);
         let (cells_ref, suite_ref, cache_ref, legs_ref) = (&cells, &suite, &cache, &legs);
-        let (sections_ref, progress_ref) = (&self.sections, &progress);
+        let (sections_ref, labels_ref, progress_ref) = (&self.sections, &labels, &progress);
         let (_, pool_stats) = obs::pool::service_scope(
             jobs,
             |_| (),
             |_: &mut (), i: usize, (): ()| {
-                let (si, cell) = &cells_ref[i];
+                let (_, cell) = &cells_ref[i];
                 let t = Instant::now();
                 let row = match run_cell(cell, suite_ref, cache_ref, legs_ref) {
                     Ok(row) => row,
@@ -354,8 +359,7 @@ impl ExperimentSpec {
                         .with("error", e.to_string()),
                 };
                 let row = merge_extra(row, &cell.extra);
-                let label = format!("{}/{}", sections_ref[*si].key, cell.workload);
-                progress_ref.item_done(i, &label, t.elapsed());
+                progress_ref.item_done(&labels_ref[i], t.elapsed());
                 row
             },
             |sub| {
@@ -408,7 +412,7 @@ impl ExperimentSpec {
         };
         let mut engine = Json::object()
             .with("cells", n)
-            .with("cell_labels", progress.labels())
+            .with("cell_labels", labels)
             .with("errors", failed)
             .with(
                 "baseline_cache",
@@ -537,7 +541,7 @@ pub enum CellError {
     /// The workload name resolves neither in the suite nor in the
     /// spec's extra workloads.
     UnknownWorkload(String),
-    /// Compilation failed (`run_plain`'s old panic path, made a value).
+    /// Compilation failed.
     Compile {
         /// Workload whose kernel failed to compile.
         workload: String,
@@ -900,40 +904,22 @@ fn streams_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
 
 fn timeline_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
     let bin = try_build(w, &cell.opts)?;
-    // "No runtime prefetching" series: monitoring without optimization,
-    // measured through the PMU exactly like the paper's curves.
-    let mcfg = cell.adore.machine_config(cell.machine.clone());
-    let mut m = w.prepare(&bin, mcfg);
-    let mut pm = perfmon::Perfmon::new(cell.adore.perfmon.clone());
-    let mut without: Vec<Json> = Vec::new();
-    let mut without_end = 0u64;
-    pm.run_with_windows(&mut m, |_, win, _| {
-        let t = win.samples.last().map(|s| s.cycles).unwrap_or(0);
-        without_end = t;
-        without.push(point(t, win.cpi, win.dear_per_kinsn));
-    });
-    let (report, _) = run_adore_in(cell, w, &bin);
-    let with: Vec<Json> = report
-        .timeline
-        .iter()
-        .map(|t| point(t.cycles, t.cpi, t.dear_per_kinsn))
-        .collect();
+    // "No runtime prefetching" series: the same run with insertion off,
+    // which monitors through the PMU exactly like the paper's curves but
+    // never edits or charges the machine. Both legs share one
+    // simulation until the ADORE leg's first deploy.
+    let mut monitor_only = cell.adore.clone();
+    monitor_only.insert_prefetches = false;
+    let mut m = w.prepare(&bin, cell.adore.machine_config(cell.machine.clone()));
+    let run = adore::run_legs(&mut m, &[monitor_only, cell.adore.clone()], u64::MAX);
+    let (monitored, optimized) = (&run[0].report.timeline, &run[1].report.timeline);
+    let end = |t: &[adore::TimePoint]| t.last().map_or(0, |p| p.cycles);
     Ok(Json::object()
         .with("bench", w.name)
-        .with("baseline_end_cycles", without_end)
-        .with(
-            "adore_end_cycles",
-            report.timeline.last().map(|t| t.cycles).unwrap_or(0),
-        )
-        .with("baseline", without)
-        .with("adore", with))
-}
-
-fn point(cycles: u64, cpi: f64, dpk: f64) -> Json {
-    Json::object()
-        .with("cycles", cycles)
-        .with("cpi", cpi)
-        .with("dear_per_kinsn", dpk)
+        .with("baseline_end_cycles", end(monitored))
+        .with("adore_end_cycles", end(optimized))
+        .with("baseline", monitored.as_slice())
+        .with("adore", optimized.as_slice()))
 }
 
 fn guided_cell(

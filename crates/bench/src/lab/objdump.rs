@@ -1,20 +1,23 @@
-//! `lab objdump` — minimal object-file tool for the toolchain's binary
-//! format: compile a workload (or micro-kernel), save it with
-//! `isa::encode_program`, reload it, and print the disassembly
-//! listing.
+//! `lab objdump` — compile a workload (or micro-kernel) at O3 and print
+//! its program image: a header with the bundle count, image size and
+//! entry point, one line per compiled loop, then the disassembly listing
+//! with its symbol labels.
 
 use compiler::{compile, CompileOptions};
 
 use crate::cli::{Cli, Registry};
 
-pub(crate) const ABOUT: &str = "compile a workload and dump its encoded binary listing";
+pub(crate) const ABOUT: &str = "compile a workload and print its disassembly listing";
 
 pub(crate) fn registry() -> Registry {
-    Registry::new("objdump", ABOUT)
-        .picks("<workload|matmul|daxpy|memcpy> [output path] (default: daxpy)")
+    Registry::new("objdump", ABOUT).picks("<workload|matmul|daxpy|memcpy> (default: daxpy)")
 }
 
 pub(crate) fn run(cli: Cli) {
+    if cli.picks.len() > 1 {
+        eprintln!("error: objdump takes one workload, got {:?}", cli.picks);
+        std::process::exit(2);
+    }
     let name = cli.pick().unwrap_or("daxpy");
 
     let kernel = match name {
@@ -30,20 +33,12 @@ pub(crate) fn run(cli: Cli) {
         },
     };
     let bin = compile(&kernel, &CompileOptions::o3()).expect("compiles");
-
-    let bytes = isa::encode_program(&bin.program);
-    if let Some(path) = cli.picks.get(1) {
-        std::fs::write(path, &bytes).expect("write object file");
-        eprintln!("wrote {} bytes to {path}", bytes.len());
-    }
-
-    // Round-trip through the binary format, then list.
-    let program = isa::decode_program(&bytes).expect("decodes");
+    let program = &bin.program;
     println!(
-        "; {} — {} bundles, {} bytes encoded, entry {}",
+        "; {} — {} bundles, {} bytes, entry {}",
         kernel.name,
         program.len(),
-        bytes.len(),
+        program.size_bytes(),
         program.entry()
     );
     for info in &bin.loops {

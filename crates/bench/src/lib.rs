@@ -1,7 +1,8 @@
 //! Shared harness for regenerating every table and figure of the paper.
 //!
-//! Each experiment binary (`fig7`, `table1`, `table2`, `fig8_9`,
-//! `fig10`, `fig11`, `ablation`, `breakdown`, `diag`) declares an
+//! Each experiment subcommand of the `lab` binary (`fig7`, `table1`,
+//! `table2`, `fig8_9`, `fig10`, `fig11`, `ablation`, `breakdown`,
+//! `families`, `policy`, `diag`) declares an
 //! [`engine::ExperimentSpec`] — a grid of (workload × compile options ×
 //! ADORE config) cells — and the parallel engine executes it, merges
 //! the rows deterministically, and writes `results/<tool>.json`. The
@@ -23,7 +24,7 @@ pub use store::{BaselineStore, StoredBaseline, STORE_VERSION};
 use adore::{AdoreConfig, RunReport};
 use compiler::{CompileOptions, CompiledBinary};
 use obs::{Json, Report};
-use sim::{Machine, MachineConfig, SamplingConfig};
+use sim::{Machine, SamplingConfig};
 use workloads::Workload;
 
 /// Default workload scale for full experiment runs.
@@ -31,22 +32,6 @@ pub const FULL_SCALE: f64 = 1.0;
 
 /// Reduced scale for quick smoke runs (`--quick`).
 pub const QUICK_SCALE: f64 = 0.25;
-
-/// The ADORE configuration used by all experiments.
-///
-/// Delegates to [`ExperimentSpec::paper_adore_config`] — the spec owns
-/// the paper configuration; this function remains for component
-/// benchmarks and tests that run outside the engine.
-pub fn experiment_adore_config() -> AdoreConfig {
-    ExperimentSpec::paper_adore_config()
-}
-
-/// Machine configuration used by all experiments (Itanium 2 defaults).
-///
-/// Delegates to [`ExperimentSpec::paper_machine_config`].
-pub fn experiment_machine_config() -> MachineConfig {
-    ExperimentSpec::paper_machine_config()
-}
 
 /// Compiles a workload with the given options.
 ///
@@ -60,39 +45,12 @@ pub fn build(w: &Workload, opts: &CompileOptions) -> Result<CompiledBinary, Cell
     engine::try_build(w, opts)
 }
 
-/// Runs a compiled workload to completion with no monitoring; returns
-/// total cycles.
-pub fn run_plain(w: &Workload, bin: &CompiledBinary) -> u64 {
-    let mut m = w.prepare(bin, experiment_machine_config());
-    m.run_to_halt()
-}
-
-/// Like [`run_plain`], but also returns the machine so callers can read
-/// cache and PMU statistics into a report.
-pub fn run_plain_with_machine(w: &Workload, bin: &CompiledBinary) -> (u64, Machine) {
-    let mut m = w.prepare(bin, experiment_machine_config());
-    let cycles = m.run_to_halt();
-    (cycles, m)
-}
-
 /// Runs a compiled workload under ADORE; returns the report (cycles
 /// include all charged overhead).
 pub fn run_adore(w: &Workload, bin: &CompiledBinary, config: &AdoreConfig) -> RunReport {
-    let mcfg = config.machine_config(experiment_machine_config());
+    let mcfg = config.machine_config(ExperimentSpec::paper_machine_config());
     let mut m = w.prepare(bin, mcfg);
     adore::run(&mut m, config)
-}
-
-/// Runs a workload and also returns the machine (for cache statistics).
-pub fn run_adore_with_machine(
-    w: &Workload,
-    bin: &CompiledBinary,
-    config: &AdoreConfig,
-) -> (RunReport, Machine) {
-    let mcfg = config.machine_config(experiment_machine_config());
-    let mut m = w.prepare(bin, mcfg);
-    let r = adore::run(&mut m, config);
-    (r, m)
 }
 
 /// Speedup of `fast` relative to `slow`, as the percentage the paper
@@ -197,15 +155,6 @@ pub fn paper_table2(name: &str) -> Option<(u64, u64, u64, u64)> {
     })
 }
 
-/// Parses the common `--quick` flag into a workload scale.
-pub fn scale_from_args(args: &[String]) -> f64 {
-    if args.iter().any(|a| a == "--quick") {
-        QUICK_SCALE
-    } else {
-        FULL_SCALE
-    }
-}
-
 /// Starts a structured report seeded with the shared run configuration
 /// (workload scale, recorded CLI arguments, sampling parameters).
 ///
@@ -236,11 +185,6 @@ pub fn experiment_report_with(
             ),
     );
     r
-}
-
-/// [`experiment_report_with`] using the paper sampling configuration.
-pub fn experiment_report(tool: &str, args: &[String], scale: f64) -> Report {
-    experiment_report_with(tool, args, scale, &experiment_adore_config().sampling)
 }
 
 /// Cache and PMU statistics of a finished machine, for report rows.
@@ -300,7 +244,8 @@ mod tests {
 
     #[test]
     fn experiment_report_seeds_run_config() {
-        let r = experiment_report("unit", &["--quick".to_string()], QUICK_SCALE);
+        let sampling = ExperimentSpec::paper_adore_config().sampling;
+        let r = experiment_report_with("unit", &["--quick".to_string()], QUICK_SCALE, &sampling);
         let j = r.json();
         assert_eq!(j.get("tool").and_then(Json::as_str), Some("unit"));
         let rc = j.get("run_config").expect("run_config present");
@@ -313,12 +258,5 @@ mod tests {
             Json::parse(&j.to_string()).is_ok(),
             "report serializes to valid JSON"
         );
-    }
-
-    #[test]
-    fn quick_flag_parses() {
-        let args: Vec<String> = vec!["--quick".into()];
-        assert_eq!(scale_from_args(&args), QUICK_SCALE);
-        assert_eq!(scale_from_args(&[]), FULL_SCALE);
     }
 }

@@ -85,7 +85,7 @@ fn baseline_cache_counts_hits_and_distinguishes_machines() {
     let suite = workloads::suite(0.05);
     let w = suite.iter().find(|w| w.name == "swim").unwrap();
     let cache = BaselineCache::new();
-    let mcfg = experiment_machine_config();
+    let mcfg = ExperimentSpec::paper_machine_config();
     let a = cache.plain(w, &CompileOptions::o2(), &mcfg).unwrap();
     let b = cache.plain(w, &CompileOptions::o2(), &mcfg).unwrap();
     assert_eq!(a.cycles, b.cycles);
@@ -93,7 +93,7 @@ fn baseline_cache_counts_hits_and_distinguishes_machines() {
 
     // A different machine configuration (the ablation's uncapped-bus
     // variant) is a different key — sharing would corrupt the study.
-    let mut uncapped = experiment_machine_config();
+    let mut uncapped = ExperimentSpec::paper_machine_config();
     uncapped.cache.mem_service_interval = 0;
     cache.plain(w, &CompileOptions::o2(), &uncapped).unwrap();
     assert_eq!(cache.stats(), (3, 2));

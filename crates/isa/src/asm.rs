@@ -107,12 +107,6 @@ impl Asm {
         self.pending.clear();
     }
 
-    /// Emits a pre-packed bundle verbatim.
-    pub fn emit_bundle(&mut self, bundle: Bundle) {
-        self.flush();
-        self.bundles.push(bundle);
-    }
-
     /// Binds `name` to the next bundle boundary.
     pub fn label(&mut self, name: impl Into<String>) {
         self.flush();

@@ -307,11 +307,6 @@ impl Op {
         )
     }
 
-    /// True for memory reads that consume cache bandwidth (`ld`, `ldf`).
-    pub fn is_load(&self) -> bool {
-        matches!(self, Op::Ld { .. } | Op::Ldf { .. })
-    }
-
     /// The branch target, if this is a direct branch.
     pub fn branch_target(&self) -> Option<Addr> {
         match self {

@@ -43,13 +43,11 @@
 
 pub mod asm;
 pub mod bundle;
-pub mod encode;
 pub mod insn;
 pub mod program;
 pub mod regs;
 
 pub use asm::{Asm, AsmError};
-pub use encode::{decode_program, encode_program, DecodeError};
 pub use bundle::{Bundle, Template};
 pub use insn::{AccessSize, Addr, CmpOp, Insn, Op, Pc, SlotKind};
 pub use program::{Program, CODE_BASE, TRACE_POOL_BASE};

@@ -15,9 +15,8 @@
 //! * [`report`] — schema-versioned experiment reports written as
 //!   `results/<tool>.json`, so successive PRs can diff speedups,
 //!   coverage and accuracy run-over-run.
-//! * [`progress`] — ordered merge of concurrently produced progress
-//!   rows: live (out-of-order) stderr lines plus a deterministic,
-//!   submission-ordered view for report embedding.
+//! * [`progress`] — live (out-of-order) stderr lines for concurrently
+//!   produced work items, with wall-clock timing.
 //! * [`pool`] — a work-stealing shard pool over `std::thread::scope`:
 //!   the resident-service primitive ([`pool::service_scope`]) that
 //!   feeds jobs through per-shard deques and emits results in strict
@@ -35,5 +34,5 @@ pub mod report;
 pub use events::EventStream;
 pub use json::{Json, ToJson};
 pub use pool::{run_indexed, service_scope, PoolStats, Submitter};
-pub use progress::{Progress, ProgressEntry};
+pub use progress::Progress;
 pub use report::{Report, SCHEMA_VERSION};

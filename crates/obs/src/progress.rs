@@ -1,31 +1,14 @@
-//! Ordered progress reporting for concurrently produced work items.
+//! Live progress lines for concurrently produced work items.
 //!
 //! The parallel experiment engine finishes cells in whatever order the
-//! worker threads happen to run them, but reports must stay
-//! byte-identical to a serial run. This module splits the two concerns:
-//!
-//! * **live lines** — each completed item prints one line to stderr
-//!   immediately (out of order, with wall-clock timing), so a human
-//!   watching a long run sees progress;
-//! * **ordered merge** — every item is also recorded in a slot indexed
-//!   by its position in the original work list, and [`Progress::merged`]
-//!   returns the deterministic, submission-ordered sequence for
-//!   embedding in a JSON report. Only the *labels* are deterministic;
-//!   wall times stay on stderr so reports remain reproducible.
+//! worker threads happen to run them. Each completed item prints one
+//! line to stderr immediately (out of order, with wall-clock timing), so
+//! a human watching a long run sees progress. Nothing here reaches a
+//! report: the pool's reorder buffer already hands results back in
+//! submission order, and wall times are volatile.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// One completed work item: its deterministic label and how long it
-/// took on whichever worker ran it.
-#[derive(Debug, Clone)]
-pub struct ProgressEntry {
-    /// Deterministic item label (e.g. `part_a/mcf`).
-    pub label: String,
-    /// Wall-clock duration of the item (volatile — stderr only).
-    pub millis: u128,
-}
 
 /// A thread-safe progress sink for a fixed-size batch of work items.
 #[derive(Debug)]
@@ -33,122 +16,23 @@ pub struct Progress {
     tool: String,
     total: usize,
     done: AtomicUsize,
-    entries: Mutex<Vec<Option<ProgressEntry>>>,
     start: Instant,
 }
 
 impl Progress {
     /// Starts tracking `total` items for `tool`.
     pub fn new(tool: &str, total: usize) -> Progress {
-        Progress {
-            tool: tool.to_string(),
-            total,
-            done: AtomicUsize::new(0),
-            entries: Mutex::new(vec![None; total]),
-            start: Instant::now(),
-        }
+        Progress { tool: tool.to_string(), total, done: AtomicUsize::new(0), start: Instant::now() }
     }
 
-    /// Records completion of the item at `index` (its position in the
-    /// submission order) and prints a live line to stderr.
-    pub fn item_done(&self, index: usize, label: &str, elapsed: Duration) {
+    /// Records completion of one item and prints a live line to stderr.
+    pub fn item_done(&self, label: &str, elapsed: Duration) {
         let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
-        eprintln!(
-            "[{}] {done}/{} {label} {}ms",
-            self.tool,
-            self.total,
-            elapsed.as_millis()
-        );
-        // A worker that panics while holding the lock poisons it; the
-        // slot table itself is never left half-written (each slot is
-        // assigned atomically below), so the surviving workers recover
-        // the guard instead of turning one panic into a panic storm.
-        let mut slots = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if index < slots.len() {
-            slots[index] = Some(ProgressEntry { label: label.to_string(), millis: elapsed.as_millis() });
-        }
-    }
-
-    /// Completed items so far.
-    pub fn completed(&self) -> usize {
-        self.done.load(Ordering::SeqCst)
-    }
-
-    /// All recorded entries in submission order — deterministic
-    /// regardless of which worker finished which item when.
-    pub fn merged(&self) -> Vec<ProgressEntry> {
-        // Same poison recovery as `item_done`: a dead worker must not
-        // cost the run its final report.
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .flatten()
-            .cloned()
-            .collect()
-    }
-
-    /// Submission-ordered labels only (the report-safe projection).
-    pub fn labels(&self) -> Vec<String> {
-        self.merged().into_iter().map(|e| e.label).collect()
+        eprintln!("[{}] {done}/{} {label} {}ms", self.tool, self.total, elapsed.as_millis());
     }
 
     /// Wall-clock time since the sink was created.
     pub fn wall(&self) -> Duration {
         self.start.elapsed()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_is_submission_ordered_despite_completion_order() {
-        let p = Progress::new("unit", 4);
-        p.item_done(2, "c", Duration::from_millis(1));
-        p.item_done(0, "a", Duration::from_millis(2));
-        p.item_done(3, "d", Duration::from_millis(3));
-        p.item_done(1, "b", Duration::from_millis(4));
-        assert_eq!(p.labels(), vec!["a", "b", "c", "d"]);
-        assert_eq!(p.completed(), 4);
-    }
-
-    #[test]
-    fn poisoned_lock_is_recovered_not_cascaded() {
-        let p = Progress::new("unit", 2);
-        // One worker dies while holding the entries lock — exactly the
-        // scenario a fuzzing-campaign worker pool produces when a case
-        // panics mid-report. The mutex is now poisoned.
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = p.entries.lock().unwrap();
-            panic!("worker died mid-update");
-        }));
-        assert!(died.is_err());
-        assert!(p.entries.is_poisoned(), "the setup must actually poison the lock");
-        // Surviving workers keep reporting and the final merge still
-        // works; before the poison recovery both calls panicked.
-        p.item_done(0, "a", Duration::ZERO);
-        p.item_done(1, "b", Duration::ZERO);
-        assert_eq!(p.labels(), vec!["a", "b"]);
-        assert_eq!(p.completed(), 2);
-    }
-
-    #[test]
-    fn concurrent_item_done_is_safe_and_complete() {
-        let p = Progress::new("unit", 64);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let p = &p;
-                s.spawn(move || {
-                    for i in (t..64).step_by(4) {
-                        p.item_done(i, &format!("item{i}"), Duration::ZERO);
-                    }
-                });
-            }
-        });
-        let labels = p.labels();
-        assert_eq!(labels.len(), 64);
-        assert_eq!(labels[17], "item17");
     }
 }

@@ -275,7 +275,7 @@ fn evaluate_batch(
             let result = check_case(&plan[i].spec, &case_diff(cfg, plan[i].case_seed), runner);
             if let Some(p) = &progress {
                 let label = format!("{} {:#018x}", plan[i].origin, plan[i].case_seed);
-                p.item_done(i, &label, started.elapsed());
+                p.item_done(&label, started.elapsed());
             }
             result
         },

@@ -606,11 +606,6 @@ impl Hierarchy {
             self.config.mem_latency
         }
     }
-
-    /// Number of misses currently in flight.
-    pub fn inflight_misses(&self) -> usize {
-        self.inflight.len()
-    }
 }
 
 impl ToJson for Hierarchy {

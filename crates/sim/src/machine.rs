@@ -14,7 +14,7 @@
 //! - **taken-branch bubble**, making inserted bundles genuinely costly;
 //! - a **trace pool** address range from which patched traces execute.
 
-use isa::{Addr, Bundle, Insn, Op, Pc, Program, SlotKind, TRACE_POOL_BASE};
+use isa::{Addr, Bundle, Insn, Op, Pc, Program, TRACE_POOL_BASE};
 
 use crate::cache::{CacheConfig, Hierarchy, HitLevel};
 use crate::code::CodeStore;
@@ -1334,19 +1334,10 @@ impl Machine {
     }
 }
 
-/// Convenience: count free memory slots in a trace (used in tests and by
-/// the prefetch scheduler's cost estimate).
-pub fn free_m_slots(bundles: &[Bundle]) -> usize {
-    bundles
-        .iter()
-        .filter_map(|b| b.free_slot(SlotKind::M))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa::{AccessSize, Asm, CmpOp, Fr, Gr, Pr, CODE_BASE};
+    use isa::{AccessSize, Asm, CmpOp, Fr, Gr, Pr, SlotKind, CODE_BASE};
 
     fn machine_for(asm_body: impl FnOnce(&mut Asm)) -> Machine {
         let mut a = Asm::new();

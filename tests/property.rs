@@ -598,58 +598,6 @@ fn prefetch_scheduling_preserves_program_instructions() {
     }
 }
 
-/// Binary encoding round-trips arbitrary packed programs.
-#[test]
-fn encoding_round_trips() {
-    for case in 0..CASES {
-        let mut rng = case_rng(0xE2C0_DE00, case);
-        let insns = arb_insns(&mut rng, 1, 60);
-        let mut a = Asm::new();
-        for i in &insns {
-            a.emit(*i);
-        }
-        a.halt();
-        let p = a.finish(CODE_BASE).unwrap();
-        let bytes = isa::encode_program(&p);
-        let q = isa::decode_program(&bytes).unwrap();
-        assert_eq!(p.bundles(), q.bundles(), "case {case}");
-        assert_eq!(p.entry(), q.entry(), "case {case}");
-    }
-}
-
-/// Decoding arbitrary garbage never panics.
-#[test]
-fn decoding_garbage_never_panics() {
-    for case in 0..CASES {
-        let mut rng = case_rng(0xDEC0_DE00, case);
-        let len = rng.below(512) as usize;
-        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let _ = isa::decode_program(&bytes);
-    }
-}
-
-/// Decoding a *mutated* valid program never panics either (more
-/// structure than pure garbage: valid headers, corrupt payloads).
-#[test]
-fn decoding_mutated_programs_never_panics() {
-    for case in 0..CASES {
-        let mut rng = case_rng(0xDEC0_DE01, case);
-        let insns = arb_insns(&mut rng, 1, 20);
-        let mut a = Asm::new();
-        for i in &insns {
-            a.emit(*i);
-        }
-        a.halt();
-        let p = a.finish(CODE_BASE).unwrap();
-        let mut bytes = isa::encode_program(&p);
-        for _ in 0..rng.range_u64(1, 8) {
-            let at = rng.below(bytes.len() as u64) as usize;
-            bytes[at] = rng.next_u64() as u8;
-        }
-        let _ = isa::decode_program(&bytes);
-    }
-}
-
 /// Addresses always bundle-align downward.
 #[test]
 fn addresses_bundle_align() {

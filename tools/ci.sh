@@ -61,6 +61,8 @@
 #      one workload, then schema validation of the per-pass overhead
 #      ledger, rejection taxonomy and event stream in
 #      results/ablation.json
+#   6b. objdump smoke: `lab objdump daxpy` lists the daxpy loop header
+#      and the `main:` label, and an unknown workload exits non-zero
 #   7. simulator benchmark + throughput gate: three interleaved rounds,
 #      each running every tier once (retired counts asserted equal per
 #      round), so the gates compare numbers from the same rounds; the
@@ -501,6 +503,18 @@ charged = sum(p["charged_cycles"]
 print(f"  ok: 9 single-pass-off sections, ledger schema valid,"
       f" {charged} total charged cycles on the books")
 EOF
+
+echo "== smoke: lab objdump =="
+listing=$(cargo run --release -q -p adore-bench --bin lab -- objdump daxpy)
+grep -q '^; loop `daxpy` ' <<<"$listing" \
+    || { echo "objdump daxpy: listing lacks the daxpy loop header" >&2; exit 1; }
+grep -qx 'main:' <<<"$listing" \
+    || { echo "objdump daxpy: listing lacks the main: label" >&2; exit 1; }
+if cargo run --release -q -p adore-bench --bin lab -- objdump nope 2>/dev/null; then
+    echo "objdump accepted an unknown workload" >&2
+    exit 1
+fi
+echo "  ok: daxpy listing has its loop header and main: label; unknown workload rejected"
 
 echo "== smoke: bench simulator --quick =="
 cargo bench -q -p adore-bench --bench simulator -- --quick
