@@ -23,7 +23,10 @@
 //!   reports declined work through (§4.3's failure analysis);
 //! - [`pipeline`] — the optimizer decomposed into instrumented
 //!   [`pipeline::Pass`]es over a shared [`pipeline::OptContext`], with
-//!   a per-pass overhead ledger and structured event stream;
+//!   a per-pass overhead ledger;
+//! - [`decision`] — the typed decision trace every pass appends to:
+//!   rejections, classifications, scheduled streams and the deploy /
+//!   instrument / promote / unpatch episodes, per window;
 //! - [`policy`] — adaptive per-phase policy selection: a discrete
 //!   policy space over the optimizer's tunables and a deterministic
 //!   online controller that trials, scores and commits arms per phase
@@ -71,6 +74,7 @@
 
 #![warn(missing_docs)]
 
+pub mod decision;
 pub mod delinq;
 pub mod instrument;
 pub mod patch;
@@ -83,6 +87,7 @@ pub mod reject;
 pub mod runtime;
 pub mod trace;
 
+pub use decision::{Decision, Outcome, Site};
 pub use delinq::{find_delinquent_loads, loads_for_trace, DelinquentLoad, MAX_LOADS_PER_TRACE};
 pub use instrument::{dominant_stride, instrument_trace, promote, InstrumentConfig, Instrumentation};
 pub use patch::{install, unpatch, PatchedTrace};

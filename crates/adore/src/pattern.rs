@@ -86,6 +86,19 @@ pub enum Pattern {
     },
 }
 
+impl Pattern {
+    /// Stable name of the pattern class (the [`crate::InsertionStats`]
+    /// field its stream counts under).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Pattern::Direct { .. } => "direct",
+            Pattern::Indirect { .. } => "indirect",
+            Pattern::PointerChase { .. } => "pointer",
+            Pattern::JumpPointer { .. } => "jump",
+        }
+    }
+}
+
 /// Linearized view of the trace body with (bundle, slot) positions.
 struct Body<'a> {
     trace: &'a Trace,

@@ -17,8 +17,9 @@
 //! per-pass invocations, charged virtual cycles (the paper's 1–2 %
 //! overhead claim, Fig. 11, now itemized per stage), wall time,
 //! accepted work units and rejection counts keyed by the unified
-//! [`Rejection`] taxonomy — plus an [`EventStream`] of every deploy,
-//! instrument, promote and unpatch action.
+//! [`Rejection`] taxonomy. The counts are derived from the run's
+//! [`Decision`] trace, which every pass appends to through
+//! [`OptContext::record`].
 //!
 //! Passes communicate only through [`OptContext`]; disabling a pass
 //! leaves its downstream consumers looking at empty prerequisite state
@@ -31,10 +32,11 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use isa::Pc;
-use obs::{EventStream, Json, ToJson};
+use obs::{Json, ToJson};
 use perfmon::{ProfileWindow, UserEventBuffer};
 use sim::Machine;
 
+use crate::decision::{Decision, Outcome, Site};
 use crate::delinq::{find_delinquent_loads, loads_for_trace, DelinquentLoad};
 use crate::instrument::{dominant_stride, instrument_trace, promote, PendingInstr};
 use crate::patch::{install, unpatch, PatchedTrace};
@@ -43,7 +45,7 @@ use crate::phase::{PhaseDecision, PhaseDetector, PhaseSignature};
 use crate::policy::{Policy, PolicyController};
 use crate::prefetch::{classify_loads, schedule_streams, InsertionStats, OptimizedTrace};
 use crate::reject::Rejection;
-use crate::runtime::{AdoreConfig, OptEvent, RunReport, TimePoint};
+use crate::runtime::{AdoreConfig, RunReport, TimePoint};
 use crate::trace::{select_traces_with_drops, Trace};
 
 /// Identity of a pipeline pass. The variant order is the canonical
@@ -192,8 +194,6 @@ pub struct WindowScratch {
     pub entry_idx: Option<usize>,
     /// Traces selected this window.
     pub traces: Vec<Trace>,
-    /// Delinquent loads mapped into the selected traces.
-    pub loads: Vec<DelinquentLoad>,
     /// Per-trace work items, parallel to `traces`.
     pub work: Vec<TraceWork>,
 }
@@ -206,12 +206,8 @@ pub struct TraceWork {
     pub mine: Vec<DelinquentLoad>,
     /// Classified loads: (pc, mean miss latency, pattern).
     pub classified: Vec<(Pc, f64, Pattern)>,
-    /// Classification rejections for this trace.
-    pub class_skips: Vec<(Pc, Rejection)>,
     /// The scheduled optimized trace, when any stream fit.
     pub candidate: Option<OptimizedTrace>,
-    /// Scheduling rejections for this trace.
-    pub sched_skips: Vec<(Pc, Rejection)>,
 }
 
 /// Aggregate counters feeding the final [`RunReport`].
@@ -254,13 +250,10 @@ pub struct OptContext<'a> {
     /// mid-iteration inside an unpatched copy at harvest time, so buffers
     /// can only be reclaimed once execution has stopped.
     pub retired_buffers: Vec<(u64, u64)>,
-    /// Per-load rejections reported in [`RunReport::skips`] (§4.3).
-    pub skips: Vec<(Pc, Rejection)>,
-    /// Per-optimization-event details (diagnostics).
-    pub events: Vec<OptEvent>,
-    /// Structured deploy/instrument/promote/unpatch event stream.
-    pub event_log: EventStream,
-    /// Per-pass overhead and accept/reject ledger.
+    /// The decision trace, in the order the passes decided.
+    pub decisions: Vec<Decision>,
+    /// Per-pass overhead and accept ledger (rejection counts are
+    /// derived from `decisions` when the run finishes).
     pub ledger: PipelineLedger,
     /// Aggregate report counters.
     pub counters: OptCounters,
@@ -282,14 +275,25 @@ impl<'a> OptContext<'a> {
             live_patches: Vec::new(),
             pending_instr: Vec::new(),
             retired_buffers: Vec::new(),
-            skips: Vec::new(),
-            events: Vec::new(),
-            event_log: EventStream::new(),
+            decisions: Vec::new(),
             ledger: PipelineLedger::new(&config.pipeline.order),
             counters: OptCounters::default(),
             scratch: WindowScratch::default(),
             policy: PolicyController::new(&config.policy),
         }
+    }
+
+    /// Appends one decision to the trace, stamped with the current
+    /// window and its phase signature (if the gate produced one).
+    pub fn record(&mut self, pass: PassKind, site: Site, outcome: Outcome) {
+        let (window, phase) = (self.scratch.now, self.scratch.sig);
+        self.decisions.push(Decision { window, phase, pass, site, outcome });
+    }
+
+    /// Records that `pass` declined `site` (the ledger counts it when the
+    /// run finishes).
+    pub fn reject(&mut self, pass: PassKind, site: Site, r: Rejection) {
+        self.record(pass, site, Outcome::Rejected(r));
     }
 
     /// The policy arm governing this window's optimization work: the
@@ -337,8 +341,14 @@ impl<'a> OptContext<'a> {
     }
 
     /// Moves the accumulated results into a report (cycles, retired and
-    /// window counts are the runtime's responsibility).
+    /// window counts are the runtime's responsibility), counting every
+    /// rejection of the trace into its pass's ledger entry.
     pub fn finish(mut self, report: &mut RunReport) {
+        for d in &self.decisions {
+            if let Outcome::Rejected(r) = d.outcome {
+                *self.ledger.entry_mut(d.pass).rejections.entry(r.label()).or_default() += 1;
+            }
+        }
         if self.config.policy.enable {
             self.policy.finish(self.timeline.len() as u64);
             report.policy = self.policy.report();
@@ -350,9 +360,7 @@ impl<'a> OptContext<'a> {
         report.traces_unpatched = self.counters.traces_unpatched;
         report.instrumented = self.counters.instrumented;
         report.promoted = self.counters.promoted;
-        report.skips = self.skips;
-        report.events = self.events;
-        report.event_log = self.event_log;
+        report.decisions = self.decisions;
         report.ledger = self.ledger;
     }
 }
@@ -405,18 +413,6 @@ impl PipelineLedger {
         }
         self.passes.push((kind, PassLedger::default()));
         &mut self.passes.last_mut().expect("just pushed").1
-    }
-
-    /// Records one rejection against a pass.
-    pub fn reject(&mut self, kind: PassKind, r: Rejection) {
-        self.reject_n(kind, r, 1);
-    }
-
-    /// Records `n` rejections of the same kind against a pass.
-    pub fn reject_n(&mut self, kind: PassKind, r: Rejection, n: u64) {
-        if n > 0 {
-            *self.entry_mut(kind).rejections.entry(r.label()).or_default() += n;
-        }
     }
 
     /// Records `n` accepted work units for a pass.
@@ -560,28 +556,28 @@ impl Pass for InstrPromote {
             // copy and keep recording until the phase exits, so the buffer
             // cannot be reclaimed here; it is zeroed at run teardown.
             ctx.retired_buffers.push((pi.buffer, pi.capacity));
+            let site = Site::Trace(pi.trace.start);
             let Some(stride) = stride else {
-                ctx.ledger.reject(PassKind::InstrPromote, Rejection::NoDominantStride);
+                ctx.reject(PassKind::InstrPromote, site, Rejection::NoDominantStride);
                 continue;
             };
             let promoted = promote(&pi.trace, pi.load_pos, stride, pi.dist_iters)
                 .and_then(|ot| install(m, &ot).ok().map(|p| (ot, p)));
             match promoted {
-                Some((ot, p)) => {
+                Some((ot, patch)) => {
                     m.charge_cycles(ctx.config.patch_cost_cycles);
                     ctx.counters.stats += ot.stats;
                     ctx.counters.traces_patched += 1;
                     ctx.counters.promoted += 1;
                     ctx.ledger.accept(PassKind::InstrPromote, 1);
-                    ctx.event_log.emit(
-                        "promote",
-                        Json::object()
-                            .with("at_cycles", m.cycles())
-                            .with("stride", stride)
-                            .with("patch", &p),
+                    let at_cycles = m.cycles();
+                    ctx.record(
+                        PassKind::InstrPromote,
+                        site,
+                        Outcome::Promoted { at_cycles, stride, patch },
                     );
                 }
-                None => ctx.ledger.reject(PassKind::InstrPromote, Rejection::PatchFailed),
+                None => ctx.reject(PassKind::InstrPromote, site, Rejection::PatchFailed),
             }
         }
         Flow::Continue
@@ -663,7 +659,7 @@ impl Pass for PhaseGate {
                         }
                     }
                 }
-                ctx.ledger.reject(PassKind::PhaseGate, r);
+                ctx.reject(PassKind::PhaseGate, Site::Window, r);
                 Flow::Stop
             }
         }
@@ -709,26 +705,24 @@ impl Pass for UnpatchMonitor {
                 m.charge_cycles(ctx.config.patch_cost_cycles);
                 ctx.optimized[idx].2 = true; // do not try again
                 ctx.ledger.accept(PassKind::UnpatchMonitor, 1);
-                ctx.ledger.reject_n(
-                    PassKind::UnpatchMonitor,
-                    Rejection::CpiRegressed,
-                    patches.len() as u64,
-                );
-                ctx.event_log.emit(
-                    "unpatch",
-                    Json::object()
-                        .with("at_cycles", m.cycles())
-                        .with("patches", patches.len() as u64)
-                        .with("cpi_before", cpi_before)
-                        .with("cpi_now", sig.cpi),
-                );
+                for patch in &patches {
+                    let site = Site::Trace(patch.original_head);
+                    ctx.reject(PassKind::UnpatchMonitor, site, Rejection::CpiRegressed);
+                }
+                let unpatched = Outcome::Unpatched {
+                    at_cycles: m.cycles(),
+                    patches: patches.len(),
+                    cpi_before,
+                    cpi_now: sig.cpi,
+                };
+                ctx.record(PassKind::UnpatchMonitor, Site::Window, unpatched);
                 // The brake doubles as the policy fallback: a
                 // non-static arm in trial (or committed) is abandoned
                 // and the phase re-commits the static policy.
                 if ctx.config.policy.enable
                     && ctx.policy.on_unpatch(idx, ctx.scratch.now, cpi_before, sig.cpi)
                 {
-                    ctx.ledger.reject(PassKind::UnpatchMonitor, Rejection::PolicyRegressed);
+                    ctx.reject(PassKind::UnpatchMonitor, Site::Window, Rejection::PolicyRegressed);
                 }
                 return Flow::Stop;
             }
@@ -772,11 +766,11 @@ impl Pass for ReoptGate {
                 4
             };
             if exhausted || attempts >= max_attempts {
-                ctx.ledger.reject(PassKind::ReoptGate, Rejection::PhaseExhausted);
+                ctx.reject(PassKind::ReoptGate, Site::Window, Rejection::PhaseExhausted);
                 return Flow::Stop; // nothing more to gain from this phase
             }
             if !policy_driven && now < last + cooldown {
-                ctx.ledger.reject(PassKind::ReoptGate, Rejection::PhaseCooldown);
+                ctx.reject(PassKind::ReoptGate, Site::Window, Rejection::PhaseCooldown);
                 return Flow::Stop; // (yet)
             }
         }
@@ -784,7 +778,7 @@ impl Pass for ReoptGate {
             if ctx.scratch.entry_idx.is_none() {
                 ctx.optimized.push((sig, 1, true, now));
             }
-            ctx.ledger.reject(PassKind::ReoptGate, Rejection::InsertionDisabled);
+            ctx.reject(PassKind::ReoptGate, Site::Window, Rejection::InsertionDisabled);
             return Flow::Stop; // Fig. 11: machinery without insertion
         }
         ctx.ledger.accept(PassKind::ReoptGate, 1);
@@ -816,8 +810,8 @@ impl Pass for TraceSelect {
         // aggressiveness (identity under the static policy).
         let tcfg = ctx.active_policy().trace_config(&ctx.config.trace);
         let (traces, drops) = select_traces_with_drops(&*m, ueb, &tcfg);
-        for (_, r) in &drops {
-            ctx.ledger.reject(PassKind::TraceSelect, *r);
+        for (target, r) in drops {
+            ctx.reject(PassKind::TraceSelect, Site::Trace(target), r);
         }
         ctx.ledger.accept(PassKind::TraceSelect, traces.len() as u64);
         ctx.scratch.work = traces.iter().map(|_| TraceWork::default()).collect();
@@ -849,7 +843,15 @@ impl Pass for DelinqFilter {
             work.mine = loads_for_trace(&loads, ti);
         }
         ctx.ledger.accept(PassKind::DelinqFilter, loads.len() as u64);
-        ctx.scratch.loads = loads;
+        for l in &loads {
+            let trace = ctx.scratch.traces[l.trace_index].start;
+            let (samples, latency) = (l.count, l.total_latency);
+            ctx.record(
+                PassKind::DelinqFilter,
+                Site::Load(l.pc),
+                Outcome::Delinquent { trace, samples, latency },
+            );
+        }
         Flow::Continue
     }
 }
@@ -869,18 +871,21 @@ impl Pass for PatternAnalyze {
         _w: &ProfileWindow,
         _ueb: &UserEventBuffer,
     ) -> Flow {
-        for (ti, trace) in ctx.scratch.traces.iter().enumerate() {
-            let work = &mut ctx.scratch.work[ti];
+        for ti in 0..ctx.scratch.traces.len() {
+            let (trace, work) = (&ctx.scratch.traces[ti], &ctx.scratch.work[ti]);
             if !trace.is_loop || work.mine.is_empty() {
                 continue;
             }
-            let (classified, class_skips) = classify_loads(trace, &work.mine);
-            for (_, r) in &class_skips {
-                ctx.ledger.reject(PassKind::PatternAnalyze, *r);
+            let (classified, rejected) = classify_loads(trace, &work.mine);
+            for (pc, _, p) in &classified {
+                let outcome = Outcome::Classified(p.clone());
+                ctx.record(PassKind::PatternAnalyze, Site::Load(*pc), outcome);
+            }
+            for (pc, r) in rejected {
+                ctx.reject(PassKind::PatternAnalyze, Site::Load(pc), r);
             }
             ctx.ledger.accept(PassKind::PatternAnalyze, classified.len() as u64);
-            work.classified = classified;
-            work.class_skips = class_skips;
+            ctx.scratch.work[ti].classified = classified;
         }
         Flow::Continue
     }
@@ -904,25 +909,23 @@ impl Pass for PrefetchSchedule {
         // The active arm sets the distance multiplier, the acceptance
         // tier and the lfetch target (identity under the static policy).
         let pcfg = ctx.active_policy().prefetch_config(&ctx.config.prefetch);
-        for (ti, trace) in ctx.scratch.traces.iter().enumerate() {
-            let work = &mut ctx.scratch.work[ti];
+        for ti in 0..ctx.scratch.traces.len() {
+            let (trace, work) = (&ctx.scratch.traces[ti], &ctx.scratch.work[ti]);
             if !trace.is_loop || work.mine.is_empty() {
                 continue;
             }
             let out = schedule_streams(trace, &work.classified, &pcfg);
-            for (_, r) in &out.skips {
-                ctx.ledger.reject(PassKind::PrefetchSchedule, *r);
+            for (pc, fate) in out.fates {
+                let outcome = match fate {
+                    Ok(distance_iters) => Outcome::Scheduled { distance_iters },
+                    Err(r) => Outcome::Rejected(r),
+                };
+                ctx.record(PassKind::PrefetchSchedule, Site::Load(pc), outcome);
             }
-            ctx.ledger.reject_n(
-                PassKind::PrefetchSchedule,
-                Rejection::PatternDisabled,
-                out.disabled as u64,
-            );
             if let Some(ot) = &out.candidate {
                 ctx.ledger.accept(PassKind::PrefetchSchedule, ot.stats.total() as u64);
             }
-            work.candidate = out.candidate;
-            work.sched_skips = out.skips;
+            ctx.scratch.work[ti].candidate = out.candidate;
         }
         Flow::Continue
     }
@@ -951,10 +954,9 @@ impl Pass for PatchDeploy {
         let mut work = std::mem::take(&mut ctx.scratch.work);
         let mut patched_any = false;
         let mut new_patches: Vec<PatchedTrace> = Vec::new();
-        let mut event = OptEvent { at_cycles: m.cycles(), traces: Vec::new() };
         for (ti, trace) in traces.iter().enumerate() {
             let w = &mut work[ti];
-            let n_loads = w.mine.len();
+            let site = Site::Trace(trace.start);
             let mut inserted = InsertionStats::default();
             if trace.is_loop && !w.mine.is_empty() {
                 match w.candidate.take() {
@@ -968,16 +970,11 @@ impl Pass for PatchDeploy {
                             ctx.counters.traces_patched += 1;
                             patched_any = true;
                             ctx.ledger.accept(PassKind::PatchDeploy, 1);
-                            ctx.event_log.emit(
-                                "deploy",
-                                Json::object()
-                                    .with("at_cycles", m.cycles())
-                                    .with("streams", ot.stats)
-                                    .with("patch", &p),
-                            );
-                            new_patches.push(p);
+                            new_patches.push(p.clone());
+                            let deployed = Outcome::Deployed { at_cycles: m.cycles(), patch: p };
+                            ctx.record(PassKind::PatchDeploy, site, deployed);
                         } else {
-                            ctx.ledger.reject(PassKind::PatchDeploy, Rejection::PatchFailed);
+                            ctx.reject(PassKind::PatchDeploy, site, Rejection::PatchFailed);
                         }
                     }
                     None if ctx.config.instrument_unanalyzable => {
@@ -988,14 +985,11 @@ impl Pass for PatchDeploy {
                     }
                     None => {}
                 }
-                ctx.skips.append(&mut w.class_skips);
-                ctx.skips.append(&mut w.sched_skips);
             }
-            event
-                .traces
-                .push((trace.start, trace.is_loop, trace.bundles.len(), n_loads, inserted));
+            let (is_loop, bundles, loads) = (trace.is_loop, trace.bundles.len(), w.mine.len());
+            let handled = Outcome::Trace { is_loop, bundles, loads, inserted };
+            ctx.record(PassKind::PatchDeploy, site, handled);
         }
-        ctx.events.push(event);
         let idx = match ctx.scratch.entry_idx {
             Some(i) => {
                 ctx.optimized[i].1 += 1;
@@ -1037,17 +1031,23 @@ pub(crate) fn zero_buffer(m: &mut Machine, buffer: u64, capacity: u64) {
 /// The instrumentation fallback of the deploy pass: records the hottest
 /// unanalyzable load's address stream for later promotion.
 fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Trace, w: &TraceWork) {
-    let unanalyzable =
-        w.class_skips.iter().find(|(_, r)| matches!(r, Rejection::UnanalyzableSlice));
-    let Some(load) = unanalyzable.and_then(|(pc, _)| w.mine.iter().find(|l| l.pc == *pc)) else {
+    // This window's pattern-analysis verdicts, read back from the trace.
+    let now = ctx.scratch.now;
+    let verdicts = ctx.decisions.iter().rev().take_while(|d| d.window == now);
+    let unanalyzable: Vec<Site> = verdicts
+        .filter(|d| matches!(d.outcome, Outcome::Rejected(Rejection::UnanalyzableSlice)))
+        .map(|d| d.site)
+        .collect();
+    let Some(load) = w.mine.iter().find(|l| unanalyzable.contains(&Site::Load(l.pc))) else {
         return;
     };
+    let site = Site::Trace(trace.start);
     let entries = ctx.config.instrument.buffer_entries;
     let bytes = 8 * entries + 64;
     if m.mem().remaining() <= bytes
         || ctx.pending_instr.iter().any(|p| p.patch.original_head == trace.start)
     {
-        ctx.ledger.reject(PassKind::PatchDeploy, Rejection::InstrumentBufferExhausted);
+        ctx.reject(PassKind::PatchDeploy, site, Rejection::InstrumentBufferExhausted);
         return;
     }
     let buffer = m.mem_mut().alloc(8 * entries, 64);
@@ -1059,14 +1059,10 @@ fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Tra
     if let Ok(p) = install(m, &instr.trace) {
         m.charge_cycles(ctx.config.patch_cost_cycles);
         ctx.counters.instrumented += 1;
-        ctx.event_log.emit(
-            "instrument",
-            Json::object()
-                .with("at_cycles", m.cycles())
-                .with("buffer", buffer)
-                .with("dist_iters", dist_iters)
-                .with("patch", &p),
-        );
+        let at_cycles = m.cycles();
+        let patch = p.clone();
+        let instrumented = Outcome::Instrumented { at_cycles, buffer, dist_iters, patch };
+        ctx.record(PassKind::PatchDeploy, site, instrumented);
         ctx.pending_instr.push(PendingInstr {
             patch: p,
             trace: trace.clone(),
@@ -1077,7 +1073,7 @@ fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Tra
             installed_window: ctx.scratch.now,
         });
     } else {
-        ctx.ledger.reject(PassKind::PatchDeploy, Rejection::PatchFailed);
+        ctx.reject(PassKind::PatchDeploy, site, Rejection::PatchFailed);
     }
 }
 
@@ -1106,8 +1102,7 @@ mod tests {
     #[test]
     fn ledger_counts_and_serializes() {
         let mut ledger = PipelineLedger::new(&[PassKind::PhaseGate, PassKind::PatchDeploy]);
-        ledger.reject(PassKind::PhaseGate, Rejection::PhaseUnstable);
-        ledger.reject_n(PassKind::PhaseGate, Rejection::PhaseUnstable, 2);
+        ledger.entry_mut(PassKind::PhaseGate).rejections.insert("phase_unstable", 3);
         ledger.accept(PassKind::PatchDeploy, 3);
         ledger.entry_mut(PassKind::PatchDeploy).charged_cycles += 40_000;
         assert_eq!(ledger.total_charged(), 40_000);
@@ -1126,10 +1121,23 @@ mod tests {
     }
 
     #[test]
-    fn reject_n_zero_adds_nothing() {
-        let mut ledger = PipelineLedger::new(&[PassKind::PrefetchSchedule]);
-        ledger.reject_n(PassKind::PrefetchSchedule, Rejection::PatternDisabled, 0);
-        assert!(ledger.passes[0].1.rejections.is_empty());
+    fn finish_counts_the_trace_rejections_into_the_ledger() {
+        let config = AdoreConfig::default();
+        let mut ctx = OptContext::new(&config);
+        ctx.reject(PassKind::PhaseGate, Site::Window, Rejection::PhaseUnstable);
+        ctx.reject(PassKind::PhaseGate, Site::Window, Rejection::PhaseUnstable);
+        let pc = Pc::new(isa::Addr(0x4000), 1);
+        let scheduled = Outcome::Scheduled { distance_iters: 8 };
+        ctx.record(PassKind::PrefetchSchedule, Site::Load(pc), scheduled);
+        let mut report = RunReport::default();
+        ctx.finish(&mut report);
+        let count = |kind: PassKind| {
+            let (_, led) = report.ledger.entries().find(|(k, _)| *k == kind).unwrap();
+            led.rejections.clone()
+        };
+        assert_eq!(count(PassKind::PhaseGate).get("phase_unstable"), Some(&2));
+        assert!(count(PassKind::PrefetchSchedule).is_empty(), "a scheduled stream is no rejection");
+        assert_eq!(report.decisions.len(), 3);
     }
 
     #[test]

@@ -151,26 +151,24 @@ pub(crate) fn classify_loads(
         return (Vec::new(), Vec::new());
     }
     let mut work = Vec::new();
-    let mut skips = Vec::new();
+    let mut rejected = Vec::new();
     for load in loads {
         match classify(trace, load.position) {
             Ok(p) => work.push((load.pc, load.avg_latency, p)),
-            Err(e) => skips.push((load.pc, e)),
+            Err(e) => rejected.push((load.pc, e)),
         }
     }
-    (work, skips)
+    (work, rejected)
 }
 
 /// Result of [`schedule_streams`].
 pub(crate) struct ScheduleOutcome {
     /// The optimized trace, when at least one stream was inserted.
     pub candidate: Option<OptimizedTrace>,
-    /// Per-load scheduling rejections (register pressure, duplicates).
-    pub skips: Vec<(Pc, Rejection)>,
-    /// Streams silently dropped because their pattern class is disabled
-    /// in [`PrefetchConfig`] (counted in the pipeline ledger only — the
-    /// pre-pipeline optimizer never reported them as skips).
-    pub disabled: usize,
+    /// Per classified load, in order: the prefetch distance (iterations)
+    /// of the stream scheduled for it, or why none was (disabled pattern
+    /// class, register pressure, duplicate stream, …).
+    pub fates: Vec<(Pc, Result<u64, Rejection>)>,
 }
 
 /// Schedules prefetch code for pre-classified loads into free slots of
@@ -182,14 +180,13 @@ pub(crate) fn schedule_streams(
     cfg: &PrefetchConfig,
 ) -> ScheduleOutcome {
     let Some(back_edge) = trace.back_edge else {
-        return ScheduleOutcome { candidate: None, skips: Vec::new(), disabled: 0 };
+        return ScheduleOutcome { candidate: None, fates: Vec::new() };
     };
     let mut body = trace.bundles.clone();
     let mut back_edge = back_edge;
     let mut entry: Vec<Insn> = Vec::new();
     let mut stats = InsertionStats::default();
-    let mut skips = Vec::new();
-    let mut disabled = 0usize;
+    let mut fates = Vec::new();
 
     // Reserved registers already referenced by the trace body belong to
     // prefetch code from an earlier optimization pass of this trace;
@@ -216,7 +213,7 @@ pub(crate) fn schedule_streams(
 
     for (pc, avg_latency, pattern) in work {
         if *avg_latency < cfg.min_stream_latency {
-            skips.push((*pc, Rejection::PolicyBelowTier));
+            fates.push((*pc, Err(Rejection::PolicyBelowTier)));
             continue;
         }
         // An L2-targeted stream leaves the final L1 fill to the demand
@@ -229,15 +226,15 @@ pub(crate) fn schedule_streams(
         match pattern {
             Pattern::Direct { stride, fp, base } => {
                 if !cfg.enable_direct {
-                    disabled += 1;
+                    fates.push((*pc, Err(Rejection::PatternDisabled)));
                     continue;
                 }
                 if !streams.insert((*base, *stride)) {
-                    skips.push((*pc, Rejection::DuplicateStream));
+                    fates.push((*pc, Err(Rejection::DuplicateStream)));
                     continue;
                 }
                 if free_regs.is_empty() {
-                    skips.push((*pc, Rejection::RegistersExhausted));
+                    fates.push((*pc, Err(Rejection::RegistersExhausted)));
                     continue;
                 }
                 let rp = free_regs.remove(0);
@@ -259,6 +256,7 @@ pub(crate) fn schedule_streams(
                 );
                 debug_assert!(ok);
                 stats.direct += 1;
+                fates.push((*pc, Ok(dist_iters)));
             }
             Pattern::Indirect {
                 index_base,
@@ -270,7 +268,7 @@ pub(crate) fn schedule_streams(
                 ..
             } => {
                 if !cfg.enable_indirect {
-                    disabled += 1;
+                    fates.push((*pc, Err(Rejection::PatternDisabled)));
                     continue;
                 }
                 let d2 = dist_iters as i64 * *index_stride;
@@ -306,10 +304,11 @@ pub(crate) fn schedule_streams(
                         schedule_group(&mut body, &mut back_edge, (0, 0), None, &chain, &mut []);
                     debug_assert!(ok);
                     stats.indirect += 1;
+                    fates.push((*pc, Ok(dist_iters)));
                 } else if !free_regs.is_empty() {
                     // Fallback: cover the index stream only.
                     if !streams.insert((*index_base, *index_stride)) {
-                        skips.push((*pc, Rejection::DuplicateStream));
+                        fates.push((*pc, Err(Rejection::DuplicateStream)));
                         continue;
                     }
                     let rl1 = free_regs.remove(0);
@@ -324,21 +323,22 @@ pub(crate) fn schedule_streams(
                     );
                     debug_assert!(ok);
                     stats.indirect += 1;
+                    fates.push((*pc, Ok(dist_iters)));
                 } else {
-                    skips.push((*pc, Rejection::RegistersExhausted));
+                    fates.push((*pc, Err(Rejection::RegistersExhausted)));
                 }
             }
             Pattern::PointerChase { recurrent, update_pos } => {
                 if !cfg.enable_pointer {
-                    disabled += 1;
+                    fates.push((*pc, Err(Rejection::PatternDisabled)));
                     continue;
                 }
                 if chased.contains(recurrent) {
-                    skips.push((*pc, Rejection::DuplicateStream));
+                    fates.push((*pc, Err(Rejection::DuplicateStream)));
                     continue;
                 }
                 if free_regs.is_empty() {
-                    skips.push((*pc, Rejection::RegistersExhausted));
+                    fates.push((*pc, Err(Rejection::RegistersExhausted)));
                     continue;
                 }
                 let rs = free_regs.remove(0);
@@ -366,18 +366,19 @@ pub(crate) fn schedule_streams(
                     schedule_group(&mut body, &mut back_edge, after, None, &chain, &mut []);
                 debug_assert!(ok1 && ok2);
                 stats.pointer += 1;
+                fates.push((*pc, Ok(dist_iters)));
             }
             Pattern::JumpPointer { recurrent, update_pos, jump_offset, payload_offset, .. } => {
                 if !cfg.enable_jump {
-                    skips.push((*pc, Rejection::JumpPointerDisabled));
+                    fates.push((*pc, Err(Rejection::JumpPointerDisabled)));
                     continue;
                 }
                 if !jumped.insert((*recurrent, *jump_offset)) {
-                    skips.push((*pc, Rejection::DuplicateStream));
+                    fates.push((*pc, Err(Rejection::DuplicateStream)));
                     continue;
                 }
                 if free_regs.len() < 2 {
-                    skips.push((*pc, Rejection::RegistersExhausted));
+                    fates.push((*pc, Err(Rejection::RegistersExhausted)));
                     continue;
                 }
                 let rs = free_regs.remove(0);
@@ -422,12 +423,13 @@ pub(crate) fn schedule_streams(
                     schedule_group(&mut body, &mut back_edge, after, None, &chain, &mut []);
                 debug_assert!(ok1 && ok2);
                 stats.jump += 1;
+                fates.push((*pc, Ok(dist_iters)));
             }
         }
     }
 
     if stats.total() == 0 {
-        return ScheduleOutcome { candidate: None, skips, disabled };
+        return ScheduleOutcome { candidate: None, fates };
     }
 
     let entry_bundles = pack_sequence(&entry);
@@ -440,16 +442,14 @@ pub(crate) fn schedule_streams(
             fall_through_exit: trace.fall_through_exit,
             stats,
         }),
-        skips,
-        disabled,
+        fates,
     }
 }
 
 /// Generates prefetch code for the top delinquent loads of one loop
 /// trace. Returns the optimized trace (if at least one stream was
-/// inserted) plus per-load skip diagnostics: classification rejections
-/// first (in load order), then scheduling rejections (in stream order)
-/// — the same contents and order the pre-pipeline optimizer produced.
+/// inserted) plus per-load rejections: classification rejections first
+/// (in load order), then scheduling rejections (in stream order).
 ///
 /// This is a convenience wrapper over the two pipeline halves,
 /// [`classify_loads`] and [`schedule_streams`]; the pass pipeline calls
@@ -462,7 +462,7 @@ pub fn optimize_trace(
 ) -> (Option<OptimizedTrace>, Vec<(Pc, Rejection)>) {
     let (work, mut skips) = classify_loads(trace, loads);
     let out = schedule_streams(trace, &work, cfg);
-    skips.extend(out.skips);
+    skips.extend(out.fates.into_iter().filter_map(|(pc, fate)| Some((pc, fate.err()?))));
     (out.candidate, skips)
 }
 

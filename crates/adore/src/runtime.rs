@@ -10,17 +10,16 @@
 //! and the brief patch publication cost main-thread cycles, which is
 //! why total overhead stays in the 1–2 % range (Fig. 11).
 
-use isa::Pc;
-use obs::{EventStream, Json, ToJson};
+use obs::{Json, ToJson};
 use perfmon::{Perfmon, PerfmonConfig};
 use sim::{Machine, MachineConfig, SamplingConfig, StopReason};
 
+use crate::decision::Decision;
 use crate::instrument::InstrumentConfig;
 use crate::phase::PhaseConfig;
 use crate::pipeline::{OptContext, Pipeline, PipelineConfig, PipelineLedger};
 use crate::policy::{PolicyConfig, PolicyReport};
 use crate::prefetch::{InsertionStats, PrefetchConfig};
-use crate::reject::Rejection;
 use crate::trace::TraceConfig;
 
 /// Complete ADORE configuration.
@@ -94,16 +93,6 @@ pub struct TimePoint {
     pub dear_per_kinsn: f64,
 }
 
-/// One optimization event (a stable phase being processed).
-#[derive(Debug, Clone)]
-pub struct OptEvent {
-    /// Cycle at which the event fired.
-    pub at_cycles: u64,
-    /// Per selected trace: (start, is_loop, bundle count, delinquent
-    /// loads mapped into it, streams inserted).
-    pub traces: Vec<(isa::Addr, bool, usize, usize, InsertionStats)>,
-}
-
 /// Result of a monitored run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -120,13 +109,8 @@ pub struct RunReport {
     pub traces_patched: usize,
     /// Per-window CPI / miss-rate series (Fig. 8/9).
     pub timeline: Vec<TimePoint>,
-    /// Loads that could not be prefetched, with reasons (§4.3's failure
-    /// analysis).
-    pub skips: Vec<(Pc, Rejection)>,
     /// Profile windows produced.
     pub windows: u64,
-    /// Per-optimization-event details (diagnostics).
-    pub events: Vec<OptEvent>,
     /// Traces unpatched because the phase got slower (non-profitable).
     pub traces_unpatched: usize,
     /// Loads instrumented for runtime stride discovery (§6 extension).
@@ -136,10 +120,12 @@ pub struct RunReport {
     /// Per-pass overhead ledger (invocations, charged cycles,
     /// accept/reject counts).
     pub ledger: PipelineLedger,
-    /// Structured deploy/instrument/promote/unpatch event stream.
-    pub event_log: EventStream,
-    /// Policy-controller decision log (empty and omitted from JSON when
-    /// the controller is disabled, keeping default reports byte-stable).
+    /// The decision trace: every rejection, classification, scheduled
+    /// stream, handled trace and deploy/instrument/promote/unpatch
+    /// episode, in order (§4.3's failure analysis).
+    pub decisions: Vec<Decision>,
+    /// Policy-controller decision log (empty when the controller is
+    /// disabled).
     pub policy: PolicyReport,
 }
 
@@ -158,41 +144,6 @@ impl ToJson for TimePoint {
             .with("cycles", self.cycles)
             .with("cpi", self.cpi)
             .with("dear_per_kinsn", self.dear_per_kinsn)
-    }
-}
-
-impl ToJson for RunReport {
-    /// The runtime-state section of every experiment report: deployment
-    /// counts, per-pattern stream totals, skip reasons and the Fig. 8/9
-    /// per-window timeline.
-    fn to_json(&self) -> Json {
-        let skips: Vec<Json> = self
-            .skips
-            .iter()
-            .map(|(pc, reason)| {
-                Json::object().with("pc", pc.to_string()).with("reason", *reason)
-            })
-            .collect();
-        let mut j = Json::object()
-            .with("cycles", self.cycles)
-            .with("retired", self.retired)
-            .with("phases_optimized", self.phases_optimized)
-            .with("streams", self.stats)
-            .with("traces_patched", self.traces_patched)
-            .with("traces_unpatched", self.traces_unpatched)
-            .with("windows", self.windows)
-            .with("instrumented", self.instrumented)
-            .with("promoted", self.promoted)
-            .with("skips", skips)
-            .with("timeline", self.timeline.as_slice())
-            .with("pipeline", &self.ledger)
-            .with("event_log", &self.event_log);
-        // Only adaptive runs carry a policy section: default reports
-        // must stay byte-identical to the static-policy era.
-        if self.policy.enabled {
-            j.set("policy", self.policy.to_json());
-        }
-        j
     }
 }
 
@@ -599,9 +550,9 @@ mod tests {
         // All three streams eventually covered, across >1 event.
         assert!(
             report.stats.direct >= 3,
-            "re-optimization should cover all three streams: {:?} over {} events",
+            "re-optimization should cover all three streams: {:?} over {} windows",
             report.stats,
-            report.events.len()
+            report.windows
         );
         assert!(report.traces_patched >= 1);
     }

@@ -1,16 +1,15 @@
 //! Joined ADORE legs: [`adore::run_legs`] against separate runs.
 //!
 //! Every leg of a joined run must report exactly what the leg reports
-//! run alone under [`adore::run`] — the `to_json()` text, byte for
-//! byte — and the leader's machine must end in the state a solo run
-//! leaves it in. A follower must split at the first window after which
+//! run alone under [`adore::run`] — the report's `Debug` text, host
+//! wall time aside, byte for byte — and the leader's machine must end
+//! in the state a solo run leaves it in. A follower must split at the first window after which
 //! its machine differs from the leader's, found here by stepping the
 //! two legs alone in lockstep and comparing their machines.
 
 use adore::pipeline::OptContext;
-use adore::{run_legs, AdoreConfig, Pipeline};
+use adore::{run_legs, AdoreConfig, Outcome, Pipeline, RunReport};
 use compiler::{compile, CompileOptions};
-use obs::ToJson;
 use perfmon::Perfmon;
 use sim::{Machine, MachineConfig, SamplingConfig, StopReason};
 
@@ -40,6 +39,14 @@ fn mcf_machine(config: &AdoreConfig) -> Machine {
     w.prepare(&bin, config.machine_config(MachineConfig::default()))
 }
 
+/// A report's full text, minus the ledger's host wall time (the one
+/// field that differs between identical runs).
+fn canonical(report: &RunReport) -> String {
+    let mut report = report.clone();
+    report.ledger.passes.iter_mut().for_each(|(_, l)| l.wall_ns = 0);
+    format!("{report:?}")
+}
+
 /// Runs `configs` joined on one machine and checks every leg against a
 /// solo run of the same config; returns each leg's split window.
 fn joined_matches_solo(configs: &[AdoreConfig]) -> Vec<Option<u64>> {
@@ -51,8 +58,8 @@ fn joined_matches_solo(configs: &[AdoreConfig]) -> Vec<Option<u64>> {
         let mut solo = mcf_machine(config);
         let report = adore::run(&mut solo, config);
         assert_eq!(
-            leg.report.to_json().to_string(),
-            report.to_json().to_string(),
+            canonical(&leg.report),
+            canonical(&report),
             "leg {i}: the joined report differs from the solo run's"
         );
         if i == 0 {
@@ -140,15 +147,13 @@ fn insertion_legs_split_at_the_first_deploy() {
     // difference is the insertion-on leg's first deploy.
     let mut m = mcf_machine(&on);
     let report = adore::run(&mut m, &on);
-    let deploy_at = report
-        .event_log
+    let deploy_window = report
+        .decisions
         .iter()
-        .find(|e| e.get("kind").and_then(|k| k.as_str()) == Some("deploy"))
-        .and_then(|e| e.get("at_cycles"))
-        .and_then(|c| c.as_u64())
-        .expect("mcf gets a deploy");
-    let deploy_window = report.timeline.iter().filter(|t| t.cycles <= deploy_at).count() as u64;
-    assert_eq!(expected, Some(deploy_window));
+        .find(|d| matches!(d.outcome, Outcome::Deployed { .. }))
+        .map(|d| d.window);
+    assert!(deploy_window.is_some(), "mcf gets a deploy");
+    assert_eq!(expected, deploy_window);
     // Leader deploys (the follower runs on the checkpoint) and leader
     // idle (the follower edits the shared machine and is swapped out).
     assert_eq!(joined_matches_solo(&[on.clone(), off.clone()]), [None, expected]);

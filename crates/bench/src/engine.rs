@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use adore::{AdoreConfig, PhaseDecision, PhaseDetector};
+use adore::{AdoreConfig, Outcome, PassKind, Rejection, Site};
 use compiler::{compile, delinquent_loop_filter, CompileOptions, CompiledBinary};
 use obs::{Json, Progress, Report, ToJson};
 use sim::{Counters, MachineConfig, SamplingConfig};
@@ -69,8 +69,9 @@ pub enum Measure {
     /// Cached baseline versus a full ADORE run (Fig. 7, ablation).
     Comparison,
     /// Like [`Measure::Comparison`], plus the per-pass overhead ledger,
-    /// the structured event stream, and the sampling-handler overhead
-    /// split out from the pipeline's own charges (pass-ablation cells).
+    /// the deploy/instrument/promote/unpatch episodes of the decision
+    /// trace, and the sampling-handler overhead split out from the
+    /// pipeline's own charges (pass-ablation cells).
     PipelineComparison,
     /// Cached baseline versus sampling-only ADORE — prefetch insertion
     /// forced off (Fig. 11).
@@ -94,13 +95,10 @@ pub enum Measure {
     /// enables `policy` itself), with the per-phase decision log
     /// (`lab policy`).
     Policy,
-    /// Phase-detection / optimization diagnostic trace.
-    Diag {
-        /// Also collect an aggregate miss profile.
-        profile: bool,
-        /// Also run ADORE and record its decisions.
-        adore: bool,
-    },
+    /// One ADORE run, explained: the fate of every load the
+    /// delinquent-load filter selected, read from the decision trace
+    /// (§4.3's failure analysis, `lab explain`).
+    Explain,
 }
 
 /// One grid cell: a workload measured under one configuration.
@@ -154,7 +152,7 @@ pub struct ExperimentSpec {
 }
 
 /// Where persistent baselines live for one run.
-enum BaselineChoice {
+pub(crate) enum BaselineChoice {
     /// Environment-resolved ([`resolve_default_dir`]).
     Default,
     /// No on-disk store (hermetic tests, `--no-baseline-store`).
@@ -338,7 +336,7 @@ impl ExperimentSpec {
             .map(|(si, cell)| format!("{}/{}", self.sections[*si].key, cell.workload))
             .collect();
         let progress = Progress::new(&self.tool, n);
-        let store = self.open_store();
+        let store = self.baseline.open(&self.tool);
         let cache = BaselineCache::with_store(store.clone());
         let legs = LegStats::default();
         let jobs = self.jobs.clamp(1, n.max(1));
@@ -474,12 +472,14 @@ impl ExperimentSpec {
             store_misses,
         }
     }
+}
 
-    /// Opens the persistent baseline store per the spec's
-    /// [`BaselineChoice`]; open failures disable the store (with a
-    /// stderr note) rather than failing the run.
-    fn open_store(&self) -> Option<Arc<BaselineStore>> {
-        let dir = match &self.baseline {
+impl BaselineChoice {
+    /// Opens the persistent baseline store; open failures disable the
+    /// store (with a stderr note naming `tool`) rather than failing the
+    /// run.
+    pub(crate) fn open(&self, tool: &str) -> Option<Arc<BaselineStore>> {
+        let dir = match self {
             BaselineChoice::Disabled => return None,
             BaselineChoice::Dir(d) => d.clone(),
             BaselineChoice::Default => resolve_default_dir()?,
@@ -487,7 +487,7 @@ impl ExperimentSpec {
         match BaselineStore::open(dir) {
             Ok(s) => Some(Arc::new(s)),
             Err(e) => {
-                eprintln!("[{}] baseline store disabled: {e}", self.tool);
+                eprintln!("[{tool}] baseline store disabled: {e}");
                 None
             }
         }
@@ -648,35 +648,21 @@ impl BaselineCache {
         };
         let out = slot.get_or_init(|| {
             self.computes.fetch_add(1, Ordering::SeqCst);
-            let bin = match try_build(w, opts) {
-                Ok(bin) => bin,
-                Err(e) => return Err(e.to_string()),
-            };
-            if let Some(store) = &self.store {
-                let disk_key = BaselineStore::key(w, opts, machine);
-                if let Some(hit) = store.load(disk_key) {
-                    return Ok(Baseline {
-                        cycles: hit.cycles,
-                        counters: hit.counters,
-                        stats: hit.stats,
-                        bin,
-                    });
-                }
-                let mut m = w.prepare(&bin, machine.clone());
-                let cycles = m.run_to_halt();
-                let counters = m.pmu().counters;
-                let stats = machine_stats_json(&m);
-                store.save(disk_key, &StoredBaseline { cycles, counters, stats: stats.clone() });
+            let bin = try_build(w, opts).map_err(|e| e.to_string())?;
+            let stored = self.store.as_ref().map(|s| (s, BaselineStore::key(w, opts, machine)));
+            if let Some(hit) = stored.as_ref().and_then(|(store, key)| store.load(*key)) {
+                let StoredBaseline { cycles, counters, stats } = hit;
                 return Ok(Baseline { cycles, counters, stats, bin });
             }
             let mut m = w.prepare(&bin, machine.clone());
             let cycles = m.run_to_halt();
-            Ok(Baseline {
-                cycles,
-                counters: m.pmu().counters,
-                stats: machine_stats_json(&m),
-                bin,
-            })
+            let (counters, stats) = (m.pmu().counters, machine_stats_json(&m));
+            let run = StoredBaseline { cycles, counters, stats };
+            if let Some((store, key)) = stored {
+                store.save(key, &run);
+            }
+            let StoredBaseline { cycles, counters, stats } = run;
+            Ok(Baseline { cycles, counters, stats, bin })
         });
         out.clone().map_err(|message| CellError::Compile {
             workload: w.name.to_string(),
@@ -796,7 +782,7 @@ pub(crate) fn run_cell(
         Measure::GuidedPrefetch { coverage } => guided_cell(w, cell, *coverage, cache),
         Measure::Breakdown => breakdown_cell(w, cell, cache),
         Measure::Policy => policy_cell(w, cell, cache, legs),
-        Measure::Diag { profile, adore } => diag_cell(w, cell, *profile, *adore),
+        Measure::Explain => explain_cell(w, cell),
     }
 }
 
@@ -864,6 +850,8 @@ fn pipeline_comparison_cell(
     // charged, so the remainder is the sampling/copy-handler share.
     let sampling_overhead =
         m.pmu().counters.overhead_cycles.saturating_sub(report.ledger.total_charged());
+    let episodes: Vec<Json> =
+        report.decisions.iter().filter_map(|d| d.outcome.episode_json()).collect();
     Ok(Json::object()
         .with("bench", w.name)
         .with("base_cycles", base.cycles)
@@ -875,7 +863,7 @@ fn pipeline_comparison_cell(
         .with("streams", report.stats)
         .with("pipeline", &report.ledger)
         .with("sampling_overhead_cycles", sampling_overhead)
-        .with("events", &report.event_log))
+        .with("events", episodes))
 }
 
 fn overhead_cell(w: &Workload, cell: &Cell, cache: &BaselineCache) -> Result<Json, CellError> {
@@ -1030,118 +1018,79 @@ fn policy_cell(
         .with("policy", adaptive_report.policy.to_json()))
 }
 
-fn diag_cell(w: &Workload, cell: &Cell, profile: bool, adore_run: bool) -> Result<Json, CellError> {
+fn explain_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
     let bin = try_build(w, &cell.opts)?;
-    let mut m = w.prepare(&bin, cell.adore.machine_config(cell.machine.clone()));
-    let mut pm = perfmon::Perfmon::new(cell.adore.perfmon.clone());
-    let mut detector = PhaseDetector::new(cell.adore.phase.clone());
-    let mut decisions: Vec<String> = Vec::new();
-    let mut lines: Vec<String> = Vec::new();
-    let mut windows = 0usize;
-    pm.run_with_windows(&mut m, |_, win, ueb| {
-        let d = detector.evaluate(ueb);
-        let tag = match d {
-            PhaseDecision::Unstable => "U".into(),
-            PhaseDecision::Stable(s) => format!("S(cpi={:.2},dpi{:.2}/k)", s.cpi, s.dpi * 1000.0),
-            PhaseDecision::InTracePool(_) => "P".into(),
-            PhaseDecision::LowMissRate(_) => "L".into(),
+    let (report, _) = run_adore_in(cell, w, &bin);
+    let (decisions, timeline) = (&report.decisions, &report.timeline);
+    let label = |o: &Outcome| match o {
+        Outcome::Classified(p) => p.kind(),
+        Outcome::Scheduled { .. } => "scheduled",
+        Outcome::Rejected(r) => r.label(),
+        _ => "?",
+    };
+    let mut loads = Vec::new();
+    for (i, d) in decisions.iter().enumerate() {
+        let (Site::Load(pc), Outcome::Delinquent { trace, samples, latency }) = (d.site, &d.outcome)
+        else {
+            continue;
         };
-        if windows < 24 || tag.starts_with('S') {
-            lines.push(format!(
-                "  w{windows:>3}: cpi={:>6.2} dear/kinsn={:>7.3} pc={:>14.0} -> {tag}",
-                win.cpi,
-                win.dpi * 1000.0,
-                win.pc_center
-            ));
-        }
-        decisions.push(tag);
-        windows += 1;
-    });
-    let count = |tag: char| decisions.iter().filter(|d| d.starts_with(tag)).count();
-    let mut entry = Json::object()
-        .with("workload", w.name)
-        .with("cycles", m.cycles())
-        .with("windows", windows)
-        .with(
-            "decisions",
-            Json::object()
-                .with("unstable", count('U'))
-                .with("stable", count('S'))
-                .with("in_trace_pool", count('P'))
-                .with("low_miss_rate", count('L')),
-        )
-        .with("lines", lines);
-
-    if profile {
-        let mut m2 = w.prepare(&bin, cell.adore.machine_config(cell.machine.clone()));
-        let mut pm2 = perfmon::Perfmon::new(cell.adore.perfmon.clone());
-        let mut all: Vec<sim::Sample> = Vec::new();
-        pm2.run_with_windows(&mut m2, |_, win, _| all.extend(win.samples.iter().cloned()));
-        let prof = perfmon::MissProfile::from_samples(all.iter());
-        let mut plines = Vec::new();
-        for e in prof.entries().iter().take(16) {
-            let name = bin
-                .loop_containing(isa::Addr(e.addr))
-                .map(|l| l.name.as_str())
-                .unwrap_or("?");
-            plines.push(format!(
-                "  pc={:#x}+{} `{}` count={} total_lat={} avg={:.0}",
-                e.addr,
-                e.slot,
-                name,
-                e.count,
-                e.total_latency,
-                e.total_latency as f64 / e.count as f64
-            ));
-        }
-        entry.set("profile", &prof);
-        entry.set("profile_lines", plines);
-    }
-
-    if adore_run {
-        let (report, m2) = run_adore_in(cell, w, &bin);
-        let (lf_issued, lf_dropped) = m2.caches().lfetch_stats();
-        let mut alines = vec![format!(
-            "ADORE: cycles={} patched={} phases={} stats={:?} lfetch={}/{} dropped",
-            report.cycles,
-            report.traces_patched,
-            report.phases_optimized,
-            report.stats,
-            lf_dropped,
-            lf_issued
-        )];
-        for (pc, reason) in &report.skips {
-            let loop_name = bin
-                .loop_containing(pc.addr)
-                .map(|l| l.name.as_str())
-                .unwrap_or("?");
-            alines.push(format!("  skip {pc} in `{loop_name}`: {reason}"));
-        }
-        for e in &report.events {
-            alines.push(format!("  opt-event at {} cycles:", e.at_cycles));
-            for (start, is_loop, len, loads, ins) in &e.traces {
-                let name = bin
-                    .loop_containing(*start)
-                    .map(|l| l.name.as_str())
-                    .unwrap_or("?");
-                alines.push(format!(
-                    "    trace@{start} `{name}` loop={is_loop} bundles={len} loads={loads} inserted={ins:?}"
-                ));
+        // Every later verdict on the load falls in its selection window.
+        let rest = &decisions[i + 1..];
+        let window = &rest[..rest.iter().position(|e| e.window != d.window).unwrap_or(rest.len())];
+        let verdict = |pass: PassKind| {
+            window.iter().find(|e| e.pass == pass && e.site == d.site).map(|e| &e.outcome)
+        };
+        let pattern = verdict(PassKind::PatternAnalyze);
+        let stream = verdict(PassKind::PrefetchSchedule);
+        // A scheduled stream ends with its trace's deploy (or failed patch).
+        let deploy = window.iter().filter(|e| e.site == Site::Trace(*trace)).find_map(|e| {
+            let ends = matches!(e.outcome, Outcome::Deployed { .. })
+                || matches!(e.outcome, Outcome::Rejected(Rejection::PatchFailed));
+            ends.then_some(&e.outcome)
+        });
+        let (fate, deployed_at) = match (pattern, stream, deploy) {
+            (Some(Outcome::Rejected(r)), ..) | (_, Some(Outcome::Rejected(r)), _) => {
+                (r.label(), None)
             }
-        }
-        for t in report.timeline.iter().step_by(4) {
-            alines.push(format!(
-                "  t={:>12} cpi={:>6.2} dear/kinsn={:>7.3}",
-                t.cycles, t.cpi, t.dear_per_kinsn
-            ));
-        }
-        entry.set(
-            "adore",
+            (_, Some(Outcome::Scheduled { .. }), Some(o)) => match o {
+                Outcome::Deployed { at_cycles, .. } => ("deployed", Some(*at_cycles)),
+                other => (label(other), None),
+            },
+            _ => ("unresolved", None),
+        };
+        let distance = match stream {
+            Some(Outcome::Scheduled { distance_iters }) => Some(*distance_iters),
+            _ => None,
+        };
+        let cpi = |w: u64| timeline.get(w as usize - 1).map(|t| t.cpi);
+        let deploy = deployed_at.map(|cycles| {
             Json::object()
-                .with("run", &report)
-                .with("caches", m2.caches()),
+                .with("window", d.window)
+                .with("cycles", cycles)
+                .with("cpi", cpi(d.window))
+                .with("cpi_next", cpi(d.window + 1))
+        });
+        // Re-optimization selects already-patched traces in the pool.
+        let in_pool = if pc.addr.0 >= isa::TRACE_POOL_BASE { "(trace pool)" } else { "?" };
+        loads.push(
+            Json::object()
+                .with("window", d.window)
+                .with("pc", pc.to_string())
+                .with("loop", bin.loop_containing(pc.addr).map_or(in_pool, |l| l.name.as_str()))
+                .with("samples", *samples)
+                .with("latency", *latency)
+                .with("pattern", pattern.map(label))
+                .with("stream", stream.map(label))
+                .with("distance_iters", distance)
+                .with("deploy", deploy)
+                .with("fate", fate),
         );
-        entry.set("adore_lines", alines);
     }
-    Ok(entry)
+    Ok(Json::object()
+        .with("bench", w.name)
+        .with("cycles", report.cycles)
+        .with("windows", report.windows)
+        .with("traces_patched", report.traces_patched)
+        .with("streams", report.stats)
+        .with("loads", loads))
 }

@@ -17,7 +17,7 @@
 
 pub mod ablation;
 pub mod breakdown;
-pub mod diag;
+pub mod explain;
 pub mod families;
 pub mod fig10;
 pub mod fig11;
@@ -92,7 +92,12 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         registry: policy::registry,
         run: policy::run,
     },
-    Subcommand { name: "diag", about: diag::ABOUT, registry: diag::registry, run: diag::run },
+    Subcommand {
+        name: "explain",
+        about: explain::ABOUT,
+        registry: explain::registry,
+        run: explain::run,
+    },
     Subcommand {
         name: "objdump",
         about: objdump::ABOUT,

@@ -36,15 +36,13 @@
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use compiler::CompileOptions;
 use obs::Json;
 use workloads::Workload;
 
 use crate::cli::{Cli, Registry};
-use crate::engine::{cell_seed, run_cell, LegStats};
-use crate::store::{resolve_default_dir, BaselineStore};
+use crate::engine::{cell_seed, run_cell, BaselineChoice, LegStats};
 use crate::{BaselineCache, Cell, ExperimentSpec, Measure};
 
 pub(crate) const ABOUT: &str = "resident service: spec cells as JSON lines in, rows streamed out";
@@ -148,30 +146,18 @@ fn parse_request(line: &str, suite: &[Workload]) -> Task {
     Task { section, bench, cell }
 }
 
-fn open_store(cli: &Cli) -> Option<Arc<BaselineStore>> {
-    if cli.flag("no-baseline-store") {
-        return None;
-    }
-    let dir = match cli.flag_value("baseline-dir") {
-        Some(d) => PathBuf::from(d),
-        None => resolve_default_dir()?,
-    };
-    match BaselineStore::open(dir) {
-        Ok(s) => Some(Arc::new(s)),
-        Err(e) => {
-            eprintln!("[serve] baseline store disabled: {e}");
-            None
-        }
-    }
-}
-
 /// The testable core: requests from `input`, response lines to `out`.
 /// Requests run on the work-stealing pool while the feeder keeps
 /// reading, and responses flush line-by-line so a consumer sees a
 /// stable, byte-deterministic prefix even mid-stream.
 pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> ServeSummary {
     let suite = workloads::all(cli.scale);
-    let store = open_store(cli);
+    let choice = match cli.flag_value("baseline-dir") {
+        _ if cli.flag("no-baseline-store") => BaselineChoice::Disabled,
+        Some(dir) => BaselineChoice::Dir(PathBuf::from(dir)),
+        None => BaselineChoice::Default,
+    };
+    let store = choice.open("serve");
     let cache = BaselineCache::with_store(store.clone());
     let legs = LegStats::default();
 

@@ -2,7 +2,7 @@
 //!
 //! Each experiment subcommand of the `lab` binary (`fig7`, `table1`,
 //! `table2`, `fig8_9`, `fig10`, `fig11`, `ablation`, `breakdown`,
-//! `families`, `policy`, `diag`) declares an
+//! `families`, `policy`, `explain`) declares an
 //! [`engine::ExperimentSpec`] — a grid of (workload × compile options ×
 //! ADORE config) cells — and the parallel engine executes it, merges
 //! the rows deterministically, and writes `results/<tool>.json`. The

@@ -9,9 +9,6 @@
 //!   deterministic serializer (object keys keep insertion order) and a
 //!   small parser used by tests and `tools/ci.sh` to validate emitted
 //!   reports.
-//! * [`events`] — an append-only stream of structured events (the
-//!   optimizer pipeline's deploy/unpatch/instrument/promote record),
-//!   serialized as a JSON array inside experiment reports.
 //! * [`report`] — schema-versioned experiment reports written as
 //!   `results/<tool>.json`, so successive PRs can diff speedups,
 //!   coverage and accuracy run-over-run.
@@ -25,13 +22,11 @@
 
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod json;
 pub mod pool;
 pub mod progress;
 pub mod report;
 
-pub use events::EventStream;
 pub use json::{Json, ToJson};
 pub use pool::{run_indexed, service_scope, PoolStats, Submitter};
 pub use progress::Progress;

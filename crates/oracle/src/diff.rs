@@ -219,31 +219,32 @@ fn run_coverage(outcome: CaseOutcome, report: &adore::RunReport) -> RunCoverage 
             }
         }
     }
-    for event in &report.events {
-        for (_start, is_loop, bundles, delinq, stats) in &event.traces {
-            // Which prefetch schedules actually got planted — the
-            // jump-pointer key is what proves the generator's chase
-            // segments reach the dependence-based scheduling arm.
-            for (key, n) in [
-                ("prefetch:direct", stats.direct),
-                ("prefetch:indirect", stats.indirect),
-                ("prefetch:pointer", stats.pointer),
-                ("prefetch:jump", stats.jump),
-            ] {
-                if n > 0 {
-                    keys.push(key.into());
-                }
+    for d in &report.decisions {
+        let adore::Outcome::Trace { is_loop, bundles, loads, inserted } = d.outcome else {
+            continue;
+        };
+        // Which prefetch schedules actually got planted — the
+        // jump-pointer key is what proves the generator's chase
+        // segments reach the dependence-based scheduling arm.
+        for (key, n) in [
+            ("prefetch:direct", inserted.direct),
+            ("prefetch:indirect", inserted.indirect),
+            ("prefetch:pointer", inserted.pointer),
+            ("prefetch:jump", inserted.jump),
+        ] {
+            if n > 0 {
+                keys.push(key.into());
             }
-            // Bucket the shape so the key space stays small enough to
-            // saturate: trace kind x bundle-count bucket x
-            // delinquent-load bucket.
-            keys.push(format!(
-                "shape:{}_b{}_d{}",
-                if *is_loop { "loop" } else { "line" },
-                (*bundles).min(8),
-                (*delinq).min(4),
-            ));
         }
+        // Bucket the shape so the key space stays small enough to
+        // saturate: trace kind x bundle-count bucket x
+        // delinquent-load bucket.
+        keys.push(format!(
+            "shape:{}_b{}_d{}",
+            if is_loop { "loop" } else { "line" },
+            bundles.min(8),
+            loads.min(4),
+        ));
     }
     if report.traces_patched > 0 {
         keys.push("adore:patched".into());

@@ -33,9 +33,11 @@ fn main() {
         stock.cycles,
         stock.stats.total(),
         stock
-            .skips
+            .decisions
             .iter()
-            .filter(|(_, r)| matches!(r, adore::Rejection::UnanalyzableSlice))
+            .filter(|d| {
+                matches!(d.outcome, adore::Outcome::Rejected(adore::Rejection::UnanalyzableSlice))
+            })
             .count()
     );
 

@@ -98,14 +98,14 @@ fn cpi_regression_is_unpatched_and_ledgered_on_both_exec_paths() {
             monitor.accepted >= 1,
             "[{exec_path}] the monitor accepted (executed) an unpatch: {monitor:?}"
         );
-        let unpatch_events = report
-            .event_log
+        let unpatch_episodes = report
+            .decisions
             .iter()
-            .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("unpatch"))
+            .filter(|d| matches!(d.outcome, adore::Outcome::Unpatched { .. }))
             .count();
         assert!(
-            unpatch_events >= 1,
-            "[{exec_path}] event log must record the unpatch episode"
+            unpatch_episodes >= 1,
+            "[{exec_path}] decision trace must record the unpatch episode"
         );
     }
 }

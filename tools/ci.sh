@@ -63,6 +63,10 @@
 #      results/ablation.json
 #   6b. objdump smoke: `lab objdump daxpy` lists the daxpy loop header
 #      and the `main:` label, and an unknown workload exits non-zero
+#   6c. explain smoke: `lab explain --quick` over the 17 paper workloads;
+#      each workload's top-3 delinquent loads by sampled latency must
+#      have a fate read from the decision trace, mcf must deploy a
+#      pointer-chase stream and lucas must show an unanalyzable slice
 #   7. simulator benchmark + throughput gate: three interleaved rounds,
 #      each running every tier once (retired counts asserted equal per
 #      round), so the gates compare numbers from the same rounds; the
@@ -516,6 +520,33 @@ if cargo run --release -q -p adore-bench --bin lab -- objdump nope 2>/dev/null; 
 fi
 echo "  ok: daxpy listing has its loop header and main: label; unknown workload rejected"
 
+echo "== smoke: lab explain --quick (fate of every delinquent load) =="
+cargo run --release -q -p adore-bench --bin lab -- explain --quick --jobs 2 > /dev/null
+python3 - <<'EOF'
+import json
+doc = json.load(open("results/explain.json"))
+rows = {r["bench"]: r for r in doc["workloads"]}
+assert len(rows) == 17, f"explain must cover the 17 paper workloads, got {len(rows)}"
+explained = 0
+for name, row in rows.items():
+    assert "error" not in row, f"{name}: cell failed: {row.get('error')}"
+    latency = {}
+    for load in row["loads"]:
+        latency[load["pc"]] = latency.get(load["pc"], 0) + load["latency"]
+    for pc in sorted(latency, key=lambda pc: -latency[pc])[:3]:
+        for load in row["loads"]:
+            if load["pc"] == pc:
+                assert load["fate"] != "unresolved", \
+                    f"{name}: delinquent load {pc} (window {load['window']}) has no fate"
+                explained += 1
+fates = lambda name: {(l.get("pattern"), l["fate"]) for l in rows[name]["loads"]}
+assert ("pointer", "deployed") in fates("mcf"), "mcf deployed no pointer-chase stream"
+assert any(f == "unanalyzable_slice" for _, f in fates("lucas")), \
+    "lucas shows no unanalyzable slice: the §4.3 failure is not explained"
+print(f"  ok: {explained} top-3 delinquent-load selections over {len(rows)} workloads"
+      f" have a fate")
+EOF
+
 echo "== smoke: bench simulator --quick =="
 cargo bench -q -p adore-bench --bench simulator -- --quick
 
@@ -546,7 +577,8 @@ print(f"  info: threaded tier {fast / threaded:.2f}x fast"
 EOF
 
 echo "== validate JSON reports =="
-for f in results/fig7.json results/families.json results/policy.json results/bench_simulator.json; do
+for f in results/fig7.json results/families.json results/policy.json results/bench_simulator.json \
+    results/explain.json; do
     [ -f "$f" ] || { echo "missing report: $f" >&2; exit 1; }
     python3 -m json.tool "$f" > /dev/null
     python3 - "$f" <<'EOF'
