@@ -12,10 +12,12 @@
 //!
 //! The final architectural states must agree bit-for-bit: general
 //! registers (minus ADORE's reserved `r27`–`r30`), predicates (minus
-//! the reserved `p6`), FP register bit patterns, a digest of the whole
-//! data arena, and the termination outcome. Cycle counts and cache
-//! statistics are *expected* to differ — that is the point of the
-//! optimizer — so they are never compared.
+//! the reserved `p6`), FP register bit patterns, the termination
+//! outcome, and every byte of the data arena — compared directly
+//! against the interpreter's arena, so a memory mismatch names the
+//! first differing 8-byte word. Cycle counts and cache statistics are
+//! *expected* to differ — that is the point of the optimizer — so they
+//! are never compared.
 
 use adore::AdoreConfig;
 use isa::{Fr, Gr, Pr};
@@ -115,7 +117,9 @@ impl CaseOutcome {
     }
 }
 
-/// A captured final architectural state.
+/// A captured final register-level state. The data arena is not
+/// captured: `check_case` compares each simulated leg's arena with the
+/// interpreter's byte for byte while both are still live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FinalState {
     /// Termination outcome.
@@ -127,8 +131,6 @@ pub struct FinalState {
     pub pr: Vec<bool>,
     /// All 128 FP registers as raw bit patterns (NaN-safe equality).
     pub fr: Vec<u64>,
-    /// FNV-1a digest of the entire data arena.
-    pub mem_digest: u64,
 }
 
 /// A semantic divergence between the reference and a simulated run.
@@ -286,11 +288,12 @@ fn fuzz_cache() -> CacheConfig {
 }
 
 /// Data-memory headroom beyond the spec arena, identical on all three
-/// legs (so unmapped-address faults and arena digests stay comparable).
-/// The ADORE leg's §6 instrumentation allocates its recording buffers
-/// here; the runtime zeroes them once harvested, so a transparent
-/// instrumentation run digests identically to a run that never
-/// instrumented.
+/// legs (so unmapped-address faults and the byte-exact arena compare
+/// stay meaningful). The ADORE leg's §6 instrumentation allocates its
+/// recording buffers here; the runtime zeroes them once harvested, so
+/// a transparent instrumentation run leaves every byte as a run that
+/// never instrumented would. Only the bump pointer differs, and the
+/// compare covers bytes, not allocation state.
 const INSTR_SCRATCH: u64 = 64 * 1024;
 
 fn base_machine_config(spec: &ProgSpec, cfg: &DiffConfig) -> MachineConfig {
@@ -342,22 +345,6 @@ pub fn fuzz_adore_config(seed: u64) -> AdoreConfig {
     c
 }
 
-fn digest_mem(mem: &Memory) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let base = mem.base();
-    let cap = mem.capacity() as u64;
-    let mut addr = base;
-    while addr + 8 <= base + cap {
-        let word = mem.read(addr, 8);
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        addr += 8;
-    }
-    h
-}
-
 fn interp_state(i: &Interp, outcome: CaseOutcome) -> FinalState {
     let mut gr: Vec<i64> = (0..128).map(|k| i.gr(Gr(k as u8))).collect();
     for k in Gr::RESERVED {
@@ -366,7 +353,7 @@ fn interp_state(i: &Interp, outcome: CaseOutcome) -> FinalState {
     let mut pr: Vec<bool> = (0..64).map(|k| i.pr(Pr(k as u8))).collect();
     pr[Pr::RESERVED.index()] = false;
     let fr = (0..128).map(|k| i.fr(Fr(k as u8)).to_bits()).collect();
-    FinalState { outcome, gr, pr, fr, mem_digest: digest_mem(i.mem()) }
+    FinalState { outcome, gr, pr, fr }
 }
 
 fn machine_state(m: &Machine, outcome: CaseOutcome) -> FinalState {
@@ -377,7 +364,7 @@ fn machine_state(m: &Machine, outcome: CaseOutcome) -> FinalState {
     let mut pr: Vec<bool> = (0..64).map(|k| m.pr(Pr(k as u8))).collect();
     pr[Pr::RESERVED.index()] = false;
     let fr = (0..128).map(|k| m.fr(Fr(k as u8)).to_bits()).collect();
-    FinalState { outcome, gr, pr, fr, mem_digest: digest_mem(m.mem()) }
+    FinalState { outcome, gr, pr, fr }
 }
 
 /// First difference between two states, or `None` if identical.
@@ -412,13 +399,26 @@ fn first_difference(reference: &FinalState, observed: &FinalState) -> Option<Str
             ));
         }
     }
-    if reference.mem_digest != observed.mem_digest {
-        return Some(format!(
-            "memory digest: reference {:#018x}, observed {:#018x}",
-            reference.mem_digest, observed.mem_digest
-        ));
-    }
     None
+}
+
+/// The first differing 8-byte word of two arenas, or `None` if every
+/// byte agrees. Both legs map the same geometry, so a capacity
+/// difference is a harness fault, reported rather than hidden.
+fn memory_difference(reference: &Memory, observed: &Memory) -> Option<String> {
+    let (r, o) = (reference.bytes(), observed.bytes());
+    if r == o {
+        return None;
+    }
+    let Some(at) = r.iter().zip(o).position(|(a, b)| a != b) else {
+        return Some(format!("memory capacity: reference {}, observed {}", r.len(), o.len()));
+    };
+    let addr = reference.base() + (at & !7) as u64;
+    Some(format!(
+        "memory word {addr:#x}: reference {:#018x}, observed {:#018x}",
+        reference.read_spec(addr, 8),
+        observed.read_spec(addr, 8)
+    ))
 }
 
 /// Reusable per-worker execution state: one pre-built [`Machine`] per
@@ -499,10 +499,13 @@ pub fn check_case(
         Err(e) => return (CaseResult::Undecided(format!("assemble: {e}")), RunCoverage::default()),
     };
 
+    // One arena image, loaded into all three legs.
+    let image = spec.arena_image();
+
     // Reference interpreter.
     let mut interp =
         Interp::new(program.clone(), (spec.arena_bytes + INSTR_SCRATCH) as usize);
-    spec.init_memory(interp.mem_mut());
+    spec.load_arena(interp.mem_mut(), &image);
     let ref_outcome = match interp.run(cfg.fuel) {
         Outcome::Halted => CaseOutcome::Halted,
         Outcome::Faulted(f) => CaseOutcome::from_fault(f),
@@ -526,7 +529,7 @@ pub fn check_case(
         program.clone(),
         base_machine_config(spec, cfg),
     );
-    spec.init_memory(plain.mem_mut());
+    spec.load_arena(plain.mem_mut(), &image);
     let plain_outcome = match plain.run(cfg.cycle_limit) {
         StopReason::Halted => CaseOutcome::Halted,
         StopReason::Faulted(f) => CaseOutcome::from_fault(f),
@@ -542,7 +545,9 @@ pub fn check_case(
     };
     let plain_state = machine_state(plain, plain_outcome);
     let plain_jit = plain.jit_stats();
-    if let Some(detail) = first_difference(&reference, &plain_state) {
+    if let Some(detail) = first_difference(&reference, &plain_state)
+        .or_else(|| memory_difference(interp.mem(), plain.mem()))
+    {
         return (
             CaseResult::Mismatch(Box::new(Mismatch {
                 stage: "plain",
@@ -569,7 +574,7 @@ pub fn check_case(
         program,
         adore_config.machine_config(base_machine_config(spec, cfg)),
     );
-    spec.init_memory(opt.mem_mut());
+    spec.load_arena(opt.mem_mut(), &image);
     let report = adore::run_with_limit(opt, &adore_config, cfg.cycle_limit);
     let opt_outcome = if let Some(f) = opt.fault() {
         CaseOutcome::from_fault(f)
@@ -585,7 +590,9 @@ pub fn check_case(
         );
     };
     let opt_state = machine_state(opt, opt_outcome);
-    if let Some(detail) = first_difference(&reference, &opt_state) {
+    if let Some(detail) = first_difference(&reference, &opt_state)
+        .or_else(|| memory_difference(interp.mem(), opt.mem()))
+    {
         return (
             CaseResult::Mismatch(Box::new(Mismatch {
                 stage: "adore",
@@ -1008,6 +1015,37 @@ mod tests {
         // execution paths.
         assert!(fails(&min, ExecPath::Fast));
         assert!(fails(&min, ExecPath::Reference));
+    }
+
+    #[test]
+    fn a_headroom_byte_no_register_shows_is_a_named_memory_mismatch() {
+        // Two runs that leave one byte of the INSTR_SCRATCH headroom
+        // different: the compare must see it and name the word holding
+        // that byte.
+        let spec = spin_spec(1);
+        let image = spec.arena_image();
+        let capacity = (spec.arena_bytes + INSTR_SCRATCH) as usize;
+        let (mut reference, mut observed) = (Memory::new(capacity), Memory::new(capacity));
+        spec.load_arena(&mut reference, &image);
+        spec.load_arena(&mut observed, &image);
+        // A harvested instrumentation buffer: allocated, then zeroed.
+        // Allocation state alone is not a difference.
+        observed.alloc(256, 64);
+        assert_eq!(memory_difference(&reference, &observed), None);
+
+        let byte = reference.base() + spec.arena_bytes + 0x123;
+        observed.write(byte, 1, 0x5a);
+        let detail = memory_difference(&reference, &observed)
+            .expect("a differing headroom byte is a mismatch");
+        let word = byte & !7;
+        assert_eq!(
+            detail,
+            format!(
+                "memory word {word:#x}: reference {:#018x}, observed {:#018x}",
+                0u64,
+                0x5a_u64 << 24
+            )
+        );
     }
 
     #[test]

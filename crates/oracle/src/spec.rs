@@ -85,11 +85,22 @@ impl ProgSpec {
     /// Initializes a data memory identically for every run of this
     /// case: allocates the arena and fills it with seeded random words.
     pub fn init_memory(&self, mem: &mut Memory) {
-        let base = mem.alloc(self.arena_bytes, 64);
+        self.load_arena(mem, &self.arena_image());
+    }
+
+    /// The arena's initial contents: `arena_bytes / 8` seeded random
+    /// words. A harness running the case several times draws this once
+    /// and hands it to [`ProgSpec::load_arena`] for each run.
+    pub(crate) fn arena_image(&self) -> Vec<u64> {
         let mut rng = Rng64::new(self.mem_seed ^ 0xa5a5_5a5a_0f0f_f0f0);
-        for i in 0..self.arena_bytes / 8 {
-            mem.write(base + i * 8, 8, rng.next_u64());
-        }
+        (0..self.arena_bytes / 8).map(|_| rng.next_u64()).collect()
+    }
+
+    /// Allocates the arena in `mem` and writes `image` (this spec's
+    /// [`ProgSpec::arena_image`]) into it.
+    pub(crate) fn load_arena(&self, mem: &mut Memory, image: &[u64]) {
+        let base = mem.alloc(self.arena_bytes, 64);
+        mem.write_words(base, image);
     }
 
     /// The spec with items in `[lo, hi)` removed (shrinking step).
@@ -162,8 +173,14 @@ mod tests {
         let mut b = Memory::new(4096);
         spec.init_memory(&mut a);
         spec.init_memory(&mut b);
-        assert_eq!(a.read(a.base(), 8), b.read(b.base(), 8));
+        assert_eq!(a, b, "every byte and the bump pointer must repeat");
         assert_ne!(a.read(a.base(), 8), 0, "arena should hold random data");
+        assert_ne!(a.read(a.base() + 4088, 8), 0, "the fill must reach the arena's end");
+
+        // The harness's one-shot image path builds the same arena.
+        let mut c = Memory::new(4096);
+        spec.load_arena(&mut c, &spec.arena_image());
+        assert_eq!(a, c);
     }
 
     #[test]

@@ -157,18 +157,29 @@ impl Memory {
         self.write(addr, 8, value.to_bits());
     }
 
-    /// Writes a slice of `u64` words starting at `addr` (workload init).
+    /// Writes a slice of `u64` words starting at `addr` (arena init):
+    /// one bounds check for the whole range, then a slice copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any part of the range is unmapped.
     pub fn write_words(&mut self, addr: u64, words: &[u64]) {
-        for (i, w) in words.iter().enumerate() {
-            self.write(addr + 8 * i as u64, 8, *w);
+        let len = 8 * words.len() as u64;
+        assert!(
+            self.contains(addr, len),
+            "unmapped write of {len} bytes at {addr:#x}"
+        );
+        let off = self.offset(addr);
+        let dst = &mut self.data[off..off + len as usize];
+        for (d, w) in dst.chunks_exact_mut(8).zip(words) {
+            d.copy_from_slice(&w.to_le_bytes());
         }
     }
 
-    /// Writes a slice of `f64` values starting at `addr`.
-    pub fn write_f64s(&mut self, addr: u64, values: &[f64]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f64(addr + 8 * i as u64, *v);
-        }
+    /// The whole arena's bytes, from [`Memory::base`] on — allocated or
+    /// not. Two runs' final arenas compare with one slice equality.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data
     }
 }
 
@@ -233,7 +244,13 @@ mod tests {
         let a = m.alloc(32, 8);
         m.write_words(a, &[1, 2, 3]);
         assert_eq!(m.read(a + 16, 8), 3);
-        m.write_f64s(a, &[1.0, -1.0]);
-        assert_eq!(m.read_f64(a + 8), -1.0);
+        assert_eq!(&m.bytes()[..9], &[1, 0, 0, 0, 0, 0, 0, 0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unmapped write of 16 bytes")]
+    fn bulk_write_past_the_arena_faults() {
+        let mut m = Memory::new(4096);
+        m.write_words(m.base() + 4096 - 8, &[1, 2]);
     }
 }

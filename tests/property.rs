@@ -415,21 +415,6 @@ fn family_chunked_runs_equal_uninterrupted_runs() {
     }
 }
 
-/// FNV-1a over every mapped word — the arena fingerprint used to
-/// compare replayed initializations.
-fn mem_digest(m: &Memory) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut addr = m.base();
-    while addr + 8 <= m.base() + m.capacity() as u64 {
-        for b in m.read(addr, 8).to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        addr += 8;
-    }
-    h
-}
-
 /// The Zipfian request generator is a pure function of its seed: equal
 /// (n, theta, seed) triples yield identical in-range key streams — and
 /// the family-level consequence, that replaying the server workload's
@@ -461,8 +446,9 @@ fn zipfian_request_streams_are_deterministic() {
         for init in &server.inits {
             init.apply(&mut m);
         }
-        mem_digest(&m)
+        m
     };
+    // `Memory` equality: every byte plus the bump pointer.
     assert_eq!(fill(), fill(), "server init replay must be bit-identical");
 }
 

@@ -59,8 +59,8 @@
 #      ADORE_NIGHTLY=1 additionally runs a >=100k-case campaign sweep.
 #   6. per-pass ablation smoke: every optimizer pass disabled once on
 #      one workload, then schema validation of the per-pass overhead
-#      ledger, rejection taxonomy and event stream in
-#      results/ablation.json
+#      ledger, rejection taxonomy and event stream in the ablation
+#      report
 #   6b. objdump smoke: `lab objdump daxpy` lists the daxpy loop header
 #      and the `main:` label, and an unknown workload exits non-zero
 #   6c. explain smoke: `lab explain --quick` over the 17 paper workloads;
@@ -78,11 +78,19 @@
 #      without a gate
 #   8. schema validation of the emitted JSON, including the engine's
 #      merged sections
+#
+# Every report and scratch copy goes to a temporary ADORE_RESULTS_DIR,
+# never over the committed results/; the last step pins results/
+# unchanged.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export RUSTFLAGS="-D warnings"
 export CARGO_NET_OFFLINE="true"
+ADORE_RESULTS_DIR=$(mktemp -d)
+export ADORE_RESULTS_DIR
+trap 'rm -rf "$ADORE_RESULTS_DIR"' EXIT
+R="$ADORE_RESULTS_DIR"
 
 ms_since() { echo $(( ($(date +%s%N) - $1) / 1000000 )); }
 
@@ -118,7 +126,7 @@ t0=$(date +%s%N)
 ADORE_BASELINE_DIR="$store_dir" cargo run --release -q -p adore-bench --bin lab -- \
     fig7 --quick --jobs 1
 cold_ms=$(ms_since "$t0")
-cp results/fig7.json results/fig7.cold.json
+cp "$R/fig7.json" "$R/fig7.cold.json"
 t0=$(date +%s%N)
 ADORE_BASELINE_DIR="$store_dir" cargo run --release -q -p adore-bench --bin lab -- \
     fig7 --quick --jobs 2
@@ -128,9 +136,10 @@ echo "wall-clock: cold store + jobs=1 ${cold_ms}ms, warm store + jobs=2 ${warm_m
 
 echo "== determinism + store reuse: reports byte-identical modulo volatile fields =="
 python3 - "$cold_ms" "$warm_ms" <<'EOF'
-import json, sys
-a = json.load(open("results/fig7.cold.json"))
-b = json.load(open("results/fig7.json"))
+import json, os, sys
+R = os.environ["ADORE_RESULTS_DIR"]
+a = json.load(open(f"{R}/fig7.cold.json"))
+b = json.load(open(f"{R}/fig7.json"))
 # The warm run must have resolved every baseline from the persistent
 # store: zero recomputes, and strictly faster than the cold run.
 sa_store, sb_store = a["engine"]["baseline_store"], b["engine"]["baseline_store"]
@@ -152,7 +161,6 @@ assert sa == sb, "warm/parallel report differs from cold/serial report"
 print(f"  ok: {len(sa)} canonical bytes identical across --jobs and store state;"
       f" {sb_store['hits']} baselines served from the store")
 EOF
-rm -f results/fig7.cold.json
 rm -rf "$store_dir"
 
 echo "== smoke: lab serve, two cells streamed at --jobs 1 vs --jobs 4 =="
@@ -160,25 +168,26 @@ serve_req='{"workload":"mcf","tool":"fig7","section":"part_a","opts":"o2","measu
 {"workload":"art","tool":"fig7","section":"part_a","opts":"o2","measure":"comparison"}'
 t0=$(date +%s%N)
 printf '%s\n' "$serve_req" | cargo run --release -q -p adore-bench --bin lab -- \
-    serve --quick --jobs 1 --no-baseline-store > results/serve.jobs1.jsonl
+    serve --quick --jobs 1 --no-baseline-store > "$R/serve.jobs1.jsonl"
 serve1_ms=$(ms_since "$t0")
 t0=$(date +%s%N)
 printf '%s\n' "$serve_req" | cargo run --release -q -p adore-bench --bin lab -- \
-    serve --quick --jobs 4 --no-baseline-store > results/serve.jobs4.jsonl
+    serve --quick --jobs 4 --no-baseline-store > "$R/serve.jobs4.jsonl"
 serve4_ms=$(ms_since "$t0")
 echo "wall-clock: serve jobs=1 ${serve1_ms}ms, jobs=4 ${serve4_ms}ms"
-cmp results/serve.jobs1.jsonl results/serve.jobs4.jsonl \
+cmp "$R/serve.jobs1.jsonl" "$R/serve.jobs4.jsonl" \
     || { echo "serve streams differ across --jobs" >&2; exit 1; }
-echo "  ok: serve stream byte-identical across --jobs ($(wc -c < results/serve.jobs1.jsonl) bytes)"
+echo "  ok: serve stream byte-identical across --jobs ($(wc -c < "$R/serve.jobs1.jsonl") bytes)"
 
 echo "== serve rows match the batch engine's rows =="
 python3 - <<'EOF'
-import json
-# results/fig7.json is the warm engine run above; the serve cells name
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+# fig7.json is the warm engine run above; the serve cells name
 # the same (tool=fig7, section=part_a, workload) identities, so their
 # rows must be equal except for the grid-only paper_speedup_pct extra.
-batch = {r["bench"]: r for r in json.load(open("results/fig7.json"))["part_a"]}
-served = [json.loads(line) for line in open("results/serve.jobs1.jsonl")]
+batch = {r["bench"]: r for r in json.load(open(f"{R}/fig7.json"))["part_a"]}
+served = [json.loads(line) for line in open(f"{R}/serve.jobs1.jsonl")]
 assert [s["index"] for s in served] == [0, 1], "stream must be in submission order"
 for s in served:
     assert s["section"] == "part_a"
@@ -188,21 +197,21 @@ for s in served:
     assert row == want, f"serve row for {row['bench']} differs from the batch engine row"
 print(f"  ok: {len(served)} streamed rows identical to batch engine rows")
 EOF
-rm -f results/serve.jobs1.jsonl results/serve.jobs4.jsonl
 
 echo "== smoke: lab families --quick, --jobs 1 vs --jobs 2 =="
 t0=$(date +%s%N)
 cargo run --release -q -p adore-bench --bin lab -- families --quick --jobs 1
 fam1_ms=$(ms_since "$t0")
-cp results/families.json results/families.jobs1.json
+cp "$R/families.json" "$R/families.jobs1.json"
 t0=$(date +%s%N)
 cargo run --release -q -p adore-bench --bin lab -- families --quick --jobs 2
 fam2_ms=$(ms_since "$t0")
 echo "wall-clock: families jobs=1 ${fam1_ms}ms, jobs=2 ${fam2_ms}ms"
 python3 - <<'EOF'
-import json
-a = json.load(open("results/families.jobs1.json"))
-b = json.load(open("results/families.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+a = json.load(open(f"{R}/families.jobs1.json"))
+b = json.load(open(f"{R}/families.json"))
 for doc in (a, b):
     doc["generated_unix_s"] = 0
     doc["engine"]["scheduling"] = {}
@@ -222,13 +231,12 @@ print(f"  ok: {len(sa)} canonical bytes identical across --jobs;"
       f" gc planted {rows['gc']['streams']['jump']} jump prefetches,"
       f" server optimized {rows['server']['phases_optimized']} phases")
 EOF
-rm -f results/families.jobs1.json
 
 echo "== smoke: lab policy --quick, --jobs 1 vs --jobs 2 =="
 t0=$(date +%s%N)
 cargo run --release -q -p adore-bench --bin lab -- policy --quick --jobs 1
 pol1_ms=$(ms_since "$t0")
-cp results/policy.json results/policy.jobs1.json
+cp "$R/policy.json" "$R/policy.jobs1.json"
 t0=$(date +%s%N)
 cargo run --release -q -p adore-bench --bin lab -- policy --quick --jobs 2
 pol2_ms=$(ms_since "$t0")
@@ -236,9 +244,10 @@ echo "wall-clock: policy jobs=1 ${pol1_ms}ms, jobs=2 ${pol2_ms}ms"
 
 echo "== validate policy report: determinism, decision-log schema, default-off contract =="
 python3 - <<'EOF'
-import json
-a = json.load(open("results/policy.jobs1.json"))
-b = json.load(open("results/policy.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+a = json.load(open(f"{R}/policy.jobs1.json"))
+b = json.load(open(f"{R}/policy.json"))
 for doc in (a, b):
     doc["generated_unix_s"] = 0
     doc["engine"]["scheduling"] = {}
@@ -281,7 +290,7 @@ assert commits > 0, "no workload committed a policy: every arm walk stalled"
 # Default-off contract: grids run with the paper-default config must not
 # carry a policy section at all (the golden tiers of step 3 already
 # re-proved cycle-level identity on the default path).
-fig7 = json.load(open("results/fig7.json"))
+fig7 = json.load(open(f"{R}/fig7.json"))
 for section in ("part_a", "part_b"):
     for row in fig7[section]:
         assert "policy" not in row, \
@@ -292,7 +301,6 @@ print(f"  ok: {len(sa)} canonical bytes identical across --jobs;"
       f" {legs['shared_windows']} windows, {legs['split_cells']} cells split;"
       f" fig7 rows stay policy-free")
 EOF
-rm -f results/policy.jobs1.json
 
 for path in fast reference threaded; do
     echo "== smoke: differential fuzz oracle, 512 cases, exec-path=$path =="
@@ -301,8 +309,9 @@ for path in fast reference threaded; do
 
     echo "== validate fuzz report ($path) =="
     python3 - "$path" <<'EOF'
-import json, sys
-doc = json.load(open("results/fuzz.json"))
+import json, os, sys
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/fuzz.json"))
 assert doc["schema_version"] == 2, "schema_version must be 2"
 assert doc["tool"] == "fuzz", "tool must be fuzz"
 assert doc["exec_path"] == sys.argv[1], "report must record the exec path under test"
@@ -330,8 +339,9 @@ cargo run --release -q -p adore-bench --bin lab -- fuzz \
 
 echo "== validate pattern_analyze-only fuzz report =="
 python3 - <<'EOF'
-import json
-doc = json.load(open("results/fuzz.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/fuzz.json"))
 assert doc["only_pass"] == "pattern_analyze", "report must record the pass restriction"
 assert doc["cases"] >= 512, "pass smoke must run at least 512 cases"
 assert doc["mismatches"] == 0, \
@@ -349,8 +359,9 @@ cargo run --release -q -p adore-bench --bin lab -- fuzz \
 
 echo "== validate policy-on prefetch_schedule fuzz report =="
 python3 - <<'EOF'
-import json
-doc = json.load(open("results/fuzz.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/fuzz.json"))
 assert doc["only_pass"] == "prefetch_schedule", "report must record the pass restriction"
 assert doc["policy"] == "on", "report must record the forced-on controller"
 assert doc["cases"] >= 512, "policy smoke must run at least 512 cases"
@@ -367,7 +378,7 @@ t0=$(date +%s%N)
 ADORE_CAMPAIGN_DIR="$cdir1" cargo run --release -q -p adore-bench --bin lab -- fuzz \
     "${campaign_args[@]}" --jobs 1
 campaign1_ms=$(ms_since "$t0")
-cp results/fuzz.json results/fuzz.campaign.jobs1.json
+cp "$R/fuzz.json" "$R/fuzz.campaign.jobs1.json"
 t0=$(date +%s%N)
 ADORE_CAMPAIGN_DIR="$cdir2" cargo run --release -q -p adore-bench --bin lab -- fuzz \
     "${campaign_args[@]}" --jobs 4
@@ -376,9 +387,10 @@ echo "wall-clock: campaign jobs=1 ${campaign1_ms}ms, jobs=4 ${campaign4_ms}ms"
 
 echo "== determinism: campaign report byte-identical across --jobs =="
 python3 - <<'EOF'
-import json
-a = json.load(open("results/fuzz.campaign.jobs1.json"))
-b = json.load(open("results/fuzz.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+a = json.load(open(f"{R}/fuzz.campaign.jobs1.json"))
+b = json.load(open(f"{R}/fuzz.json"))
 a["generated_unix_s"] = b["generated_unix_s"] = 0
 sa, sb = (json.dumps(x, indent=1) for x in (a, b))
 assert sa == sb, "campaign report differs between --jobs 1 and --jobs 4"
@@ -387,12 +399,12 @@ EOF
 diff -r "$cdir1" "$cdir2" \
     || { echo "campaign corpus directories differ across --jobs" >&2; exit 1; }
 echo "  ok: corpus directories identical ($(ls "$cdir1" | wc -l) minimized entries)"
-rm -f results/fuzz.campaign.jobs1.json
 
 echo "== validate campaign report schema =="
 python3 - <<'EOF'
-import json
-doc = json.load(open("results/fuzz.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/fuzz.json"))
 assert doc["schema_version"] == 2, "schema_version must be 2"
 assert doc["tool"] == "fuzz", "tool must be fuzz"
 assert doc["mode"] == "campaign", "campaign smoke must record campaign mode"
@@ -436,8 +448,9 @@ if [ "${ADORE_NIGHTLY:-0}" = "1" ]; then
         --campaign --rounds=128 --batch=800 --seed=1 --minimize-evals=8 --jobs "$(nproc)"
     echo "wall-clock: nightly campaign $(ms_since "$t0")ms"
     python3 - <<'EOF'
-import json
-doc = json.load(open("results/fuzz.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/fuzz.json"))
 assert doc["cases"] >= 100_000, f"nightly sweep ran only {doc['cases']} cases"
 assert doc["mismatches"] == 0, "semantic mismatch in the nightly sweep"
 print(f"  ok: {doc['cases']} nightly cases, 0 mismatches")
@@ -454,8 +467,9 @@ EOF
     cargo run --release -q -p adore-bench --bin lab -- policy --jobs "$(nproc)"
     echo "wall-clock: full-scale policy $(ms_since "$t0")ms"
     python3 - <<'EOF'
-import json
-doc = json.load(open("results/policy.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/policy.json"))
 rows = {r["bench"]: r for r in doc["grid"]}
 assert len(rows) == 20, f"full policy grid must cover 20 workloads, got {len(rows)}"
 family_wins = [n for n in ("server", "graph", "gc") if rows[n]["win"]]
@@ -471,10 +485,11 @@ t0=$(date +%s%N)
 cargo run --release -q -p adore-bench --bin lab -- ablation --quick --jobs 2 --pass-smoke
 echo "wall-clock: pass-smoke ablation $(ms_since "$t0")ms"
 
-echo "== validate pass-pipeline ledger schema (results/ablation.json) =="
+echo "== validate pass-pipeline ledger schema (ablation.json) =="
 python3 - <<'EOF'
-import json
-doc = json.load(open("results/ablation.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/ablation.json"))
 assert doc["schema_version"] == 2, "schema_version must be 2"
 assert doc["tool"] == "ablation", "tool must be ablation"
 ALL_PASSES = ["instr_promote", "phase_gate", "unpatch_monitor", "reopt_gate",
@@ -523,8 +538,9 @@ echo "  ok: daxpy listing has its loop header and main: label; unknown workload 
 echo "== smoke: lab explain --quick (fate of every delinquent load) =="
 cargo run --release -q -p adore-bench --bin lab -- explain --quick --jobs 2 > /dev/null
 python3 - <<'EOF'
-import json
-doc = json.load(open("results/explain.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/explain.json"))
 rows = {r["bench"]: r for r in doc["workloads"]}
 assert len(rows) == 17, f"explain must cover the 17 paper workloads, got {len(rows)}"
 explained = 0
@@ -552,8 +568,9 @@ cargo bench -q -p adore-bench --bench simulator -- --quick
 
 echo "== gate: predecoded fast path throughput vs reference =="
 python3 - <<'EOF'
-import json
-doc = json.load(open("results/bench_simulator.json"))
+import json, os
+R = os.environ["ADORE_RESULTS_DIR"]
+doc = json.load(open(f"{R}/bench_simulator.json"))
 rows = {b["name"]: b for b in doc["benchmarks"]}
 fast = rows["machine/suite_insns_fast"]["ns_per_element"]
 ref = rows["machine/suite_insns_reference"]["ns_per_element"]
@@ -577,8 +594,8 @@ print(f"  info: threaded tier {fast / threaded:.2f}x fast"
 EOF
 
 echo "== validate JSON reports =="
-for f in results/fig7.json results/families.json results/policy.json results/bench_simulator.json \
-    results/explain.json; do
+for f in "$R/fig7.json" "$R/families.json" "$R/policy.json" "$R/bench_simulator.json" \
+    "$R/explain.json"; do
     [ -f "$f" ] || { echo "missing report: $f" >&2; exit 1; }
     python3 -m json.tool "$f" > /dev/null
     python3 - "$f" <<'EOF'
@@ -600,5 +617,10 @@ if doc["tool"] == "fig7":  # engine-merged report: check grid metadata
 print(f"  ok: {sys.argv[1]} (tool={doc['tool']})")
 EOF
 done
+
+# Like the golden pin above: no step may have rewritten a committed
+# report or left a file under results/.
+git diff --exit-code -- results/ && [ -z "$(git status --porcelain -- results/)" ] \
+    || { echo "results/ changed during the CI run" >&2; exit 1; }
 
 echo "CI gate passed."
