@@ -148,6 +148,11 @@ impl Registry {
         self.command
     }
 
+    /// The subcommand's one-line summary (`lab help`, `--help`).
+    pub fn about(&self) -> &'static str {
+        self.about
+    }
+
     /// Generated help text: usage line, pick description, one row per
     /// registered flag with its default.
     pub fn help_text(&self) -> String {

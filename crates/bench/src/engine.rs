@@ -19,8 +19,12 @@
 //!   subsections are the exceptions);
 //! * **streaming** — [`ExperimentSpec::run_streaming`] hands each row
 //!   to a sink the moment it and all its predecessors are done, so
-//!   partial results survive interruption (`lab serve` pipes them out
-//!   as JSON lines);
+//!   partial results survive interruption;
+//! * **one cell path** — a grid and `lab serve` build every row through
+//!   the same crate-private cell runner: it seeds the cell from its
+//!   identity, runs the measure, turns a failure into an `error` row
+//!   and merges the cell's extra columns, so a served cell and a grid
+//!   cell with the same identity produce the same row;
 //! * **baseline cache** — the no-prefetch run of each
 //!   (workload, options, machine) triple is memoized behind a per-key
 //!   [`OnceLock`], so a baseline shared by many cells (every ablation
@@ -44,14 +48,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use adore::{AdoreConfig, Outcome, PassKind, Rejection, Site};
-use compiler::{compile, delinquent_loop_filter, CompileOptions, CompiledBinary};
+use compiler::{delinquent_loop_filter, CompileOptions, CompiledBinary};
 use obs::{Json, Progress, Report, ToJson};
 use sim::{Counters, MachineConfig, SamplingConfig};
 use workloads::Workload;
 
 use crate::cli::Cli;
-use crate::store::{resolve_default_dir, BaselineStore, StoredBaseline};
-use crate::{experiment_report_with, machine_stats_json, speedup_pct};
+use crate::store::{resolve_default_dir, BaselineStore, Fnv, StoredBaseline};
+use crate::{build, experiment_report_with, machine_stats_json, speedup_pct};
 
 // ---------------------------------------------------------------------
 // Spec types
@@ -120,6 +124,20 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// A cell measuring `workload` under `opts` with the paper's ADORE
+    /// and machine configurations ([`ExperimentSpec::paper_adore_config`],
+    /// [`ExperimentSpec::paper_machine_config`]).
+    pub fn new(workload: &'static str, opts: CompileOptions, measure: Measure) -> Cell {
+        Cell {
+            workload,
+            opts,
+            adore: ExperimentSpec::paper_adore_config(),
+            machine: ExperimentSpec::paper_machine_config(),
+            measure,
+            extra: Json::object(),
+        }
+    }
+
     /// Adds an extra column to the cell's row.
     pub fn extra(&mut self, key: &str, value: impl ToJson) {
         self.extra.set(key, value);
@@ -131,21 +149,16 @@ struct Section {
     cells: Vec<Cell>,
 }
 
-/// A declarative experiment: the grid plus shared configuration.
+/// A declarative experiment: the grid plus shared run settings.
 ///
-/// The paper-wide ADORE and machine configurations live *on the spec*
-/// ([`ExperimentSpec::paper_adore_config`] /
-/// [`ExperimentSpec::paper_machine_config`] seed them;
-/// [`ExperimentSpec::tune_adore`] / [`ExperimentSpec::tune_machine`]
-/// override them), so a config tweak in one binary cannot silently
-/// diverge from the others.
+/// Every cell starts from the paper configurations ([`Cell::new`]);
+/// a section's tweak ([`ExperimentSpec::section_with`]) is the only
+/// per-cell override.
 pub struct ExperimentSpec {
     tool: String,
     scale: f64,
     jobs: usize,
     report_args: Vec<String>,
-    adore: AdoreConfig,
-    machine: MachineConfig,
     sections: Vec<Section>,
     extra_workloads: Vec<Workload>,
     baseline: BaselineChoice,
@@ -192,36 +205,10 @@ impl ExperimentSpec {
             scale: cli.scale,
             jobs: cli.jobs,
             report_args: cli.report_args.clone(),
-            adore: ExperimentSpec::paper_adore_config(),
-            machine: ExperimentSpec::paper_machine_config(),
             sections: Vec::new(),
             extra_workloads: Vec::new(),
             baseline: BaselineChoice::Default,
         }
-    }
-
-    /// The spec's ADORE configuration (cells inherit it).
-    pub fn adore_config(&self) -> &AdoreConfig {
-        &self.adore
-    }
-
-    /// The spec's machine configuration (cells inherit it).
-    pub fn machine_config(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    /// Overrides the spec-wide ADORE configuration for all *subsequent*
-    /// sections.
-    pub fn tune_adore(mut self, f: impl FnOnce(&mut AdoreConfig)) -> ExperimentSpec {
-        f(&mut self.adore);
-        self
-    }
-
-    /// Overrides the spec-wide machine configuration for all
-    /// *subsequent* sections.
-    pub fn tune_machine(mut self, f: impl FnOnce(&mut MachineConfig)) -> ExperimentSpec {
-        f(&mut self.machine);
-        self
     }
 
     /// Overrides the worker count (tests pin this; binaries get it from
@@ -263,6 +250,14 @@ impl ExperimentSpec {
 
     /// Like [`ExperimentSpec::section`], with a per-cell tweak applied
     /// at spec-build time (config variants, paper-number columns).
+    ///
+    /// # Panics
+    ///
+    /// If a tweak moves a cell off a cycle-exact execution path: every
+    /// measure reports cycle counts (speedups, overheads, CPI
+    /// timelines), which a tier with unmodeled timing would silently
+    /// corrupt. Tier-correctness coverage lives in the differential
+    /// oracle instead.
     pub fn section_with(
         mut self,
         key: &str,
@@ -274,15 +269,13 @@ impl ExperimentSpec {
         let cells = benches
             .iter()
             .map(|&workload| {
-                let mut cell = Cell {
-                    workload,
-                    opts: opts.clone(),
-                    adore: self.adore.clone(),
-                    machine: self.machine.clone(),
-                    measure: measure.clone(),
-                    extra: Json::object(),
-                };
+                let mut cell = Cell::new(workload, opts.clone(), measure.clone());
                 tweak(&mut cell);
+                assert!(
+                    cell.machine.exec_path.is_cycle_exact(),
+                    "{key}/{workload}: experiment cells need a cycle-exact execution path, got {}",
+                    cell.machine.exec_path
+                );
                 cell
             })
             .collect();
@@ -304,60 +297,27 @@ impl ExperimentSpec {
     /// a consumer sees a stable prefix even if the process dies
     /// mid-grid. `on_row` runs on the calling thread.
     pub fn run_streaming(self, mut on_row: impl FnMut(usize, &str, &Json)) -> EngineResult {
-        let mut suite = workloads::all(self.scale);
-        suite.extend(self.extra_workloads.iter().cloned());
-
-        // Flatten the grid; fix each cell's sampling seed from its
-        // identity so results do not depend on scheduling.
-        let mut cells: Vec<(usize, Cell)> = Vec::new();
-        for (si, section) in self.sections.iter().enumerate() {
-            for cell in &section.cells {
-                // Every engine measure reports cycle counts (speedups,
-                // overheads, CPI timelines); a tier with unmodeled
-                // timing would silently corrupt them, so the grid
-                // refuses to run on one. Tier-correctness coverage
-                // lives in the differential oracle instead.
-                assert!(
-                    cell.machine.exec_path.is_cycle_exact(),
-                    "{}/{}: experiment cells need a cycle-exact execution path, got {}",
-                    section.key,
-                    cell.workload,
-                    cell.machine.exec_path
-                );
-                let mut cell = cell.clone();
-                cell.adore.sampling.seed = cell_seed(&[&self.tool, &section.key, cell.workload]);
-                cells.push((si, cell));
-            }
-        }
-
+        let cells: Vec<(usize, &Cell)> = (self.sections.iter().enumerate())
+            .flat_map(|(si, section)| section.cells.iter().map(move |cell| (si, cell)))
+            .collect();
         let n = cells.len();
         let labels: Vec<String> = cells
             .iter()
             .map(|(si, cell)| format!("{}/{}", self.sections[*si].key, cell.workload))
             .collect();
         let progress = Progress::new(&self.tool, n);
-        let store = self.baseline.open(&self.tool);
-        let cache = BaselineCache::with_store(store.clone());
-        let legs = LegStats::default();
+        let runner = CellRunner::new(self.scale, &self.extra_workloads, &self.baseline, &self.tool);
         let jobs = self.jobs.clamp(1, n.max(1));
 
         let mut ordered: Vec<Json> = Vec::with_capacity(n);
-        let (cells_ref, suite_ref, cache_ref, legs_ref) = (&cells, &suite, &cache, &legs);
-        let (sections_ref, labels_ref, progress_ref) = (&self.sections, &labels, &progress);
         let (_, pool_stats) = obs::pool::service_scope(
             jobs,
             |_| (),
             |_: &mut (), i: usize, (): ()| {
-                let (_, cell) = &cells_ref[i];
+                let (si, cell) = cells[i];
                 let t = Instant::now();
-                let row = match run_cell(cell, suite_ref, cache_ref, legs_ref) {
-                    Ok(row) => row,
-                    Err(e) => Json::object()
-                        .with("bench", cell.workload)
-                        .with("error", e.to_string()),
-                };
-                let row = merge_extra(row, &cell.extra);
-                progress_ref.item_done(&labels_ref[i], t.elapsed());
+                let row = runner.row(&self.tool, &self.sections[si].key, cell.clone());
+                progress.item_done(&labels[i], t.elapsed());
                 row
             },
             |sub| {
@@ -366,8 +326,7 @@ impl ExperimentSpec {
                 }
             },
             |i, row| {
-                let (si, _) = &cells_ref[i];
-                on_row(i, &sections_ref[*si].key, &row);
+                on_row(i, &self.sections[cells[i].0].key, &row);
                 ordered.push(row);
             },
         );
@@ -382,25 +341,25 @@ impl ExperimentSpec {
             rows[*si].push(row);
         }
 
-        let (lookups, computes) = cache.stats();
+        let (lookups, computes) = runner.cache.stats();
         let mut report = experiment_report_with(
             &self.tool,
             &self.report_args,
             self.scale,
-            &self.adore.sampling,
+            &ExperimentSpec::paper_adore_config().sampling,
         );
         let mut sections_out = Vec::new();
         for (section, rows) in self.sections.iter().zip(rows) {
             report.set(&section.key, rows.as_slice());
             sections_out.push((section.key.clone(), rows));
         }
-        let (store_hits, store_misses) = store.as_ref().map(|s| s.stats()).unwrap_or((0, 0));
+        let (store_hits, store_misses) = runner.store_stats();
         // Deterministic keys first (byte-identical to schema v1), then
         // the volatile observability subsections new in schema v2:
         // `baseline_store` depends on what prior processes left on
         // disk, `scheduling` on thread timing. Jobs-invariance diffs
-        // canonicalize both away.
-        let store_json = match &store {
+        // zero both ([`EngineResult::canonical`]).
+        let store_json = match &runner.store {
             Some(s) => Json::object()
                 .with("enabled", true)
                 .with("dir", s.dir().display().to_string())
@@ -421,7 +380,7 @@ impl ExperimentSpec {
             );
         // Only grids that run joined legs carry the section, so every
         // other report keeps its engine section unchanged.
-        let (leg_cells, shared_windows, split_cells) = legs.totals();
+        let (leg_cells, shared_windows, split_cells) = runner.legs.totals();
         if leg_cells > 0 {
             engine.set(
                 "joined_legs",
@@ -474,24 +433,93 @@ impl ExperimentSpec {
     }
 }
 
-impl BaselineChoice {
-    /// Opens the persistent baseline store; open failures disable the
-    /// store (with a stderr note naming `tool`) rather than failing the
-    /// run.
-    pub(crate) fn open(&self, tool: &str) -> Option<Arc<BaselineStore>> {
-        let dir = match self {
-            BaselineChoice::Disabled => return None,
-            BaselineChoice::Dir(d) => d.clone(),
-            BaselineChoice::Default => resolve_default_dir()?,
+/// What every cell of one run shares: the workload suite, the baseline
+/// cache over the persistent store, and the joined-leg totals. A grid
+/// ([`ExperimentSpec::run_streaming`]) and `lab serve` each feed their
+/// cells to [`CellRunner::row`] from their own pool scope.
+pub(crate) struct CellRunner {
+    suite: Vec<Workload>,
+    store: Option<Arc<BaselineStore>>,
+    cache: BaselineCache,
+    legs: LegStats,
+}
+
+impl CellRunner {
+    /// The suite at `scale` plus `extra` workloads, over the store
+    /// `baseline` names. A store that fails to open is disabled (with a
+    /// stderr note naming `tool`) rather than failing the run.
+    pub(crate) fn new(
+        scale: f64,
+        extra: &[Workload],
+        baseline: &BaselineChoice,
+        tool: &str,
+    ) -> CellRunner {
+        let mut suite = workloads::all(scale);
+        suite.extend(extra.iter().cloned());
+        let dir = match baseline {
+            BaselineChoice::Disabled => None,
+            BaselineChoice::Dir(d) => Some(d.clone()),
+            BaselineChoice::Default => resolve_default_dir(),
         };
-        match BaselineStore::open(dir) {
+        let store = dir.and_then(|dir| match BaselineStore::open(dir) {
             Ok(s) => Some(Arc::new(s)),
             Err(e) => {
                 eprintln!("[{tool}] baseline store disabled: {e}");
                 None
             }
+        });
+        let cache = BaselineCache::with_store(store.clone());
+        CellRunner { suite, store, cache, legs: LegStats::default() }
+    }
+
+    /// The workload named `name`.
+    pub(crate) fn workload(&self, name: &str) -> Result<&Workload, CellError> {
+        (self.suite.iter().find(|w| w.name == name))
+            .ok_or_else(|| CellError::UnknownWorkload(name.to_string()))
+    }
+
+    /// The row of `cell` as cell `tool`/`section`/workload: its
+    /// sampling seed derives from that identity, never from thread or
+    /// timing state; a failure becomes an [`error_row`]; the cell's
+    /// extra columns are merged last.
+    pub(crate) fn row(&self, tool: &str, section: &str, mut cell: Cell) -> Json {
+        cell.adore.sampling.seed = cell_seed(tool, section, cell.workload);
+        let mut row = self.run(&cell).unwrap_or_else(|e| error_row(cell.workload, e));
+        if let Json::Object(fields) = cell.extra {
+            for (k, v) in fields {
+                row.set(&k, v);
+            }
+        }
+        row
+    }
+
+    /// Persistent-store `(hits, misses)`, `(0, 0)` when disabled.
+    pub(crate) fn store_stats(&self) -> (usize, usize) {
+        self.store.as_ref().map_or((0, 0), |s| s.stats())
+    }
+
+    fn run(&self, cell: &Cell) -> Result<Json, CellError> {
+        let w = self.workload(cell.workload)?;
+        let cache = &self.cache;
+        match &cell.measure {
+            Measure::Plain => plain_cell(w, cell, cache),
+            Measure::CompareCompile(other) => compare_compile_cell(w, cell, other, cache),
+            Measure::Comparison => comparison_cell(w, cell, cache),
+            Measure::PipelineComparison => pipeline_comparison_cell(w, cell, cache),
+            Measure::Overhead => overhead_cell(w, cell, cache),
+            Measure::Streams => streams_cell(w, cell),
+            Measure::Timeline => timeline_cell(w, cell),
+            Measure::GuidedPrefetch { coverage } => guided_cell(w, cell, *coverage, cache),
+            Measure::Breakdown => breakdown_cell(w, cell, cache),
+            Measure::Policy => policy_cell(w, cell, cache, &self.legs),
+            Measure::Explain => explain_cell(w, cell),
         }
     }
+}
+
+/// The row of a cell that failed (or a request that never became one).
+pub(crate) fn error_row(bench: &str, error: impl std::fmt::Display) -> Json {
+    Json::object().with("bench", bench).with("error", error.to_string())
 }
 
 /// The merged output of a grid run.
@@ -522,6 +550,21 @@ impl EngineResult {
     /// The assembled report.
     pub fn report(&self) -> &Report {
         &self.report
+    }
+
+    /// The report with its volatile fields zeroed, pretty-printed: the
+    /// envelope timestamp and the `engine.scheduling` /
+    /// `engine.baseline_store` subsections, which describe how (not
+    /// what) the grid ran. Everything else is the same for any `--jobs`
+    /// value and any prior store state.
+    pub fn canonical(&self) -> String {
+        let mut j = self.report.json().clone();
+        j.set("generated_unix_s", 0u64);
+        let mut engine = j.get("engine").expect("engine section").clone();
+        engine.set("scheduling", Json::object());
+        engine.set("baseline_store", Json::object());
+        j.set("engine", engine);
+        j.pretty()
     }
 
     /// Writes the report to `results/<tool>.json`.
@@ -562,15 +605,6 @@ impl std::fmt::Display for CellError {
 }
 
 impl std::error::Error for CellError {}
-
-/// Compiles a workload, turning failure into a [`CellError`] instead of
-/// a panic, so one bad cell fails its row rather than the whole grid.
-pub fn try_build(w: &Workload, opts: &CompileOptions) -> Result<CompiledBinary, CellError> {
-    compile(&w.kernel, opts).map_err(|e| CellError::Compile {
-        workload: w.name.to_string(),
-        message: e.to_string(),
-    })
-}
 
 // ---------------------------------------------------------------------
 // Baseline cache
@@ -648,7 +682,7 @@ impl BaselineCache {
         };
         let out = slot.get_or_init(|| {
             self.computes.fetch_add(1, Ordering::SeqCst);
-            let bin = try_build(w, opts).map_err(|e| e.to_string())?;
+            let bin = build(w, opts).map_err(|e| e.to_string())?;
             let stored = self.store.as_ref().map(|s| (s, BaselineStore::key(w, opts, machine)));
             if let Some(hit) = stored.as_ref().and_then(|(store, key)| store.load(*key)) {
                 let StoredBaseline { cycles, counters, stats } = hit;
@@ -728,63 +762,19 @@ pub(crate) fn opts_key(o: &CompileOptions) -> String {
     )
 }
 
-/// FNV-1a over the cell identity, finalized splitmix-style: stable
-/// across runs, platforms and scheduling. `lab serve` uses the same
-/// derivation so a streamed cell's rows byte-match the batch engine's.
-pub(crate) fn cell_seed(parts: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in parts {
-        for b in p.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A cell's sampling seed: the store's FNV-1a + SplitMix hash over the
+/// cell identity, stable across runs, platforms and scheduling.
+fn cell_seed(tool: &str, section: &str, workload: &str) -> u64 {
+    let mut h = Fnv::new();
+    for part in [tool, section, workload] {
+        h.write_str(part);
     }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-fn merge_extra(mut row: Json, extra: &Json) -> Json {
-    if let Json::Object(fields) = extra {
-        for (k, v) in fields {
-            row.set(k, v.clone());
-        }
-    }
-    row
+    h.finish()
 }
 
 // ---------------------------------------------------------------------
 // Measures
 // ---------------------------------------------------------------------
-
-pub(crate) fn run_cell(
-    cell: &Cell,
-    suite: &[Workload],
-    cache: &BaselineCache,
-    legs: &LegStats,
-) -> Result<Json, CellError> {
-    let w = suite
-        .iter()
-        .find(|w| w.name == cell.workload)
-        .ok_or_else(|| CellError::UnknownWorkload(cell.workload.to_string()))?;
-    match &cell.measure {
-        Measure::Plain => plain_cell(w, cell, cache),
-        Measure::CompareCompile(other) => compare_compile_cell(w, cell, other, cache),
-        Measure::Comparison => comparison_cell(w, cell, cache),
-        Measure::PipelineComparison => pipeline_comparison_cell(w, cell, cache),
-        Measure::Overhead => overhead_cell(w, cell, cache),
-        Measure::Streams => streams_cell(w, cell),
-        Measure::Timeline => timeline_cell(w, cell),
-        Measure::GuidedPrefetch { coverage } => guided_cell(w, cell, *coverage, cache),
-        Measure::Breakdown => breakdown_cell(w, cell, cache),
-        Measure::Policy => policy_cell(w, cell, cache, legs),
-        Measure::Explain => explain_cell(w, cell),
-    }
-}
 
 fn run_adore_in(
     cell: &Cell,
@@ -881,7 +871,7 @@ fn overhead_cell(w: &Workload, cell: &Cell, cache: &BaselineCache) -> Result<Jso
 }
 
 fn streams_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
-    let bin = try_build(w, &cell.opts)?;
+    let bin = build(w, &cell.opts)?;
     let (report, _) = run_adore_in(cell, w, &bin);
     Ok(Json::object()
         .with("bench", w.name)
@@ -891,7 +881,7 @@ fn streams_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
 }
 
 fn timeline_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
-    let bin = try_build(w, &cell.opts)?;
+    let bin = build(w, &cell.opts)?;
     // "No runtime prefetching" series: the same run with insertion off,
     // which monitors through the PMU exactly like the paper's curves but
     // never edits or charges the machine. Both legs share one
@@ -920,7 +910,7 @@ fn guided_cell(
     // Training run: plain sampling on the *unprefetched* binary — a
     // profile collected under static prefetching would hide exactly the
     // loads the filter must keep.
-    let o2 = try_build(w, &CompileOptions::o2())?;
+    let o2 = build(w, &CompileOptions::o2())?;
     let mut m = w.prepare(&o2, cell.adore.machine_config(cell.machine.clone()));
     let mut pm = perfmon::Perfmon::new(cell.adore.perfmon.clone());
     let mut samples: Vec<sim::Sample> = Vec::new();
@@ -936,7 +926,7 @@ fn guided_cell(
     if !profile.is_empty() {
         guided_opts.prefetch_filter = Some(delinquent_loop_filter(&profile, &o2, coverage));
     }
-    let guided = try_build(w, &guided_opts)?;
+    let guided = build(w, &guided_opts)?;
     let mut gm = w.prepare(&guided, cell.machine.clone());
     let guided_cycles = gm.run_to_halt();
 
@@ -1019,7 +1009,7 @@ fn policy_cell(
 }
 
 fn explain_cell(w: &Workload, cell: &Cell) -> Result<Json, CellError> {
-    let bin = try_build(w, &cell.opts)?;
+    let bin = build(w, &cell.opts)?;
     let (report, _) = run_adore_in(cell, w, &bin);
     let (decisions, timeline) = (&report.decisions, &report.timeline);
     let label = |o: &Outcome| match o {

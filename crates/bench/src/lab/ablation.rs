@@ -15,10 +15,8 @@ use compiler::CompileOptions;
 use crate::cli::{Cli, Registry};
 use crate::{jf, Cell, ExperimentSpec, Measure};
 
-pub(crate) const ABOUT: &str = "mechanism and per-pass ablations on representative benchmarks";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("ablation", ABOUT)
+    Registry::new("ablation", "mechanism and per-pass ablations on representative benchmarks")
         .flag("pass-smoke", "run only the per-pass sections, one workload each (the CI smoke)")
         .repeated("disable-pass", "add a section with the named pass disabled on every benchmark")
 }

@@ -12,10 +12,8 @@ use obs::Json;
 use crate::cli::{Cli, Registry};
 use crate::{jf, je, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "cycle-accounting breakdown before and after ADORE (§2.1)";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("breakdown", ABOUT)
+    Registry::new("breakdown", "cycle-accounting breakdown before and after ADORE (§2.1)")
 }
 
 fn print_side(label: &str, s: &Json) {

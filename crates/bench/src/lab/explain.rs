@@ -15,10 +15,8 @@ use obs::Json;
 use crate::cli::{Cli, Registry};
 use crate::{je, jf, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "the fate of every delinquent load in one ADORE run (§4.3)";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("explain", ABOUT).picks("workload names — subset to explain (default: all)")
+    Registry::new("explain", "the fate of every delinquent load in one ADORE run (§4.3)").picks("workload names — subset to explain (default: all)")
 }
 
 pub(crate) fn run(cli: Cli) {

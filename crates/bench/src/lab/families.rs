@@ -12,11 +12,8 @@ use compiler::CompileOptions;
 use crate::cli::{Cli, Registry};
 use crate::{je, jf, js, ju, ExperimentSpec, Measure, FAMILY_ORDER};
 
-pub(crate) const ABOUT: &str =
-    "runtime prefetching on the server / graph / gc scenario families";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("families", ABOUT)
+    Registry::new("families", "runtime prefetching on the server / graph / gc scenario families")
         .picks("server | graph | gc | all — which family to run (default: all)")
 }
 

@@ -10,10 +10,8 @@ use compiler::CompileOptions;
 use crate::cli::{Cli, Registry};
 use crate::{jf, je, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "compilation cost: original O2 vs the restricted O2";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("fig10", ABOUT)
+    Registry::new("fig10", "compilation cost: original O2 vs the restricted O2")
 }
 
 pub(crate) fn run(cli: Cli) {

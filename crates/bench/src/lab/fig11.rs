@@ -10,10 +10,8 @@ use compiler::CompileOptions;
 use crate::cli::{Cli, Registry};
 use crate::{jf, je, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "runtime-system overhead with prefetch insertion disabled";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("fig11", ABOUT)
+    Registry::new("fig11", "runtime-system overhead with prefetch insertion disabled")
 }
 
 pub(crate) fn run(cli: Cli) {

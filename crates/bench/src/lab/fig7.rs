@@ -8,10 +8,8 @@ use compiler::CompileOptions;
 use crate::cli::{Cli, Registry};
 use crate::{jf, je, js, ju, paper_fig7a, paper_fig7b, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "runtime prefetching speedups over O2 (a) and O3 (b) binaries";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("fig7", ABOUT).picks("a | b | both — which part to run (default: both)")
+    Registry::new("fig7", "runtime prefetching speedups over O2 (a) and O3 (b) binaries").picks("a | b | both — which part to run (default: both)")
 }
 
 pub(crate) fn run(cli: Cli) {

@@ -10,10 +10,8 @@ use obs::Json;
 use crate::cli::{Cli, Registry};
 use crate::{jf, je, js, ju, ExperimentSpec, Measure};
 
-pub(crate) const ABOUT: &str = "CPI and miss-rate timelines for art (Fig. 8) and mcf (Fig. 9)";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("fig8_9", ABOUT)
+    Registry::new("fig8_9", "CPI and miss-rate timelines for art (Fig. 8) and mcf (Fig. 9)")
         .picks("art | mcf | both — which series to run (default: both)")
         .flag("csv", "emit the series as CSV instead of tables")
 }

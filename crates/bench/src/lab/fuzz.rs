@@ -35,10 +35,8 @@ use oracle::{run_campaign, CampaignConfig, DiffConfig};
 use crate::cli::{Cli, Registry};
 use crate::lab::workspace_path;
 
-pub(crate) const ABOUT: &str = "differential fuzzing of ADORE semantics (classic or campaign)";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("fuzz", ABOUT)
+    Registry::new("fuzz", "differential fuzzing of ADORE semantics (classic or campaign)")
         .uint("cases", None, "classic mode: case count (default: 512, or 128 with --quick)")
         .uint("seed", Some("1"), "base RNG seed")
         .value(

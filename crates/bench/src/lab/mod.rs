@@ -32,13 +32,9 @@ pub mod table2;
 
 use crate::cli::{Cli, Registry};
 
-/// One `lab` subcommand: its name, summary, declared flag surface and
-/// entry point.
+/// One `lab` subcommand: its flag registry (which also carries the
+/// subcommand's name and summary) and its entry point.
 pub struct Subcommand {
-    /// Subcommand name (`lab <name>`).
-    pub name: &'static str,
-    /// One-line summary shown by `lab help`.
-    pub about: &'static str,
     /// Constructs the subcommand's flag registry.
     pub registry: fn() -> Registry,
     /// Runs the subcommand with its parsed command line.
@@ -47,70 +43,25 @@ pub struct Subcommand {
 
 /// Every subcommand, in `lab help` display order.
 pub const SUBCOMMANDS: &[Subcommand] = &[
-    Subcommand { name: "fig7", about: fig7::ABOUT, registry: fig7::registry, run: fig7::run },
-    Subcommand {
-        name: "fig8_9",
-        about: fig8_9::ABOUT,
-        registry: fig8_9::registry,
-        run: fig8_9::run,
-    },
-    Subcommand { name: "fig10", about: fig10::ABOUT, registry: fig10::registry, run: fig10::run },
-    Subcommand { name: "fig11", about: fig11::ABOUT, registry: fig11::registry, run: fig11::run },
-    Subcommand {
-        name: "table1",
-        about: table1::ABOUT,
-        registry: table1::registry,
-        run: table1::run,
-    },
-    Subcommand {
-        name: "table2",
-        about: table2::ABOUT,
-        registry: table2::registry,
-        run: table2::run,
-    },
-    Subcommand {
-        name: "families",
-        about: families::ABOUT,
-        registry: families::registry,
-        run: families::run,
-    },
-    Subcommand {
-        name: "breakdown",
-        about: breakdown::ABOUT,
-        registry: breakdown::registry,
-        run: breakdown::run,
-    },
-    Subcommand {
-        name: "ablation",
-        about: ablation::ABOUT,
-        registry: ablation::registry,
-        run: ablation::run,
-    },
-    Subcommand {
-        name: "policy",
-        about: policy::ABOUT,
-        registry: policy::registry,
-        run: policy::run,
-    },
-    Subcommand {
-        name: "explain",
-        about: explain::ABOUT,
-        registry: explain::registry,
-        run: explain::run,
-    },
-    Subcommand {
-        name: "objdump",
-        about: objdump::ABOUT,
-        registry: objdump::registry,
-        run: objdump::run,
-    },
-    Subcommand { name: "fuzz", about: fuzz::ABOUT, registry: fuzz::registry, run: fuzz::run },
-    Subcommand { name: "serve", about: serve::ABOUT, registry: serve::registry, run: serve::run },
+    Subcommand { registry: fig7::registry, run: fig7::run },
+    Subcommand { registry: fig8_9::registry, run: fig8_9::run },
+    Subcommand { registry: fig10::registry, run: fig10::run },
+    Subcommand { registry: fig11::registry, run: fig11::run },
+    Subcommand { registry: table1::registry, run: table1::run },
+    Subcommand { registry: table2::registry, run: table2::run },
+    Subcommand { registry: families::registry, run: families::run },
+    Subcommand { registry: breakdown::registry, run: breakdown::run },
+    Subcommand { registry: ablation::registry, run: ablation::run },
+    Subcommand { registry: policy::registry, run: policy::run },
+    Subcommand { registry: explain::registry, run: explain::run },
+    Subcommand { registry: objdump::registry, run: objdump::run },
+    Subcommand { registry: fuzz::registry, run: fuzz::run },
+    Subcommand { registry: serve::registry, run: serve::run },
 ];
 
-/// Looks up a subcommand by name.
-pub fn find(name: &str) -> Option<&'static Subcommand> {
-    SUBCOMMANDS.iter().find(|s| s.name == name)
+/// Looks up a subcommand by name, returning it with its registry.
+pub fn find(name: &str) -> Option<(&'static Subcommand, Registry)> {
+    SUBCOMMANDS.iter().map(|s| (s, (s.registry)())).find(|(_, r)| r.command() == name)
 }
 
 /// The `lab help` text: one row per subcommand.
@@ -118,9 +69,10 @@ pub fn overview() -> String {
     let mut out = String::from(
         "lab — ADORE experiment service front-end\n\nusage: lab <command> [picks ...] [--flags ...]\n\ncommands:\n",
     );
-    let width = SUBCOMMANDS.iter().map(|s| s.name.len()).max().unwrap_or(0);
-    for s in SUBCOMMANDS {
-        out.push_str(&format!("  {:<width$}  {}\n", s.name, s.about));
+    let registries: Vec<Registry> = SUBCOMMANDS.iter().map(|s| (s.registry)()).collect();
+    let width = registries.iter().map(|r| r.command().len()).max().unwrap_or(0);
+    for r in &registries {
+        out.push_str(&format!("  {:<width$}  {}\n", r.command(), r.about()));
     }
     out.push_str("\nrun `lab <command> --help` for a command's flag table\n");
     out
@@ -133,10 +85,7 @@ pub fn main() {
     match cmd.as_str() {
         "help" | "--help" | "-h" => print!("{}", overview()),
         name => match find(name) {
-            Some(sub) => {
-                let cli = (sub.registry)().parse(args);
-                (sub.run)(cli);
-            }
+            Some((sub, registry)) => (sub.run)(registry.parse(args)),
             None => {
                 eprintln!("error: unknown command `{name}`\n\n{}", overview());
                 std::process::exit(2);
@@ -167,13 +116,10 @@ mod tests {
 
     #[test]
     fn subcommand_names_are_unique_and_resolvable() {
-        for (i, s) in SUBCOMMANDS.iter().enumerate() {
-            assert!(find(s.name).is_some());
-            assert!(
-                !SUBCOMMANDS[..i].iter().any(|o| o.name == s.name),
-                "duplicate subcommand {}",
-                s.name
-            );
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(|s| (s.registry)().command()).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(find(name).is_some());
+            assert!(!names[..i].contains(name), "duplicate subcommand {name}");
         }
         assert!(find("nope").is_none());
     }
@@ -182,7 +128,9 @@ mod tests {
     fn overview_lists_every_subcommand() {
         let o = overview();
         for s in SUBCOMMANDS {
-            assert!(o.contains(s.name), "overview must mention {}", s.name);
+            let r = (s.registry)();
+            assert!(o.contains(r.command()), "overview must mention {}", r.command());
+            assert!(o.contains(r.about()), "overview must show {}'s summary", r.command());
         }
     }
 
@@ -192,9 +140,7 @@ mod tests {
     #[test]
     fn every_subcommand_flag_round_trips() {
         for s in SUBCOMMANDS {
-            let r = (s.registry)();
-            assert_eq!(r.command(), s.name, "registry/command name mismatch");
-            crate::cli::tests::assert_registry_round_trips(&r);
+            crate::cli::tests::assert_registry_round_trips(&(s.registry)());
         }
     }
 
@@ -209,7 +155,7 @@ mod tests {
                 assert!(
                     h.contains(&format!("--{}", f.name)),
                     "lab {} --help must mention --{}",
-                    s.name,
+                    r.command(),
                     f.name
                 );
             }

@@ -17,11 +17,8 @@ use compiler::CompileOptions;
 use crate::cli::{Cli, Registry};
 use crate::{je, jf, js, ju, ExperimentSpec, Measure, FAMILY_ORDER, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str =
-    "adaptive policy controller vs the static policy, per workload";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("policy", ABOUT)
+    Registry::new("policy", "adaptive policy controller vs the static policy, per workload")
         .picks("<workload> | suite | families | all — which grid to run (default: all)")
 }
 

@@ -10,11 +10,12 @@
 //! ```
 //!
 //! * `workload` (required) — a suite or scenario-family workload name;
-//! * `tool` / `section` (default `serve` / `cells`) — the identity the
-//!   cell's deterministic sampling seed derives from, exactly as in
-//!   the batch engine: a serve cell with the same tool/section/workload
-//!   triple produces byte-identical row fields to its batch
-//!   counterpart;
+//! * `tool` / `section` (default `serve` / `cells`) — the cell identity
+//!   its deterministic sampling seed derives from. Served cells run
+//!   through the engine's own cell path (the same runner, seeding and
+//!   `error` rows as a grid), so a serve cell with the same
+//!   tool/section/workload triple produces byte-identical row fields to
+//!   its batch counterpart — a failed one included;
 //! * `opts` — `o2` (default) | `o3` | `o2_original`;
 //! * `measure` — `plain` | `comparison` (default) |
 //!   `pipeline_comparison` | `overhead` | `streams` | `timeline` |
@@ -39,16 +40,13 @@ use std::path::PathBuf;
 
 use compiler::CompileOptions;
 use obs::Json;
-use workloads::Workload;
 
 use crate::cli::{Cli, Registry};
-use crate::engine::{cell_seed, run_cell, BaselineChoice, LegStats};
-use crate::{BaselineCache, Cell, ExperimentSpec, Measure};
-
-pub(crate) const ABOUT: &str = "resident service: spec cells as JSON lines in, rows streamed out";
+use crate::engine::{error_row, BaselineChoice, CellRunner};
+use crate::{Cell, Measure};
 
 pub(crate) fn registry() -> Registry {
-    Registry::new("serve", ABOUT)
+    Registry::new("serve", "resident service: spec cells as JSON lines in, rows streamed out")
         .value("baseline-dir", None, "persistent baseline store directory (env ADORE_BASELINE_DIR)")
         .flag("no-baseline-store", "disable the persistent baseline store")
 }
@@ -67,12 +65,12 @@ pub struct ServeSummary {
     pub store_misses: usize,
 }
 
-/// One accepted request: the section key for the response envelope and
-/// either a runnable cell or the error message to embed.
+/// One accepted request: the cell identity and either a runnable cell
+/// or the `error` row of a request that never became one.
 struct Task {
+    tool: String,
     section: String,
-    bench: String,
-    cell: Result<Cell, String>,
+    cell: Result<Cell, Json>,
 }
 
 fn parse_opts(name: &str) -> Result<CompileOptions, String> {
@@ -107,43 +105,34 @@ fn parse_measure(req: &Json) -> Result<Measure, String> {
     }
 }
 
-/// Parses one request line into a [`Task`]. The suite lookup resolves
-/// the workload's `'static` name; the cell seed derives from
-/// (tool, section, workload) exactly like [`ExperimentSpec`] grids.
-fn parse_request(line: &str, suite: &[Workload]) -> Task {
-    let parsed: Result<Json, String> = Json::parse(line).map_err(|e| format!("bad request: {e}"));
-    let req = match parsed {
+/// Parses one request line into a [`Task`]. The runner's suite
+/// resolves the workload's `'static` name.
+fn parse_request(line: &str, runner: &CellRunner) -> Task {
+    let req = match Json::parse(line) {
         Ok(req) => req,
         Err(e) => {
-            return Task { section: "cells".into(), bench: "?".into(), cell: Err(e) };
+            let cell = Err(error_row("?", format!("bad request: {e}")));
+            return Task { tool: "serve".into(), section: "cells".into(), cell };
         }
     };
-    let section = req.get("section").and_then(Json::as_str).unwrap_or("cells").to_string();
-    let tool = req.get("tool").and_then(Json::as_str).unwrap_or("serve").to_string();
-    let bench = req.get("workload").and_then(Json::as_str).unwrap_or("?").to_string();
+    let field = |key: &str, default: &'static str| {
+        req.get(key).and_then(Json::as_str).unwrap_or(default).to_string()
+    };
+    let bench = field("workload", "?");
     let cell = (|| {
         let name = req
             .get("workload")
             .and_then(Json::as_str)
             .ok_or_else(|| "request is missing `workload`".to_string())?;
-        let w = suite
-            .iter()
-            .find(|w| w.name == name)
-            .ok_or_else(|| format!("unknown workload `{name}`"))?;
-        let opts = parse_opts(req.get("opts").and_then(Json::as_str).unwrap_or("o2"))?;
-        let measure = parse_measure(&req)?;
-        let mut adore = ExperimentSpec::paper_adore_config();
-        adore.sampling.seed = cell_seed(&[&tool, &section, w.name]);
-        Ok(Cell {
-            workload: w.name,
-            opts,
-            adore,
-            machine: ExperimentSpec::paper_machine_config(),
-            measure,
-            extra: Json::object(),
-        })
+        let workload = runner.workload(name).map_err(|e| e.to_string())?.name;
+        let opts = parse_opts(&field("opts", "o2"))?;
+        Ok(Cell::new(workload, opts, parse_measure(&req)?))
     })();
-    Task { section, bench, cell }
+    Task {
+        tool: field("tool", "serve"),
+        section: field("section", "cells"),
+        cell: cell.map_err(|e: String| error_row(&bench, e)),
+    }
 }
 
 /// The testable core: requests from `input`, response lines to `out`.
@@ -151,33 +140,23 @@ fn parse_request(line: &str, suite: &[Workload]) -> Task {
 /// reading, and responses flush line-by-line so a consumer sees a
 /// stable, byte-deterministic prefix even mid-stream.
 pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> ServeSummary {
-    let suite = workloads::all(cli.scale);
     let choice = match cli.flag_value("baseline-dir") {
         _ if cli.flag("no-baseline-store") => BaselineChoice::Disabled,
         Some(dir) => BaselineChoice::Dir(PathBuf::from(dir)),
         None => BaselineChoice::Default,
     };
-    let store = choice.open("serve");
-    let cache = BaselineCache::with_store(store.clone());
-    let legs = LegStats::default();
+    // A reference, so the `move` feeder below borrows the runner.
+    let runner = &CellRunner::new(cli.scale, &[], &choice, "serve");
 
     let mut cells = 0usize;
     let mut errors = 0usize;
-    let (suite_ref, cache_ref, legs_ref) = (&suite, &cache, &legs);
     obs::pool::service_scope(
         cli.jobs.max(1),
         |_| (),
         |_: &mut (), _i, task: Task| {
-            let row = match &task.cell {
-                Ok(cell) => match run_cell(cell, suite_ref, cache_ref, legs_ref) {
-                    Ok(row) => row,
-                    Err(e) => {
-                        Json::object().with("bench", task.bench.as_str()).with("error", e.to_string())
-                    }
-                },
-                Err(e) => {
-                    Json::object().with("bench", task.bench.as_str()).with("error", e.as_str())
-                }
+            let row = match task.cell {
+                Ok(cell) => runner.row(&task.tool, &task.section, cell),
+                Err(row) => row,
             };
             (task.section, row)
         },
@@ -187,7 +166,7 @@ pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> 
                 if line.trim().is_empty() {
                     continue;
                 }
-                sub.push(parse_request(&line, suite_ref));
+                sub.push(parse_request(&line, runner));
             }
         },
         |i, (section, row): (String, Json)| {
@@ -201,7 +180,7 @@ pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> 
         },
     );
 
-    let (store_hits, store_misses) = store.as_ref().map(|s| s.stats()).unwrap_or((0, 0));
+    let (store_hits, store_misses) = runner.store_stats();
     ServeSummary { cells, errors, store_hits, store_misses }
 }
 

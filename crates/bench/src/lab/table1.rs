@@ -15,10 +15,8 @@ use obs::Json;
 use crate::cli::{Cli, Registry};
 use crate::{jf, je, js, ju, paper_table1, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "profile-guided static prefetching (Table 1)";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("table1", ABOUT)
+    Registry::new("table1", "profile-guided static prefetching (Table 1)")
 }
 
 pub(crate) fn run(cli: Cli) {

@@ -11,10 +11,8 @@ use obs::Json;
 use crate::cli::{Cli, Registry};
 use crate::{je, js, ju, paper_table2, ExperimentSpec, Measure, PAPER_ORDER};
 
-pub(crate) const ABOUT: &str = "inserted prefetch streams by pattern (Table 2)";
-
 pub(crate) fn registry() -> Registry {
-    Registry::new("table2", ABOUT)
+    Registry::new("table2", "inserted prefetch streams by pattern (Table 2)")
 }
 
 pub(crate) fn run(cli: Cli) {

@@ -42,7 +42,10 @@ pub const QUICK_SCALE: f64 = 0.25;
 /// outside the engine (benchmarks, tests, the fuzz harness) decide for
 /// themselves whether a bad build aborts the process.
 pub fn build(w: &Workload, opts: &CompileOptions) -> Result<CompiledBinary, CellError> {
-    engine::try_build(w, opts)
+    compiler::compile(&w.kernel, opts).map_err(|e| CellError::Compile {
+        workload: w.name.to_string(),
+        message: e.to_string(),
+    })
 }
 
 /// Runs a compiled workload under ADORE; returns the report (cycles

@@ -22,16 +22,6 @@
 //! never runs ADORE, and every ablation variant of a cell must share
 //! one stored baseline (that sharing is the point of the cache).
 //!
-//! **Size cap.** The store grows forever by default (every scale /
-//! config / workload combination adds entries and nothing ever deletes
-//! them). Setting `ADORE_BASELINE_CAP_BYTES` to a positive byte count
-//! bounds it: after each save, entries are evicted oldest-modified
-//! first until the directory's `*.json` payload fits the cap. The
-//! just-written entry is never evicted — a cap smaller than one entry
-//! still keeps the newest — so a hit for the current run's hottest key
-//! survives. Unset, empty, `0` or unparsable values leave the store
-//! unbounded.
-//!
 //! **Entry format.** One JSON file per key, named `<key-hex>.json`,
 //! holding the plain run's cycles, final PMU counters and stats row,
 //! plus a `checksum` over the payload. A missing, unparsable,
@@ -65,9 +55,6 @@ pub struct BaselineStore {
     dir: PathBuf,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Total-size cap in bytes (`None` = unbounded).
-    cap_bytes: Option<u64>,
-    evictions: AtomicUsize,
 }
 
 /// The persisted outcome of one plain run — everything
@@ -84,24 +71,10 @@ pub struct StoredBaseline {
 }
 
 impl BaselineStore {
-    /// Opens (creating if necessary) a store rooted at `dir`, with the
-    /// size cap resolved from `ADORE_BASELINE_CAP_BYTES` (see the
-    /// module docs).
+    /// Opens (creating if necessary) a store rooted at `dir`.
     pub fn open(dir: PathBuf) -> std::io::Result<BaselineStore> {
-        BaselineStore::open_with_cap(dir, cap_from_env())
-    }
-
-    /// Opens a store with an explicit size cap (`None` = unbounded);
-    /// [`BaselineStore::open`] resolves the cap from the environment.
-    pub fn open_with_cap(dir: PathBuf, cap_bytes: Option<u64>) -> std::io::Result<BaselineStore> {
         std::fs::create_dir_all(&dir)?;
-        Ok(BaselineStore {
-            dir,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            cap_bytes,
-            evictions: AtomicUsize::new(0),
-        })
+        Ok(BaselineStore { dir, hits: AtomicUsize::new(0), misses: AtomicUsize::new(0) })
     }
 
     /// The store's root directory.
@@ -160,10 +133,8 @@ impl BaselineStore {
         Some(StoredBaseline { cycles, counters, stats })
     }
 
-    /// Persists `entry` under `key`, then evicts oldest-modified
-    /// entries as needed to honor the size cap. Write failures only
-    /// cost future hits, so they are reported to stderr and otherwise
-    /// ignored.
+    /// Persists `entry` under `key`. Write failures only cost future
+    /// hits, so they are reported to stderr and otherwise ignored.
     pub fn save(&self, key: u64, entry: &StoredBaseline) {
         let payload = Json::object()
             .with("cycles", entry.cycles)
@@ -178,44 +149,6 @@ impl BaselineStore {
             .with("checksum", payload_checksum(&payload));
         if let Err(e) = self.write_atomic(key, &body.pretty()) {
             eprintln!("[baseline-store] write {:016x} failed: {e}", key);
-        }
-        self.evict_to_cap(key);
-    }
-
-    /// Deletes oldest-modified `*.json` entries until the directory
-    /// fits `cap_bytes`. The entry just written (`keep_key`) is exempt:
-    /// evicting the newest write would make a small cap equivalent to
-    /// disabling the store, and the most recently computed baseline is
-    /// precisely the one the next run of the same grid wants. Ties on
-    /// mtime break by file name so eviction order is deterministic.
-    fn evict_to_cap(&self, keep_key: u64) {
-        let Some(cap) = self.cap_bytes else { return };
-        let Ok(dir) = std::fs::read_dir(&self.dir) else { return };
-        let keep = format!("{keep_key:016x}.json");
-        let mut entries: Vec<(std::time::SystemTime, String, u64, PathBuf)> = Vec::new();
-        let mut total = 0u64;
-        for e in dir.flatten() {
-            let path = e.path();
-            let name = e.file_name().to_string_lossy().into_owned();
-            if !name.ends_with(".json") {
-                continue;
-            }
-            let Ok(meta) = e.metadata() else { continue };
-            total += meta.len();
-            if name != keep {
-                let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                entries.push((mtime, name, meta.len(), path));
-            }
-        }
-        entries.sort();
-        for (_, _, len, path) in entries {
-            if total <= cap {
-                break;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total -= len;
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
         }
     }
 
@@ -236,22 +169,6 @@ impl BaselineStore {
     /// `(hits, misses)` so far. Volatile: depends on prior processes.
     pub fn stats(&self) -> (usize, usize) {
         (self.hits.load(Ordering::SeqCst), self.misses.load(Ordering::SeqCst))
-    }
-
-    /// Entries evicted by this process to honor the size cap.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::SeqCst)
-    }
-}
-
-/// Resolves the size cap from `ADORE_BASELINE_CAP_BYTES`: a positive
-/// byte count caps the store; unset, empty, `0` or unparsable values
-/// mean unbounded (misconfiguration must not silently delete entries).
-fn cap_from_env() -> Option<u64> {
-    let raw = std::env::var("ADORE_BASELINE_CAP_BYTES").ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
     }
 }
 
@@ -317,16 +234,17 @@ pub fn resolve_default_dir() -> Option<PathBuf> {
     }
 }
 
-/// Incremental FNV-1a (64-bit), shared by key derivation and entry
-/// checksums.
-struct Fnv(u64);
+/// Incremental FNV-1a (64-bit) with a SplitMix finalizer, shared by key
+/// derivation, entry checksums and the engine's per-cell sampling seeds
+/// ([`crate::engine`]).
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Fnv {
+    pub(crate) fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_str(&mut self, s: &str) {
+    pub(crate) fn write_str(&mut self, s: &str) {
         for b in s.bytes() {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -345,7 +263,7 @@ impl Fnv {
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         // Splitmix-style finalizer to spread FNV's weak low bits.
         let mut h = self.0;
         h ^= h >> 30;
@@ -419,44 +337,6 @@ mod tests {
             .replace("\"store_version\": 1", "\"store_version\": 0");
         std::fs::write(&path, old).unwrap();
         assert!(store.load(4).is_none());
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn size_cap_evicts_oldest_entries_first_and_keeps_hits_working() {
-        let store = BaselineStore::open_with_cap(temp_dir("cap"), Some(1)).unwrap();
-        // Cap of 1 byte: after every save only the just-written entry
-        // may survive (the newest write is exempt from eviction).
-        let entry_len = {
-            store.save(1, &sample_entry());
-            std::fs::metadata(store.dir().join(format!("{:016x}.json", 1u64))).unwrap().len()
-        };
-        for key in 2..=4u64 {
-            store.save(key, &sample_entry());
-        }
-        let total: u64 = std::fs::read_dir(store.dir())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
-        assert_eq!(total, entry_len, "only the newest entry may survive a 1-byte cap");
-        assert_eq!(store.evictions(), 3, "the three older entries were evicted");
-        assert!(store.load(4).is_some(), "the surviving entry must still hit");
-        assert!(store.load(1).is_none(), "evicted entries miss and get recomputed");
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn generous_cap_evicts_nothing() {
-        let store = BaselineStore::open_with_cap(temp_dir("cap-roomy"), Some(1 << 20)).unwrap();
-        for key in 1..=4u64 {
-            store.save(key, &sample_entry());
-        }
-        assert_eq!(store.evictions(), 0);
-        for key in 1..=4u64 {
-            assert!(store.load(key).is_some(), "entry {key} must survive under a roomy cap");
-        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

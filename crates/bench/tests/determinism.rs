@@ -33,26 +33,11 @@ fn spec(jobs: usize) -> ExperimentSpec {
         )
 }
 
-/// The report with its volatile fields zeroed — everything else must
-/// be reproducible. Volatile: the envelope timestamp, plus the
-/// `engine.scheduling` and `engine.baseline_store` subsections, which
-/// describe *how* the run executed (shard count, steal counts, disk
-/// state) and legitimately vary with `--jobs` and the environment.
-fn canonical(result: &EngineResult) -> String {
-    let mut j = result.report().json().clone();
-    j.set("generated_unix_s", 0u64);
-    let mut engine = j.get("engine").expect("engine section").clone();
-    engine.set("scheduling", Json::object());
-    engine.set("baseline_store", Json::object());
-    j.set("engine", engine);
-    j.pretty()
-}
-
 #[test]
 fn parallel_report_is_byte_identical_to_serial() {
     let serial = spec(1).run();
     let parallel = spec(4).run();
-    assert_eq!(canonical(&serial), canonical(&parallel));
+    assert_eq!(serial.canonical(), parallel.canonical());
     assert_eq!(serial.failed, 0);
 
     // Schema of a comparison row (what fig7-style consumers read).

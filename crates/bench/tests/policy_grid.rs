@@ -22,25 +22,12 @@ fn spec(jobs: usize) -> ExperimentSpec {
         .section("grid", &["mcf", "server"], CompileOptions::o2(), Measure::Policy)
 }
 
-/// The report with its volatile fields zeroed (same canonicalization
-/// as the engine determinism tier: envelope timestamp plus the
-/// `engine.scheduling` / `engine.baseline_store` subsections).
-fn canonical(result: &EngineResult) -> String {
-    let mut j = result.report().json().clone();
-    j.set("generated_unix_s", 0u64);
-    let mut engine = j.get("engine").expect("engine section").clone();
-    engine.set("scheduling", Json::object());
-    engine.set("baseline_store", Json::object());
-    j.set("engine", engine);
-    j.pretty()
-}
-
 #[test]
 fn policy_report_is_byte_identical_across_worker_counts() {
     let serial = spec(1).run();
     let parallel = spec(4).run();
     assert_eq!(serial.failed, 0);
-    assert_eq!(canonical(&serial), canonical(&parallel));
+    assert_eq!(serial.canonical(), parallel.canonical());
 
     // Schema of a policy row: the three-leg cycle columns, the verdict
     // column, and the controller section with its decision log.

@@ -34,16 +34,16 @@ const REQUESTS: &str = concat!(
     "\n",
 );
 
-fn serve_stream(jobs: usize) -> (String, usize, usize) {
+fn serve_stream(jobs: usize, requests: &str) -> (String, usize, usize) {
     let mut out = Vec::new();
-    let summary = serve_io(&serve_cli(jobs), REQUESTS.as_bytes(), &mut out);
+    let summary = serve_io(&serve_cli(jobs), requests.as_bytes(), &mut out);
     (String::from_utf8(out).expect("utf8 stream"), summary.cells, summary.errors)
 }
 
 #[test]
 fn serve_stream_is_byte_identical_across_worker_counts() {
-    let (serial, cells, errors) = serve_stream(1);
-    let (parallel, _, _) = serve_stream(4);
+    let (serial, cells, errors) = serve_stream(1, REQUESTS);
+    let (parallel, _, _) = serve_stream(4, REQUESTS);
     assert_eq!(serial, parallel, "stream must not depend on --jobs");
     assert_eq!((cells, errors), (2, 0));
 
@@ -60,8 +60,11 @@ fn serve_stream_is_byte_identical_across_worker_counts() {
 fn serve_rows_match_the_batch_engine() {
     // The same (tool, section, workload) triple must produce the same
     // bytes whether it arrives as a request line or as a grid cell —
-    // the serve path derives its per-cell seed identically.
-    let (stream, _, _) = serve_stream(2);
+    // the serve path derives its per-cell seed identically, and a cell
+    // that fails (an unknown workload) gets the same `error` row.
+    let unknown = r#"{"workload":"nosuch","tool":"unit","section":"comparison"}"#;
+    let (stream, cells, errors) = serve_stream(2, &format!("{REQUESTS}{unknown}\n"));
+    assert_eq!((cells, errors), (3, 1));
     let served: Vec<Json> = stream
         .lines()
         .map(|l| Json::parse(l).unwrap().get("row").expect("row").clone())
@@ -71,12 +74,13 @@ fn serve_rows_match_the_batch_engine() {
         .baseline_dir(None)
         .section(
             "comparison",
-            &["swim", "art"],
+            &["swim", "art", "nosuch"],
             CompileOptions::o2(),
             Measure::Comparison,
         )
         .run();
     let rows = batch.rows("comparison");
+    assert!(je(&rows[2]).expect("unknown-workload row").contains("unknown workload"));
     assert_eq!(served.len(), rows.len());
     for (served, batch) in served.iter().zip(rows) {
         assert_eq!(served.to_string(), batch.to_string());

@@ -45,11 +45,6 @@ impl Program {
         self.entry
     }
 
-    /// Sets the entry point.
-    pub fn set_entry(&mut self, entry: Addr) {
-        self.entry = entry;
-    }
-
     /// Number of bundles in the image.
     pub fn len(&self) -> usize {
         self.bundles.len()

@@ -345,25 +345,21 @@ pub fn fuzz_adore_config(seed: u64) -> AdoreConfig {
     c
 }
 
-fn interp_state(i: &Interp, outcome: CaseOutcome) -> FinalState {
-    let mut gr: Vec<i64> = (0..128).map(|k| i.gr(Gr(k as u8))).collect();
+/// The register state a leg ended in, read through its accessors, with
+/// the registers reserved for the dynamic optimizer masked out.
+fn capture_state(
+    outcome: CaseOutcome,
+    gr: impl Fn(Gr) -> i64,
+    pr: impl Fn(Pr) -> bool,
+    fr: impl Fn(Fr) -> f64,
+) -> FinalState {
+    let mut gr: Vec<i64> = (0..128).map(|k| gr(Gr(k as u8))).collect();
     for k in Gr::RESERVED {
         gr[k.index()] = 0;
     }
-    let mut pr: Vec<bool> = (0..64).map(|k| i.pr(Pr(k as u8))).collect();
+    let mut pr: Vec<bool> = (0..64).map(|k| pr(Pr(k as u8))).collect();
     pr[Pr::RESERVED.index()] = false;
-    let fr = (0..128).map(|k| i.fr(Fr(k as u8)).to_bits()).collect();
-    FinalState { outcome, gr, pr, fr }
-}
-
-fn machine_state(m: &Machine, outcome: CaseOutcome) -> FinalState {
-    let mut gr: Vec<i64> = (0..128).map(|k| m.gr(Gr(k as u8))).collect();
-    for k in Gr::RESERVED {
-        gr[k.index()] = 0;
-    }
-    let mut pr: Vec<bool> = (0..64).map(|k| m.pr(Pr(k as u8))).collect();
-    pr[Pr::RESERVED.index()] = false;
-    let fr = (0..128).map(|k| m.fr(Fr(k as u8)).to_bits()).collect();
+    let fr = (0..128).map(|k| fr(Fr(k as u8)).to_bits()).collect();
     FinalState { outcome, gr, pr, fr }
 }
 
@@ -519,7 +515,7 @@ pub fn check_case(
             );
         }
     };
-    let reference = interp_state(&interp, ref_outcome);
+    let reference = capture_state(ref_outcome, |r| interp.gr(r), |p| interp.pr(p), |f| interp.fr(f));
 
     // Plain machine: full timing model, no sampling, no ADORE.
     let plain = CaseRunner::lease(
@@ -543,7 +539,7 @@ pub fn check_case(
             );
         }
     };
-    let plain_state = machine_state(plain, plain_outcome);
+    let plain_state = capture_state(plain_outcome, |r| plain.gr(r), |p| plain.pr(p), |f| plain.fr(f));
     let plain_jit = plain.jit_stats();
     if let Some(detail) = first_difference(&reference, &plain_state)
         .or_else(|| memory_difference(interp.mem(), plain.mem()))
@@ -589,7 +585,7 @@ pub fn check_case(
             RunCoverage::default(),
         );
     };
-    let opt_state = machine_state(opt, opt_outcome);
+    let opt_state = capture_state(opt_outcome, |r| opt.gr(r), |p| opt.pr(p), |f| opt.fr(f));
     if let Some(detail) = first_difference(&reference, &opt_state)
         .or_else(|| memory_difference(interp.mem(), opt.mem()))
     {

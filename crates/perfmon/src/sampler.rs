@@ -83,30 +83,15 @@ impl Perfmon {
     /// callback may inspect the machine and perfmon state (e.g. to run
     /// phase detection and patch traces).
     ///
-    /// Returns the final cycle count.
+    /// Returns the final cycle count; the machine records whether it
+    /// halted or faulted.
     pub fn run_with_windows(
         &mut self,
         machine: &mut Machine,
-        on_window: impl FnMut(&mut Machine, &ProfileWindow, &UserEventBuffer),
-    ) -> u64 {
-        self.run_with_windows_until(machine, u64::MAX, on_window)
-    }
-
-    /// Like [`run_with_windows`](Perfmon::run_with_windows), but stops
-    /// once `cycle_limit` (absolute cycle count) is reached or the
-    /// machine faults. Differential-testing harnesses use the limit to
-    /// bound runaway programs that would otherwise never halt.
-    ///
-    /// Returns the final cycle count; the machine records whether it
-    /// halted or faulted.
-    pub fn run_with_windows_until(
-        &mut self,
-        machine: &mut Machine,
-        cycle_limit: u64,
         mut on_window: impl FnMut(&mut Machine, &ProfileWindow, &UserEventBuffer),
     ) -> u64 {
         loop {
-            match machine.run(cycle_limit) {
+            match machine.run(u64::MAX) {
                 StopReason::Halted | StopReason::Faulted(_) | StopReason::CycleLimit => {
                     return machine.cycles();
                 }

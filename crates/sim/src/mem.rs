@@ -32,17 +32,12 @@ impl fmt::Debug for Memory {
 }
 
 impl Memory {
-    /// Creates an arena of `capacity` bytes at the default base.
+    /// Creates an arena of `capacity` bytes at [`DATA_BASE`].
     pub fn new(capacity: usize) -> Memory {
-        Memory::with_base(DATA_BASE, capacity)
-    }
-
-    /// Creates an arena of `capacity` bytes at `base`.
-    pub fn with_base(base: u64, capacity: usize) -> Memory {
         Memory {
-            base,
+            base: DATA_BASE,
             data: vec![0; capacity],
-            brk: base,
+            brk: DATA_BASE,
         }
     }
 

@@ -94,6 +94,32 @@ R="$ADORE_RESULTS_DIR"
 
 ms_since() { echo $(( ($(date +%s%N) - $1) / 1000000 )); }
 
+# Runs the Python check read from stdin (arguments passed through) with
+# R (the results directory) and same_modulo_volatile(a, b, message)
+# defined. The helper zeroes the volatile report fields in both
+# reports, in place: the timestamp, plus the engine.scheduling /
+# engine.baseline_store subsections, which describe how (not what) the
+# engine executed. It asserts the rest is byte-identical (failing with
+# `message`) and returns the canonical length.
+py_report_check() {
+    local prelude
+    prelude=$(cat <<'EOF'
+import json, os, sys
+R = os.environ["ADORE_RESULTS_DIR"]
+def same_modulo_volatile(a, b, message):
+    for doc in (a, b):
+        doc["generated_unix_s"] = 0
+        doc["engine"]["scheduling"] = {}
+        doc["engine"]["baseline_store"] = {}
+    sa, sb = (json.dumps(x, indent=1) for x in (a, b))
+    assert sa == sb, message
+    return len(sa)
+EOF
+)
+    python3 -c "$prelude
+$(cat)" "$@"
+}
+
 echo "== build (release, -D warnings) =="
 cargo build --release --workspace --benches
 
@@ -135,9 +161,7 @@ echo "wall-clock: cold store + jobs=1 ${cold_ms}ms, warm store + jobs=2 ${warm_m
      "(speedup $(python3 -c "print(f'{$cold_ms/max($warm_ms,1):.2f}x')") on $(nproc) cores)"
 
 echo "== determinism + store reuse: reports byte-identical modulo volatile fields =="
-python3 - "$cold_ms" "$warm_ms" <<'EOF'
-import json, os, sys
-R = os.environ["ADORE_RESULTS_DIR"]
+py_report_check "$cold_ms" "$warm_ms" <<'EOF'
 a = json.load(open(f"{R}/fig7.cold.json"))
 b = json.load(open(f"{R}/fig7.json"))
 # The warm run must have resolved every baseline from the persistent
@@ -150,15 +174,9 @@ assert sb_store["hits"] == sa_store["misses"], "warm run must hit every stored b
 cold_ms, warm_ms = int(sys.argv[1]), int(sys.argv[2])
 assert warm_ms < cold_ms, f"store reuse did not pay off: cold {cold_ms}ms, warm {warm_ms}ms"
 # Everything else is byte-identical once the volatile fields are
-# zeroed: the timestamp, plus the scheduling / store subsections that
-# describe how (not what) the engine executed.
-for doc in (a, b):
-    doc["generated_unix_s"] = 0
-    doc["engine"]["scheduling"] = {}
-    doc["engine"]["baseline_store"] = {}
-sa, sb = (json.dumps(x, indent=1) for x in (a, b))
-assert sa == sb, "warm/parallel report differs from cold/serial report"
-print(f"  ok: {len(sa)} canonical bytes identical across --jobs and store state;"
+# zeroed.
+n = same_modulo_volatile(a, b, "warm/parallel report differs from cold/serial report")
+print(f"  ok: {n} canonical bytes identical across --jobs and store state;"
       f" {sb_store['hits']} baselines served from the store")
 EOF
 rm -rf "$store_dir"
@@ -207,17 +225,10 @@ t0=$(date +%s%N)
 cargo run --release -q -p adore-bench --bin lab -- families --quick --jobs 2
 fam2_ms=$(ms_since "$t0")
 echo "wall-clock: families jobs=1 ${fam1_ms}ms, jobs=2 ${fam2_ms}ms"
-python3 - <<'EOF'
-import json, os
-R = os.environ["ADORE_RESULTS_DIR"]
+py_report_check <<'EOF'
 a = json.load(open(f"{R}/families.jobs1.json"))
 b = json.load(open(f"{R}/families.json"))
-for doc in (a, b):
-    doc["generated_unix_s"] = 0
-    doc["engine"]["scheduling"] = {}
-    doc["engine"]["baseline_store"] = {}
-sa, sb = (json.dumps(x, indent=1) for x in (a, b))
-assert sa == sb, "families report differs between --jobs 1 and --jobs 2"
+n = same_modulo_volatile(a, b, "families report differs between --jobs 1 and --jobs 2")
 rows = {r["bench"]: r for r in b["families"]}
 assert set(rows) == {"server", "graph", "gc"}, f"family set changed: {sorted(rows)}"
 for name, row in rows.items():
@@ -227,7 +238,7 @@ assert rows["gc"]["streams"]["jump"] > 0, \
     "gc family planted no jump-pointer prefetch: the dependence-based arm is dead"
 assert rows["server"]["phases_optimized"] >= 2, \
     "server family's load spikes produced fewer than 2 optimized phases"
-print(f"  ok: {len(sa)} canonical bytes identical across --jobs;"
+print(f"  ok: {n} canonical bytes identical across --jobs;"
       f" gc planted {rows['gc']['streams']['jump']} jump prefetches,"
       f" server optimized {rows['server']['phases_optimized']} phases")
 EOF
@@ -243,18 +254,11 @@ pol2_ms=$(ms_since "$t0")
 echo "wall-clock: policy jobs=1 ${pol1_ms}ms, jobs=2 ${pol2_ms}ms"
 
 echo "== validate policy report: determinism, decision-log schema, default-off contract =="
-python3 - <<'EOF'
-import json, os
-R = os.environ["ADORE_RESULTS_DIR"]
+py_report_check <<'EOF'
 a = json.load(open(f"{R}/policy.jobs1.json"))
 b = json.load(open(f"{R}/policy.json"))
-for doc in (a, b):
-    doc["generated_unix_s"] = 0
-    doc["engine"]["scheduling"] = {}
-    doc["engine"]["baseline_store"] = {}
-sa, sb = (json.dumps(x, indent=1) for x in (a, b))
-assert sa == sb, \
-    "policy report (including decision logs) differs between --jobs 1 and --jobs 2"
+n = same_modulo_volatile(
+    a, b, "policy report (including decision logs) differs between --jobs 1 and --jobs 2")
 
 # Joined legs: each cell runs its static and adaptive legs as one
 # simulation until they diverge; the counters are deterministic (the
@@ -295,7 +299,7 @@ for section in ("part_a", "part_b"):
     for row in fig7[section]:
         assert "policy" not in row, \
             f"fig7 {row['bench']}: default-config row grew a policy section"
-print(f"  ok: {len(sa)} canonical bytes identical across --jobs;"
+print(f"  ok: {n} canonical bytes identical across --jobs;"
       f" {decisions} decisions / {commits} commits schema-valid over"
       f" {len(b['grid'])} workloads; joined legs shared"
       f" {legs['shared_windows']} windows, {legs['split_cells']} cells split;"
