@@ -105,6 +105,49 @@ pub enum Measure {
     Explain,
 }
 
+impl Measure {
+    /// One measure of each kind, with the arguments a `lab serve`
+    /// request gets by default: `guided` covers 0.9 of sampled miss
+    /// latency, `compare_compile` compares against `o2_original`.
+    pub fn all() -> Vec<Measure> {
+        vec![
+            Measure::Plain,
+            Measure::CompareCompile(Box::new(CompileOptions::o2_original())),
+            Measure::Comparison,
+            Measure::PipelineComparison,
+            Measure::Overhead,
+            Measure::Streams,
+            Measure::Timeline,
+            Measure::GuidedPrefetch { coverage: 0.9 },
+            Measure::Breakdown,
+            Measure::Policy,
+            Measure::Explain,
+        ]
+    }
+
+    /// The measure's name in a `lab serve` request's `measure` field.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Measure::Plain => "plain",
+            Measure::CompareCompile(_) => "compare_compile",
+            Measure::Comparison => "comparison",
+            Measure::PipelineComparison => "pipeline_comparison",
+            Measure::Overhead => "overhead",
+            Measure::Streams => "streams",
+            Measure::Timeline => "timeline",
+            Measure::GuidedPrefetch { .. } => "guided",
+            Measure::Breakdown => "breakdown",
+            Measure::Policy => "policy",
+            Measure::Explain => "explain",
+        }
+    }
+
+    /// The measure called `name`, with [`Measure::all`]'s arguments.
+    pub fn named(name: &str) -> Option<Measure> {
+        Measure::all().into_iter().find(|m| m.name() == name)
+    }
+}
+
 /// One grid cell: a workload measured under one configuration.
 #[derive(Debug, Clone)]
 pub struct Cell {

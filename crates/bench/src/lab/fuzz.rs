@@ -14,7 +14,8 @@
 //!   a persistent minimized corpus directory.
 //!
 //! Either way, any architectural divergence fails the run (exit 1);
-//! mismatching cases are shrunk and written to `tests/corpus/`, where
+//! mismatching cases (and mismatching candidates met while minimizing
+//! a corpus entry) are shrunk and written to `tests/corpus/`, where
 //! the `corpus_replay` test re-checks them on every `cargo test`.
 //!
 //! `--pass=NAME` restricts the ADORE leg to a pipeline with that single
@@ -53,7 +54,7 @@ pub(crate) fn registry() -> Registry {
         .flag("campaign", "run the coverage-guided campaign instead of classic mode")
         .uint("rounds", None, "campaign: mutation rounds")
         .uint("batch", None, "campaign: cases per round")
-        .uint("minimize-evals", None, "campaign: shrink budget per mismatch")
+        .uint("minimize-evals", None, "campaign: minimizer budget per admitted corpus entry")
         .value("campaign-dir", None, "campaign: corpus directory (env ADORE_CAMPAIGN_DIR)")
         .flag("progress", "per-case progress on stderr")
 }
@@ -175,8 +176,9 @@ pub(crate) fn run(cli: Cli) {
     for m in &stats.mismatches {
         let (file, shrunk_items) = write_reproducer(&m.spec, m.case_seed);
         eprintln!(
-            "[fuzz] MISMATCH seed {:#x} at {}: {} — reproducer {}",
+            "[fuzz] MISMATCH seed {:#x}{} at {}: {} — reproducer {}",
             m.case_seed,
+            if m.minimizing { " (minimizer candidate)" } else { "" },
             m.stage,
             m.detail,
             file.display()
@@ -184,6 +186,7 @@ pub(crate) fn run(cli: Cli) {
         mismatch_rows.push(
             Json::object()
                 .with("seed", m.case_seed)
+                .with("minimizing", m.minimizing)
                 .with("stage", m.stage)
                 .with("detail", m.detail.as_str())
                 .with("shrunk_items", shrunk_items as u64)
@@ -268,6 +271,14 @@ fn campaign_section(stats: &oracle::CampaignStats, cfg: &CampaignConfig) -> Json
     for (origin, count) in &stats.origins {
         origins_obj.set(origin, *count);
     }
+    let l = &stats.minimizer;
+    let minimizer = Json::object()
+        .with("candidates", l.candidates)
+        .with("before_legs", l.before_legs)
+        .with("after_reference", l.after_reference)
+        .with("after_adore", l.after_adore)
+        .with("full_check", l.full_check)
+        .with("kept", l.kept);
     Json::object()
         .with("rounds", stats.rounds as u64)
         .with("batch", cfg.batch as u64)
@@ -279,4 +290,5 @@ fn campaign_section(stats: &oracle::CampaignStats, cfg: &CampaignConfig) -> Json
         .with("coverage_hits", hits_obj)
         .with("mutations", mutations_obj)
         .with("origins", origins_obj)
+        .with("minimizer", minimizer)
 }

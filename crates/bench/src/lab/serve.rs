@@ -17,12 +17,14 @@
 //!   tool/section/workload triple produces byte-identical row fields to
 //!   its batch counterpart — a failed one included;
 //! * `opts` — `o2` (default) | `o3` | `o2_original`;
-//! * `measure` — `plain` | `comparison` (default) |
-//!   `pipeline_comparison` | `overhead` | `streams` | `timeline` |
-//!   `breakdown` | `policy` | `guided` (with optional `coverage`,
-//!   default 0.9);
+//! * `measure` — a [`Measure::name`]: `plain` | `compare_compile` |
+//!   `comparison` (default) | `pipeline_comparison` | `overhead` |
+//!   `streams` | `timeline` | `guided` | `breakdown` | `policy` |
+//!   `explain`;
+//! * `coverage` — for `measure:"guided"`, the fraction of sampled miss
+//!   latency the kept loops must cover (default 0.9);
 //! * `compare` — for `measure:"compare_compile"`, the other options
-//!   preset.
+//!   preset (default `o2_original`).
 //!
 //! Response lines (stdout, one per request, strict submission order):
 //!
@@ -84,25 +86,21 @@ fn parse_opts(name: &str) -> Result<CompileOptions, String> {
 
 fn parse_measure(req: &Json) -> Result<Measure, String> {
     let name = req.get("measure").and_then(Json::as_str).unwrap_or("comparison");
-    match name {
-        "plain" => Ok(Measure::Plain),
-        "comparison" => Ok(Measure::Comparison),
-        "pipeline_comparison" => Ok(Measure::PipelineComparison),
-        "overhead" => Ok(Measure::Overhead),
-        "streams" => Ok(Measure::Streams),
-        "timeline" => Ok(Measure::Timeline),
-        "breakdown" => Ok(Measure::Breakdown),
-        "policy" => Ok(Measure::Policy),
-        "guided" => {
-            let coverage = req.get("coverage").and_then(Json::as_f64).unwrap_or(0.9);
-            Ok(Measure::GuidedPrefetch { coverage })
+    let mut measure = Measure::named(name).ok_or_else(|| format!("unknown measure `{name}`"))?;
+    match &mut measure {
+        Measure::GuidedPrefetch { coverage } => {
+            if let Some(c) = req.get("coverage").and_then(Json::as_f64) {
+                *coverage = c;
+            }
         }
-        "compare_compile" => {
-            let other = req.get("compare").and_then(Json::as_str).unwrap_or("o2_original");
-            Ok(Measure::CompareCompile(Box::new(parse_opts(other)?)))
+        Measure::CompareCompile(other) => {
+            if let Some(name) = req.get("compare").and_then(Json::as_str) {
+                **other = parse_opts(name)?;
+            }
         }
-        other => Err(format!("unknown measure `{other}`")),
+        _ => {}
     }
+    Ok(measure)
 }
 
 /// Parses one request line into a [`Task`]. The runner's suite

@@ -87,6 +87,37 @@ fn serve_rows_match_the_batch_engine() {
     }
 }
 
+#[test]
+fn every_measure_name_round_trips_through_serve() {
+    // Serve parses a request's `measure` from the engine's own name
+    // table, so every measure (`explain` included) is servable and
+    // yields the row the batch engine gives the same cell.
+    let measures = Measure::all();
+    let requests: String = measures
+        .iter()
+        .map(|m| {
+            let name = m.name();
+            format!(r#"{{"workload":"mcf","tool":"unit","section":"{name}","measure":"{name}"}}"#)
+                + "\n"
+        })
+        .collect();
+    let (stream, cells, errors) = serve_stream(2, &requests);
+    assert_eq!((cells, errors), (measures.len(), 0), "{stream}");
+
+    let mut spec = ExperimentSpec::paper_defaults("unit", &Cli::fixed(0.05, 2)).baseline_dir(None);
+    for m in &measures {
+        assert_eq!(Measure::named(m.name()).map(|n| n.name()), Some(m.name()));
+        spec = spec.section(m.name(), &["mcf"], CompileOptions::o2(), m.clone());
+    }
+    let batch = spec.run();
+    for (line, m) in stream.lines().zip(&measures) {
+        let env = Json::parse(line).expect("envelope parses");
+        assert_eq!(env.get("section").and_then(Json::as_str), Some(m.name()));
+        let served = env.get("row").expect("row").to_string();
+        assert_eq!(served, batch.rows(m.name())[0].to_string(), "measure {}", m.name());
+    }
+}
+
 fn store_spec(dir: &PathBuf) -> ExperimentSpec {
     ExperimentSpec::paper_defaults("unit_store", &Cli::fixed(0.05, 2))
         .baseline_dir(Some(dir.clone()))

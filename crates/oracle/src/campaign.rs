@@ -26,6 +26,13 @@
 //!   `Machine::reset` — the snapshot/restore path built on the code
 //!   store's generation tags — instead of reallocating caches, TLB and
 //!   memory per case.
+//!
+//! Corpus minimization runs in the serial merge on the coordinator's
+//! own runner. Each candidate is decided by
+//! [`crate::diff::check_case_gated`], which stops as soon as one of the
+//! entry's novel keys is provably absent; [`MinimizerLedger`] counts
+//! where each candidate was decided, and a candidate that mismatches
+//! is reported like any other mismatch.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -33,7 +40,10 @@ use std::time::Instant;
 
 use workloads::Rng64;
 
-use crate::diff::{check_case, shrink, shrink_with, CaseResult, CaseRunner, DiffConfig};
+use crate::diff::{
+    check_case, check_case_gated, shrink, shrink_with, CaseResult, CaseRunner, Decided, DiffConfig,
+    Gated,
+};
 use crate::generator::{generate, static_coverage, Coverage, GenConfig};
 use crate::mutate::{mutate, MutateConfig};
 use crate::spec::ProgSpec;
@@ -117,6 +127,41 @@ pub struct CampaignMismatch {
     pub detail: String,
     /// The shrunk reproducer.
     pub spec: ProgSpec,
+    /// True when the mismatching program was a corpus-minimization
+    /// candidate derived from the case, not the case itself.
+    pub minimizing: bool,
+}
+
+/// Where the corpus minimizer decided its candidates (see
+/// [`Decided`]): the five parts sum to `candidates`. Minimization runs
+/// in the serial merge, so every count is independent of `jobs`.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct MinimizerLedger {
+    /// Candidates evaluated.
+    pub candidates: u64,
+    /// Decided before any leg ran.
+    pub before_legs: u64,
+    /// Decided after the reference interpreter alone.
+    pub after_reference: u64,
+    /// Decided after the reference and ADORE legs.
+    pub after_adore: u64,
+    /// Dropped after all three legs ran.
+    pub full_check: u64,
+    /// Kept: agreed and reproduced every novel key.
+    pub kept: u64,
+}
+
+impl MinimizerLedger {
+    fn count(&mut self, decided: Decided) {
+        self.candidates += 1;
+        *match decided {
+            Decided::BeforeLegs => &mut self.before_legs,
+            Decided::AfterReference => &mut self.after_reference,
+            Decided::AfterAdore => &mut self.after_adore,
+            Decided::FullCheck => &mut self.full_check,
+            Decided::Kept => &mut self.kept,
+        } += 1;
+    }
 }
 
 /// Everything a campaign run produced. All fields except
@@ -159,6 +204,8 @@ pub struct CampaignStats {
     pub cases_with_patches: u64,
     /// Total traces patched across agreeing cases.
     pub traces_patched_total: u64,
+    /// Where corpus minimization decided its candidates.
+    pub minimizer: MinimizerLedger,
     /// Machines built from scratch (jobs-dependent; not reported).
     pub machine_builds: u64,
     /// Machines re-armed in place (jobs-dependent; not reported).
@@ -173,16 +220,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// `feat:` coverage keys for the non-zero fields of a static feature
-/// vector.
-fn feat_keys(cov: &Coverage) -> Vec<String> {
-    cov.fields()
-        .into_iter()
-        .filter(|&(_, n)| n > 0)
-        .map(|(name, _)| format!("feat:{name}"))
-        .collect()
 }
 
 /// One planned case: what to run and where it came from.
@@ -350,7 +387,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
             }
             let static_cov = static_coverage(&planned.spec);
             stats.features.absorb(&static_cov);
-            let mut keys = feat_keys(&static_cov);
+            let mut keys = static_cov.keys();
             keys.extend(run_cov.keys.iter().cloned());
             keys.sort();
             keys.dedup();
@@ -375,7 +412,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
                     }
                     stats.new_key_events += 1;
                     let diff = case_diff(cfg, planned.case_seed);
-                    let spec = minimize_entry(&planned.spec, &novel, cfg, &diff, &mut coord);
+                    let spec = minimize_entry(planned, &novel, cfg, &mut stats, |c, need| {
+                        check_case_gated(c, &diff, &mut coord, need)
+                    });
                     persist_entry(cfg, &spec);
                     let energy = novel.len() as u64;
                     corpus.push(CorpusEntry { spec, novel_keys: novel, energy });
@@ -397,6 +436,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
                         stage: m.stage,
                         detail: m.detail,
                         spec,
+                        minimizing: false,
                     });
                 }
             }
@@ -410,25 +450,37 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignStats {
 }
 
 /// Minimizes an admitted entry while it still agrees and still
-/// produces every novel key that earned its admission.
+/// produces every novel key that earned its admission. `check` is
+/// [`check_case_gated`] on the entry's harness config; each answer is
+/// tallied in `stats.minimizer`, and the first candidate that
+/// mismatches is shrunk and recorded as a mismatch of the entry's case
+/// (one per entry bounds the shrinking a real divergence costs).
 fn minimize_entry(
-    spec: &ProgSpec,
+    entry: &Planned,
     novel: &[String],
     cfg: &CampaignConfig,
-    diff: &DiffConfig,
-    runner: &mut CaseRunner,
+    stats: &mut CampaignStats,
+    mut check: impl FnMut(&ProgSpec, &[String]) -> Gated,
 ) -> ProgSpec {
     if cfg.minimize_evals == 0 {
-        return spec.clone();
+        return entry.spec.clone();
     }
-    let (min, _used) = shrink_with(spec, cfg.minimize_evals, |candidate| {
-        let (result, run_cov) = check_case(candidate, diff, runner);
-        if !matches!(result, CaseResult::Agree { .. }) {
-            return false;
+    let mut found = false;
+    let (min, _used) = shrink_with(&entry.spec, cfg.minimize_evals, |candidate| {
+        let Gated { decided, result } = check(candidate, novel);
+        stats.minimizer.count(decided);
+        if let Some(CaseResult::Mismatch(m)) = result {
+            if !std::mem::replace(&mut found, true) {
+                stats.mismatches.push(CampaignMismatch {
+                    case_seed: entry.case_seed,
+                    stage: m.stage,
+                    detail: m.detail,
+                    spec: shrink(candidate, &case_diff(cfg, entry.case_seed)),
+                    minimizing: true,
+                });
+            }
         }
-        let mut keys = feat_keys(&static_coverage(candidate));
-        keys.extend(run_cov.keys);
-        novel.iter().all(|k| keys.contains(k))
+        decided == Decided::Kept
     });
     min
 }
@@ -436,6 +488,7 @@ fn minimize_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{FinalState, Mismatch};
 
     fn small_cfg(jobs: usize) -> CampaignConfig {
         CampaignConfig {
@@ -482,6 +535,66 @@ mod tests {
                 assert_eq!(a.corpus_imported, 0);
             }
         }
+    }
+
+    #[test]
+    fn minimizer_ledger_accounts_for_every_candidate_on_any_worker_count() {
+        let cfg = |jobs| CampaignConfig { minimize_evals: 8, alternate_exec: true, ..small_cfg(jobs) };
+        let a = run_campaign(&cfg(1));
+        let b = run_campaign(&cfg(2));
+        let l = &a.minimizer;
+        assert_eq!(*l, b.minimizer, "the ledger must not depend on jobs");
+        assert!(a.corpus_added > 0 && l.candidates > 0, "the smoke must minimize something");
+        assert!(l.candidates <= a.corpus_added * 8, "minimize_evals bounds each entry");
+        assert_eq!(
+            l.before_legs + l.after_reference + l.after_adore + l.full_check + l.kept,
+            l.candidates
+        );
+        assert!(l.before_legs + l.after_reference + l.after_adore > 0, "nothing decided early");
+    }
+
+    #[test]
+    fn a_mismatching_minimizer_candidate_is_reported() {
+        // Inject a checker whose first candidate mismatches on the
+        // ADORE leg and whose later ones lack a static key: the
+        // mismatch must be recorded once, against the entry's case
+        // seed, and the entry must come back unminimized.
+        let (spec, _) = generate(7, &GenConfig::default());
+        let entry = Planned { spec, origin: "gen", case_seed: 7, ops: Vec::new() };
+        let cfg = CampaignConfig {
+            minimize_evals: 6,
+            diff: DiffConfig { shrink_evals: 2, ..DiffConfig::default() },
+            ..small_cfg(1)
+        };
+        let mut stats = CampaignStats::default();
+        let mut calls = 0;
+        let min = minimize_entry(&entry, &["feat:ld8".into()], &cfg, &mut stats, |c, _| {
+            calls += 1;
+            if calls > 2 {
+                return Gated { decided: Decided::BeforeLegs, result: None };
+            }
+            let state = FinalState {
+                outcome: crate::diff::CaseOutcome::Halted,
+                gr: vec![0; 128],
+                pr: vec![false; 64],
+                fr: vec![0; 128],
+            };
+            let m = Mismatch {
+                stage: "adore",
+                detail: format!("injected ({} items)", c.items.len()),
+                reference: state.clone(),
+                observed: state,
+            };
+            Gated { decided: Decided::FullCheck, result: Some(CaseResult::Mismatch(Box::new(m))) }
+        });
+        assert_eq!(min, entry.spec, "no candidate was kept");
+        assert_eq!(stats.mismatches.len(), 1, "one mismatch per minimized entry");
+        let m = &stats.mismatches[0];
+        assert_eq!((m.case_seed, m.stage, m.minimizing), (7, "adore", true));
+        assert!(m.detail.starts_with("injected"), "{}", m.detail);
+        assert!(m.spec.items.len() < entry.spec.items.len(), "the candidate, not the entry");
+        let l = &stats.minimizer;
+        assert_eq!((l.candidates, l.full_check, l.before_legs), (calls as u64, 2, calls as u64 - 2));
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! first differing 8-byte word. Cycle counts and cache statistics are
 //! *expected* to differ — that is the point of the optimizer — so they
 //! are never compared.
+//!
+//! The legs run reference → ADORE → plain, since the ADORE leg produces
+//! most coverage keys, but the verdict names the first failure in the
+//! order listed above, so a plain-leg failure wins over an ADORE one.
+//! [`check_case_gated`] stops early once a required coverage key is
+//! provably absent; the campaign's corpus minimizer uses it.
 
 use adore::AdoreConfig;
 use isa::{Fr, Gr, Pr};
@@ -26,6 +32,7 @@ use sim::{
     CacheConfig, ExecPath, Fault, Machine, MachineConfig, Memory, SamplingConfig, StopReason,
 };
 
+use crate::generator::static_coverage;
 use crate::interp::{Interp, Outcome};
 use crate::spec::ProgSpec;
 
@@ -485,14 +492,97 @@ pub fn check(spec: &ProgSpec, cfg: &DiffConfig) -> CaseResult {
 /// states, reusing `runner`'s pre-built machines where possible, and
 /// returns the verdict together with the runtime coverage the ADORE
 /// leg produced (empty unless the case reached agreement).
+///
+/// The legs run reference → ADORE → plain, but the verdict names the
+/// first failure in the order reference, plain, ADORE: when the ADORE
+/// leg fails, the plain leg still runs, and a plain failure wins.
 pub fn check_case(
     spec: &ProgSpec,
     cfg: &DiffConfig,
     runner: &mut CaseRunner,
 ) -> (CaseResult, RunCoverage) {
+    let (_, result, coverage) = run_case(spec, cfg, runner, &[]);
+    (result.expect("an ungated case always reaches a verdict"), coverage)
+}
+
+/// Where a [`check_case_gated`] answer became known.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decided {
+    /// Before any leg ran: the spec did not assemble, or a required
+    /// `feat:` key is absent from its static features.
+    BeforeLegs,
+    /// After the reference interpreter: it ran out of fuel, or a
+    /// required `outcome:` key names another outcome.
+    AfterReference,
+    /// After an ADORE leg that agreed with the reference but produced
+    /// no trace of a required key only that leg can produce.
+    AfterAdore,
+    /// After every leg ran, without keeping the candidate: a leg
+    /// failed, or a required key (e.g. `tier:compiled`, which either
+    /// simulated leg may supply) was still absent.
+    FullCheck,
+    /// After every leg ran: the case agreed and produced every
+    /// required key.
+    Kept,
+}
+
+/// The answer of [`check_case_gated`].
+#[derive(Debug, Clone)]
+pub struct Gated {
+    /// Where the answer became known.
+    pub decided: Decided,
+    /// The verdict, or `None` when the gate stopped the case early: a
+    /// required key was provably absent while every leg run so far
+    /// agreed with the reference.
+    pub result: Option<CaseResult>,
+}
+
+/// [`check_case`] for a candidate that must agree and reproduce every
+/// coverage key in `required` (the campaign's corpus minimizer). It
+/// stops as soon as one required key is provably absent: `feat:` keys
+/// before any leg runs, `outcome:` keys after the reference leg, keys
+/// only the ADORE leg produces after that leg (when it agreed), and
+/// `tier:compiled` / `tier:deopt` only after both simulated legs. A
+/// verdict it does reach is the one [`check_case`] would give.
+pub fn check_case_gated(
+    spec: &ProgSpec,
+    cfg: &DiffConfig,
+    runner: &mut CaseRunner,
+    required: &[String],
+) -> Gated {
+    let (decided, result, _) = run_case(spec, cfg, runner, required);
+    Gated { decided, result }
+}
+
+/// Keys only the plain leg may add once the ADORE leg has run.
+fn plain_may_supply(key: &str) -> bool {
+    key == "tier:compiled" || key == "tier:deopt"
+}
+
+/// The shared body of [`check_case`] and [`check_case_gated`]: runs
+/// the legs in the order that decides soonest, stopping early only
+/// for an absent `required` key.
+fn run_case(
+    spec: &ProgSpec,
+    cfg: &DiffConfig,
+    runner: &mut CaseRunner,
+    required: &[String],
+) -> (Decided, Option<CaseResult>, RunCoverage) {
+    let none = RunCoverage::default;
+    let feat = if required.iter().any(|k| k.starts_with("feat:")) {
+        static_coverage(spec).keys()
+    } else {
+        Vec::new()
+    };
+    if required.iter().any(|k| k.starts_with("feat:") && !feat.contains(k)) {
+        return (Decided::BeforeLegs, None, none());
+    }
     let program = match spec.assemble() {
         Ok(p) => p,
-        Err(e) => return (CaseResult::Undecided(format!("assemble: {e}")), RunCoverage::default()),
+        Err(e) => {
+            let why = CaseResult::Undecided(format!("assemble: {e}"));
+            return (Decided::BeforeLegs, Some(why), none());
+        }
     };
 
     // One arena image, loaded into all three legs.
@@ -506,56 +596,21 @@ pub fn check_case(
         Outcome::Halted => CaseOutcome::Halted,
         Outcome::Faulted(f) => CaseOutcome::from_fault(f),
         Outcome::OutOfFuel => {
-            return (
-                CaseResult::Inconclusive {
-                    leg: "reference",
-                    why: format!("interpreter fuel exhausted ({} insns)", cfg.fuel),
-                },
-                RunCoverage::default(),
-            );
+            let why = CaseResult::Inconclusive {
+                leg: "reference",
+                why: format!("interpreter fuel exhausted ({} insns)", cfg.fuel),
+            };
+            return (Decided::AfterReference, Some(why), none());
         }
     };
+    let outcome_key = format!("outcome:{}", ref_outcome.label());
+    if required.iter().any(|k| k.starts_with("outcome:") && *k != outcome_key) {
+        return (Decided::AfterReference, None, none());
+    }
     let reference = capture_state(ref_outcome, |r| interp.gr(r), |p| interp.pr(p), |f| interp.fr(f));
 
-    // Plain machine: full timing model, no sampling, no ADORE.
-    let plain = CaseRunner::lease(
-        &mut runner.plain,
-        &mut runner.builds,
-        &mut runner.resets,
-        program.clone(),
-        base_machine_config(spec, cfg),
-    );
-    spec.load_arena(plain.mem_mut(), &image);
-    let plain_outcome = match plain.run(cfg.cycle_limit) {
-        StopReason::Halted => CaseOutcome::Halted,
-        StopReason::Faulted(f) => CaseOutcome::from_fault(f),
-        _ => {
-            return (
-                CaseResult::Inconclusive {
-                    leg: "plain",
-                    why: format!("cycle cap hit ({} cycles)", cfg.cycle_limit),
-                },
-                RunCoverage::default(),
-            );
-        }
-    };
-    let plain_state = capture_state(plain_outcome, |r| plain.gr(r), |p| plain.pr(p), |f| plain.fr(f));
-    let plain_jit = plain.jit_stats();
-    if let Some(detail) = first_difference(&reference, &plain_state)
-        .or_else(|| memory_difference(interp.mem(), plain.mem()))
-    {
-        return (
-            CaseResult::Mismatch(Box::new(Mismatch {
-                stage: "plain",
-                detail,
-                reference,
-                observed: plain_state,
-            })),
-            RunCoverage::default(),
-        );
-    }
-
-    // ADORE machine: sampling on, aggressive optimizer.
+    // ADORE machine: sampling on, aggressive optimizer. It runs before
+    // the plain leg because it alone produces most coverage keys.
     let mut adore_config = fuzz_adore_config(spec.seed);
     if let Some(p) = &cfg.pipeline {
         adore_config.pipeline = p.clone();
@@ -567,46 +622,68 @@ pub fn check_case(
         &mut runner.adore,
         &mut runner.builds,
         &mut runner.resets,
-        program,
+        program.clone(),
         adore_config.machine_config(base_machine_config(spec, cfg)),
     );
     spec.load_arena(opt.mem_mut(), &image);
     let report = adore::run_with_limit(opt, &adore_config, cfg.cycle_limit);
-    let opt_outcome = if let Some(f) = opt.fault() {
-        CaseOutcome::from_fault(f)
+    let opt_jit = opt.jit_stats();
+    let adore_failure = if let Some(f) = opt.fault() {
+        adore_difference(&reference, &interp, opt, CaseOutcome::from_fault(f))
     } else if opt.is_halted() {
-        CaseOutcome::Halted
+        adore_difference(&reference, &interp, opt, CaseOutcome::Halted)
     } else {
-        return (
-            CaseResult::Inconclusive {
-                leg: "adore",
-                why: format!("cycle cap hit ({} cycles)", cfg.cycle_limit),
-            },
-            RunCoverage::default(),
-        );
+        Some(CaseResult::Inconclusive {
+            leg: "adore",
+            why: format!("cycle cap hit ({} cycles)", cfg.cycle_limit),
+        })
     };
-    let opt_state = capture_state(opt_outcome, |r| opt.gr(r), |p| opt.pr(p), |f| opt.fr(f));
-    if let Some(detail) = first_difference(&reference, &opt_state)
-        .or_else(|| memory_difference(interp.mem(), opt.mem()))
-    {
-        return (
-            CaseResult::Mismatch(Box::new(Mismatch {
-                stage: "adore",
-                detail,
-                reference,
-                observed: opt_state,
-            })),
-            RunCoverage::default(),
-        );
-    }
 
     // Tier coverage: which execution path ran, and whether the
     // threaded tier actually compiled (and deoptimized) on either
     // simulated leg — a threaded fuzz run that never compiles is not
     // exercising the tier it claims to.
-    let opt_jit = opt.jit_stats();
     let mut coverage = run_coverage(ref_outcome, &report);
     coverage.keys.push(format!("tier:{}", cfg.exec_path.name()));
+    let adore_lacks = |key: &String, coverage: &RunCoverage| {
+        !key.starts_with("feat:") && !plain_may_supply(key) && !coverage.keys.contains(key)
+    };
+    if adore_failure.is_none() && required.iter().any(|k| adore_lacks(k, &coverage)) {
+        return (Decided::AfterAdore, None, none());
+    }
+
+    // Plain machine: full timing model, no sampling, no ADORE.
+    let plain = CaseRunner::lease(
+        &mut runner.plain,
+        &mut runner.builds,
+        &mut runner.resets,
+        program,
+        base_machine_config(spec, cfg),
+    );
+    spec.load_arena(plain.mem_mut(), &image);
+    let plain_outcome = match plain.run(cfg.cycle_limit) {
+        StopReason::Halted => CaseOutcome::Halted,
+        StopReason::Faulted(f) => CaseOutcome::from_fault(f),
+        _ => {
+            let why = CaseResult::Inconclusive {
+                leg: "plain",
+                why: format!("cycle cap hit ({} cycles)", cfg.cycle_limit),
+            };
+            return (Decided::FullCheck, Some(why), none());
+        }
+    };
+    let plain_state = capture_state(plain_outcome, |r| plain.gr(r), |p| plain.pr(p), |f| plain.fr(f));
+    if let Some(detail) = first_difference(&reference, &plain_state)
+        .or_else(|| memory_difference(interp.mem(), plain.mem()))
+    {
+        let mismatch = Mismatch { stage: "plain", detail, reference, observed: plain_state };
+        return (Decided::FullCheck, Some(CaseResult::Mismatch(Box::new(mismatch))), none());
+    }
+    if let Some(failure) = adore_failure {
+        return (Decided::FullCheck, Some(failure), none());
+    }
+
+    let plain_jit = plain.jit_stats();
     let compiled = [plain_jit, opt_jit]
         .iter()
         .flatten()
@@ -622,15 +699,32 @@ pub fn check_case(
     coverage.keys.sort();
     coverage.keys.dedup();
 
-    (
-        CaseResult::Agree {
-            outcome: ref_outcome,
-            traces_patched: report.traces_patched,
-            instrumented: report.instrumented,
-            promoted: report.promoted,
-        },
-        coverage,
-    )
+    let kept = required
+        .iter()
+        .all(|k| k.starts_with("feat:") || coverage.keys.contains(k));
+    let agree = CaseResult::Agree {
+        outcome: ref_outcome,
+        traces_patched: report.traces_patched,
+        instrumented: report.instrumented,
+        promoted: report.promoted,
+    };
+    let decided = if kept { Decided::Kept } else { Decided::FullCheck };
+    (decided, Some(agree), coverage)
+}
+
+/// The ADORE leg's mismatch against the reference, if any: registers
+/// first, then every byte of the arena.
+fn adore_difference(
+    reference: &FinalState,
+    interp: &Interp,
+    opt: &Machine,
+    outcome: CaseOutcome,
+) -> Option<CaseResult> {
+    let observed = capture_state(outcome, |r| opt.gr(r), |p| opt.pr(p), |f| opt.fr(f));
+    let detail = first_difference(reference, &observed)
+        .or_else(|| memory_difference(interp.mem(), opt.mem()))?;
+    let reference = reference.clone();
+    Some(CaseResult::Mismatch(Box::new(Mismatch { stage: "adore", detail, reference, observed })))
 }
 
 /// Minimizes a mismatching spec: repeatedly drops item ranges
@@ -880,13 +974,67 @@ mod tests {
         let cfg = DiffConfig { cycle_limit: 1_000, ..DiffConfig::default() };
         match check(&spec, &cfg) {
             CaseResult::Inconclusive { leg, why } => {
-                assert_eq!(leg, "plain", "the plain leg runs first and hits the cap first");
+                assert_eq!(leg, "plain", "both simulated legs hit the cap; the plain one wins");
                 assert!(why.contains("cycle cap"), "why must name the budget: {why}");
             }
             other => panic!("expected Inconclusive, got {other:?}"),
         }
         assert!(check(&spec, &cfg).is_inconclusive());
         assert!(!check(&spec, &cfg).is_mismatch(), "a capped run is never a mismatch");
+    }
+
+    #[test]
+    fn the_gate_stops_where_a_required_key_is_first_provably_absent() {
+        // The spin loop has no loads, halts, patches nothing and never
+        // compiles on the fast tier; its own keys are all reproduced.
+        let spec = spin_spec(2_000);
+        let cfg = DiffConfig::default();
+        let mut runner = CaseRunner::new();
+        let (full, cov) = check_case(&spec, &cfg, &mut runner);
+        assert!(matches!(full, CaseResult::Agree { .. }), "got {full:?}");
+        let mut own = static_coverage(&spec).keys();
+        own.extend(cov.keys.iter().cloned());
+        let gated = |need: &[&str], runner: &mut CaseRunner| {
+            let need: Vec<String> = need.iter().map(|k| k.to_string()).collect();
+            check_case_gated(&spec, &cfg, runner, &need)
+        };
+        for (need, decided) in [
+            (vec!["feat:ldf"], Decided::BeforeLegs),
+            (vec!["outcome:store_fault"], Decided::AfterReference),
+            (vec!["outcome:halted", "adore:patched"], Decided::AfterAdore),
+            (vec!["tier:fast", "tier:compiled"], Decided::FullCheck),
+        ] {
+            let g = gated(&need, &mut runner);
+            assert_eq!(g.decided, decided, "required {need:?}");
+            // An early stop carries no verdict; the full check carries
+            // check_case's.
+            match decided {
+                Decided::FullCheck => assert_eq!(
+                    format!("{:?}", g.result.expect("a full check reaches a verdict")),
+                    format!("{full:?}")
+                ),
+                _ => assert!(g.result.is_none(), "required {need:?}: {:?}", g.result),
+            }
+        }
+        let own: Vec<&str> = own.iter().map(String::as_str).collect();
+        let kept = gated(&own, &mut runner);
+        assert_eq!(kept.decided, Decided::Kept);
+        assert_eq!(format!("{:?}", kept.result.unwrap()), format!("{full:?}"));
+    }
+
+    #[test]
+    fn a_failing_leg_is_never_gated_away() {
+        // The gate stops only while every leg so far agreed: a capped
+        // ADORE leg still lets the plain leg run, and its verdict wins.
+        let spec = spin_spec(100_000);
+        let cfg = DiffConfig { cycle_limit: 1_000, ..DiffConfig::default() };
+        let need = vec!["adore:patched".to_string()];
+        let g = check_case_gated(&spec, &cfg, &mut CaseRunner::new(), &need);
+        assert_eq!(g.decided, Decided::FullCheck);
+        match g.result {
+            Some(CaseResult::Inconclusive { leg, .. }) => assert_eq!(leg, "plain"),
+            other => panic!("expected the plain leg's cap, got {other:?}"),
+        }
     }
 
     #[test]

@@ -117,6 +117,15 @@ impl Coverage {
         }
     }
 
+    /// The campaign's `feat:` coverage keys: one per non-zero field.
+    pub fn keys(&self) -> Vec<String> {
+        self.fields()
+            .into_iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(name, _)| format!("feat:{name}"))
+            .collect()
+    }
+
     /// `(name, count)` pairs, stable order — for the JSON report.
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
         vec![

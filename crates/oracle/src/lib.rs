@@ -36,11 +36,11 @@ pub mod spec;
 pub mod text;
 
 pub use campaign::{
-    run_campaign, CampaignConfig, CampaignMismatch, CampaignStats, CorpusEntry,
+    run_campaign, CampaignConfig, CampaignMismatch, CampaignStats, CorpusEntry, MinimizerLedger,
 };
 pub use diff::{
-    check, check_case, shrink, shrink_with, CaseOutcome, CaseResult, CaseRunner, DiffConfig,
-    FinalState, Mismatch, RunCoverage,
+    check, check_case, check_case_gated, shrink, shrink_with, CaseOutcome, CaseResult, CaseRunner,
+    Decided, DiffConfig, FinalState, Gated, Mismatch, RunCoverage,
 };
 pub use generator::{generate, static_coverage, Coverage, GenConfig};
 pub use interp::{Interp, Outcome};

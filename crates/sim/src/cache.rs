@@ -24,6 +24,12 @@ pub struct Cache {
     tags: Vec<u64>,
     /// LRU stamps, larger is more recent.
     stamps: Vec<u64>,
+    /// `mru[set]`: the tag of the set's most recently stamped line
+    /// (`u64::MAX` when the set is empty). That line already holds its
+    /// set's newest stamp, so a lookup that finds it returns at once:
+    /// re-stamping it would leave every LRU order, and so every victim
+    /// choice, unchanged.
+    mru: Vec<u64>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -54,6 +60,7 @@ impl Cache {
             ways,
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
+            mru: vec![u64::MAX; sets],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -64,8 +71,7 @@ impl Cache {
     /// all stamps and statistics zero — without touching the tag/stamp
     /// allocations (the snapshot-reset fast path between fuzz cases).
     pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.clear();
         self.tick = 0;
         self.hits = 0;
         self.misses = 0;
@@ -96,20 +102,37 @@ impl Cache {
         ((line as usize) & (self.sets - 1), line)
     }
 
+    /// Stamps `way` of the set at `base` as its newest line.
+    fn stamp(&mut self, set: usize, base: usize, way: usize, tag: u64) {
+        self.tick += 1;
+        self.stamps[base + way] = self.tick;
+        self.mru[set] = tag;
+    }
+
+    /// The way of the set at `base` holding `tag`, if any.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        self.tags[base..base + self.ways].iter().position(|&t| t == tag)
+    }
+
     /// Looks up `addr`; on hit refreshes LRU and returns `true`.
     pub fn access(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.tick += 1;
+        if self.mru[set] == tag {
+            self.hits += 1;
+            return true;
+        }
         let base = set * self.ways;
-        for way in 0..self.ways {
-            if self.tags[base + way] == tag {
-                self.stamps[base + way] = self.tick;
+        match self.find(base, tag) {
+            Some(way) => {
+                self.stamp(set, base, way, tag);
                 self.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
             }
         }
-        self.misses += 1;
-        false
     }
 
     /// [`Cache::access`] and, on a miss, [`Cache::fill`] in a single
@@ -121,27 +144,37 @@ impl Cache {
     #[inline]
     pub fn access_fill(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.tick += 1;
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            if self.tags[base + way] == tag {
-                self.stamps[base + way] = self.tick;
-                self.hits += 1;
-                return true;
-            }
+        if self.mru[set] == tag {
+            self.hits += 1;
+            return true;
         }
-        self.miss_fill(base, tag);
-        false
+        self.access_fill_scan(set, tag)
     }
 
-    /// Out-of-line miss half of [`Cache::access_fill`]: keeps the
-    /// inlined hit path small in the interpreter's hot loop.
+    /// Out-of-line way scan of [`Cache::access_fill`] for a line other
+    /// than its set's newest: keeps the inlined path in the
+    /// interpreter's hot loop to a shift, a mask and one compare.
     #[inline(never)]
-    fn miss_fill(&mut self, base: usize, tag: u64) {
+    fn access_fill_scan(&mut self, set: usize, tag: u64) -> bool {
+        let base = set * self.ways;
+        if let Some(way) = self.find(base, tag) {
+            self.stamp(set, base, way, tag);
+            self.hits += 1;
+            return true;
+        }
         self.misses += 1;
         // Empty ways carry stamp 0 and real stamps start at 1, so the
         // min-stamp scan picks the first empty way exactly as `fill`'s
         // explicit empty-way preference does.
+        let victim = self.lru_way(base);
+        self.tags[base + victim] = tag;
+        self.stamp(set, base, victim, tag);
+        false
+    }
+
+    /// The way of the set at `base` with the oldest stamp (the first
+    /// empty way, if any: empty ways carry stamp 0).
+    fn lru_way(&self, base: usize) -> usize {
         let mut victim = 0;
         let mut oldest = u64::MAX;
         for way in 0..self.ways {
@@ -150,65 +183,56 @@ impl Cache {
                 victim = way;
             }
         }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.tick;
+        victim
     }
 
     /// Refreshes the line's LRU stamp if present (a single-scan
     /// equivalent of `probe` + `fill`-on-present); no statistics move.
     pub fn touch(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            if self.tags[base + way] == tag {
-                self.tick += 1;
-                self.stamps[base + way] = self.tick;
-                return true;
-            }
+        if self.mru[set] == tag {
+            return true;
         }
-        false
+        let base = set * self.ways;
+        match self.find(base, tag) {
+            Some(way) => {
+                self.stamp(set, base, way, tag);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Checks for presence without touching LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.ways;
-        (0..self.ways).any(|w| self.tags[base + w] == tag)
+        self.find(set * self.ways, tag).is_some()
     }
 
     /// Fills the line containing `addr`, evicting the LRU way.
     pub fn fill(&mut self, addr: u64) {
         let (set, tag) = self.set_and_tag(addr);
+        if self.mru[set] == tag {
+            return;
+        }
         let base = set * self.ways;
         // Already present: just refresh.
-        for way in 0..self.ways {
-            if self.tags[base + way] == tag {
-                self.tick += 1;
-                self.stamps[base + way] = self.tick;
-                return;
+        let way = match self.find(base, tag) {
+            Some(way) => way,
+            None => {
+                let victim = self.lru_way(base);
+                self.tags[base + victim] = tag;
+                victim
             }
-        }
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for way in 0..self.ways {
-            if self.tags[base + way] == u64::MAX {
-                victim = way;
-                break;
-            }
-            if self.stamps[base + way] < oldest {
-                oldest = self.stamps[base + way];
-                victim = way;
-            }
-        }
-        self.tick += 1;
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.tick;
+        };
+        self.stamp(set, base, way, tag);
     }
 
     /// Empties the cache.
     pub fn clear(&mut self) {
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
+        self.mru.fill(u64::MAX);
     }
 }
 
@@ -324,24 +348,28 @@ pub struct Hierarchy {
     l2: Cache,
     l3: Cache,
     /// Completion cycles of in-flight misses (demand and prefetch).
+    /// Pruned lazily (see `prune`): every reader and writer of this
+    /// list and of `pending_fills` prunes first.
     inflight: Vec<u64>,
     /// Prefetch lines with a future fill-completion cycle; accesses that
     /// arrive before completion pay the remaining latency (partial
     /// prefetch coverage instead of all-or-nothing).
     pending_fills: Vec<(u64, u64)>, // (line address of L2, completion cycle)
+    /// The earliest completion cycle in `inflight` and `pending_fills`
+    /// (`u64::MAX` when both are empty): until it has passed, pruning
+    /// would remove nothing.
+    next_completion: u64,
+    /// The latest cycle of a load that skipped its prune (an L1D or
+    /// L2 hit with no fill pending) since the last prune. Access cycles
+    /// are not monotonic (a DTLB miss delays a load's cycle past a
+    /// later `lfetch`'s), so the next prune covers this cycle too, and
+    /// removes exactly what pruning on every load would have.
+    prune_due: u64,
     /// Earliest cycle the memory bus can start the next line fill.
     mem_next_free: u64,
     /// `!(l2_line - 1)`: masks an address down to its L2 line base
     /// without a hardware divide (line sizes are powers of two).
     l2_line_mask: u64,
-    /// `log2(l1i_line)` for the ifetch memo's line number.
-    l1i_line_shift: u32,
-    /// Line of the most recent `ifetch` hit. L1I state changes only
-    /// through `ifetch`, so consecutive fetches of the same line can
-    /// skip the lookup exactly: no other L1I stamp can move in
-    /// between, the memoized line already holds its set's newest
-    /// stamp, and a hit touches no lower level.
-    last_ifetch_line: u64,
     lfetch_issued: u64,
     lfetch_dropped: u64,
 }
@@ -366,11 +394,10 @@ impl Hierarchy {
             l3: Cache::new("L3", config.l3_size, config.l3_line, config.l3_ways),
             inflight: Vec::new(),
             pending_fills: Vec::new(),
+            next_completion: u64::MAX,
+            prune_due: 0,
             mem_next_free: 0,
             l2_line_mask: !(config.l2_line - 1),
-            l1i_line_shift: config.l1i_line.trailing_zeros(),
-            // No code line can reach u64::MAX, so MAX means "no memo".
-            last_ifetch_line: u64::MAX,
             config,
             lfetch_issued: 0,
             lfetch_dropped: 0,
@@ -379,7 +406,7 @@ impl Hierarchy {
 
     /// Restores the just-constructed state in place: all four caches
     /// emptied, in-flight misses and pending prefetch fills dropped,
-    /// memo and statistics cleared. Equivalent to
+    /// statistics cleared. Equivalent to
     /// `Hierarchy::new(self.config().clone())` but reuses every
     /// allocation.
     pub fn reset(&mut self) {
@@ -389,8 +416,9 @@ impl Hierarchy {
         self.l3.reset();
         self.inflight.clear();
         self.pending_fills.clear();
+        self.next_completion = u64::MAX;
+        self.prune_due = 0;
         self.mem_next_free = 0;
-        self.last_ifetch_line = u64::MAX;
         self.lfetch_issued = 0;
         self.lfetch_dropped = 0;
     }
@@ -415,15 +443,33 @@ impl Hierarchy {
         ]
     }
 
+    /// Drops in-flight misses and pending fills that completed by
+    /// `now` or by a skipped prune's cycle (`prune_due`); a no-op
+    /// until the earliest of them has completed.
     fn prune(&mut self, now: u64) {
-        if !self.inflight.is_empty() {
-            self.inflight.retain(|&c| c > now);
+        let now = now.max(std::mem::take(&mut self.prune_due));
+        if now < self.next_completion {
+            return;
         }
-        if !self.pending_fills.is_empty() {
-            self.pending_fills.retain(|&(_, c)| c > now);
-        }
+        self.inflight.retain(|&c| c > now);
+        self.pending_fills.retain(|&(_, c)| c > now);
+        self.next_completion = self
+            .inflight
+            .iter()
+            .chain(self.pending_fills.iter().map(|(_, c)| c))
+            .copied()
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
+    /// Records a miss (or prefetch fill) in flight until `complete`.
+    fn start_inflight(&mut self, complete: u64) {
+        self.inflight.push(complete);
+        self.next_completion = self.next_completion.min(complete);
+    }
+
+    /// Cycles a new miss at `now` queues for a free MSHR. Reads the
+    /// in-flight list, so the caller has pruned it.
     fn mshr_wait(&self, now: u64) -> u64 {
         if self.inflight.len() < self.config.mshrs {
             return 0;
@@ -438,80 +484,69 @@ impl Hierarchy {
     /// Itanium 2 (so its best case is the L2 latency).
     #[inline]
     pub fn load(&mut self, addr: u64, now: u64, fp: bool) -> AccessResult {
-        // Hot case: nothing in flight, nothing pending, plain integer
-        // L1D hit. `prune` and the pending-fill lookup are no-ops on
-        // empty lists, so skipping them is exact.
-        if !fp && self.inflight.is_empty() && self.pending_fills.is_empty() {
-            if self.l1d.access_fill(addr) {
-                return AccessResult {
-                    level: HitLevel::L1,
-                    latency: self.config.l1_latency,
-                };
-            }
-            // L1D already looked up (and the line filled); continue
-            // from L2 exactly as the full path would.
-            return self.load_beyond_l1(addr, now);
-        }
-        self.load_full(addr, now, fp)
-    }
-
-    /// Out-of-line general case of [`Hierarchy::load`]: in-flight or
-    /// pending state to maintain, or an FP access.
-    #[inline(never)]
-    fn load_full(&mut self, addr: u64, now: u64, fp: bool) -> AccessResult {
-        self.prune(now);
-
-        // Overlap with an in-flight prefetch of the same line: pay only
-        // the remaining fill latency (partial prefetch coverage). The
-        // prune above removed completed fills, so any match is still in
-        // flight even if the tag arrays were updated eagerly.
         if !self.pending_fills.is_empty() {
-            let l2_line = addr & self.l2_line_mask;
-            let pending = self
-                .pending_fills
-                .iter()
-                .filter(|&&(l, _)| l == l2_line)
-                .map(|&(_, c)| c)
-                .min();
-            if let Some(complete) = pending {
-                let remaining = complete.saturating_sub(now).max(self.config.l1_latency);
-                self.fill_all(addr, fp);
-                let level = if remaining <= self.config.l2_latency {
-                    HitLevel::L2
-                } else if remaining <= self.config.l3_latency {
-                    HitLevel::L3
-                } else {
-                    HitLevel::Memory
-                };
-                return AccessResult {
-                    level,
-                    latency: remaining,
-                };
+            if let Some(overlap) = self.pending_overlap(addr, now, fp) {
+                return overlap;
             }
         }
+        // The L1D and L2 lookups read no in-flight state, so the prune
+        // waits for the next reader of that state (see `prune_due`).
+        self.prune_due = self.prune_due.max(now);
         // Each level is looked up with `access_fill`, which fills the
         // line on a miss in the same scan; by the time the servicing
         // level is known, every level above it is already filled, so no
-        // trailing `fill_all` is needed (FP accesses still skip L1D).
+        // trailing `fill_all` is needed (FP accesses skip L1D).
         if !fp && self.l1d.access_fill(addr) {
             return AccessResult {
                 level: HitLevel::L1,
                 latency: self.config.l1_latency,
             };
         }
-        self.load_beyond_l1(addr, now)
-    }
-
-    /// L2-and-below portion of a demand load; the L1D lookup (for
-    /// integer accesses) has already happened and missed.
-    #[inline(never)]
-    fn load_beyond_l1(&mut self, addr: u64, now: u64) -> AccessResult {
         if self.l2.access_fill(addr) {
             return AccessResult {
                 level: HitLevel::L2,
                 latency: self.config.l2_latency,
             };
         }
+        self.load_beyond_l2(addr, now)
+    }
+
+    /// Out-of-line half of [`Hierarchy::load`] while prefetch fills are
+    /// pending: a load of a line still being filled pays only the
+    /// remaining fill latency (partial prefetch coverage). `None` when
+    /// no pending fill covers the line.
+    #[inline(never)]
+    fn pending_overlap(&mut self, addr: u64, now: u64, fp: bool) -> Option<AccessResult> {
+        // The prune removes completed fills, so any match is still in
+        // flight even though the tag arrays were updated eagerly.
+        self.prune(now);
+        let l2_line = addr & self.l2_line_mask;
+        let complete = self
+            .pending_fills
+            .iter()
+            .filter(|&&(l, _)| l == l2_line)
+            .map(|&(_, c)| c)
+            .min()?;
+        let remaining = complete.saturating_sub(now).max(self.config.l1_latency);
+        self.fill_all(addr, fp);
+        let level = if remaining <= self.config.l2_latency {
+            HitLevel::L2
+        } else if remaining <= self.config.l3_latency {
+            HitLevel::L3
+        } else {
+            HitLevel::Memory
+        };
+        Some(AccessResult {
+            level,
+            latency: remaining,
+        })
+    }
+
+    /// L3-and-below portion of a demand load; the L1D (for integer
+    /// accesses) and L2 lookups have already happened and missed.
+    #[inline(never)]
+    fn load_beyond_l2(&mut self, addr: u64, now: u64) -> AccessResult {
+        self.prune(now);
         let queue = self.mshr_wait(now);
         let (level, latency) = if self.l3.access_fill(addr) {
             (HitLevel::L3, self.config.l3_latency + queue)
@@ -521,7 +556,7 @@ impl Hierarchy {
             self.mem_next_free = start + self.config.mem_service_interval;
             (HitLevel::Memory, start - now + self.config.mem_latency)
         };
-        self.inflight.push(now + latency);
+        self.start_inflight(now + latency);
         AccessResult { level, latency }
     }
 
@@ -567,7 +602,7 @@ impl Hierarchy {
             self.mem_next_free = start + self.config.mem_service_interval;
             start - now + self.config.mem_latency
         };
-        self.inflight.push(now + latency);
+        self.start_inflight(now + latency);
         self.pending_fills.push((l2_line, now + latency));
         // Tag arrays are updated eagerly; timing is handled by
         // `pending_fills` when a demand access arrives early.
@@ -576,28 +611,20 @@ impl Hierarchy {
 
     /// A timed instruction fetch of the bundle at `addr`.
     ///
-    /// Returns the stall in cycles (0 on an L1I hit).
+    /// Returns the stall in cycles (0 on an L1I hit). Consecutive
+    /// fetches from one line hit L1I's newest-line check, a shift, a
+    /// mask and one compare.
     #[inline]
     pub fn ifetch(&mut self, addr: u64, _now: u64) -> u64 {
-        let line = addr >> self.l1i_line_shift;
-        if line == self.last_ifetch_line {
-            // Repeat of the last fetched line: guaranteed L1I hit; only
-            // the hit counter needs to move (see field docs).
-            self.l1i.hits += 1;
-            return 0;
-        }
-        self.ifetch_new_line(addr, line)
-    }
-
-    /// Out-of-line half of [`Hierarchy::ifetch`] for a line other than
-    /// the memoized one; keeps the per-bundle inlined path to a shift
-    /// and a compare.
-    #[inline(never)]
-    fn ifetch_new_line(&mut self, addr: u64, line: u64) -> u64 {
-        self.last_ifetch_line = line;
         if self.l1i.access_fill(addr) {
             return 0;
         }
+        self.ifetch_miss(addr)
+    }
+
+    /// Out-of-line L1I-miss half of [`Hierarchy::ifetch`].
+    #[inline(never)]
+    fn ifetch_miss(&mut self, addr: u64) -> u64 {
         if self.l2.access_fill(addr) {
             self.config.l2_latency
         } else if self.l3.access_fill(addr) {
@@ -736,6 +763,82 @@ mod tests {
         c.fill(256); // evicts 128
         assert!(c.access(0));
         assert!(!c.access(128));
+    }
+
+    #[test]
+    fn newest_line_shortcut_matches_a_reference_lru() {
+        // A per-set recency list is true LRU by construction; the
+        // cache's stamps plus its newest-line shortcut must agree with
+        // it on every hit, miss and victim over a conflict-heavy
+        // stream of mixed operations.
+        let (sets, ways, line) = (4usize, 3usize, 64u64);
+        let mut c = Cache::new("t", sets as u64 * ways as u64 * line, line, ways);
+        let mut lists: Vec<Vec<u64>> = vec![Vec::new(); sets];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Few distinct lines, so hits on the newest line are common.
+            let lineno = (x >> 8) % 24;
+            let addr = lineno * line + (x & 63);
+            let list = &mut lists[(lineno as usize) % sets];
+            let pos = list.iter().position(|&l| l == lineno);
+            let refresh = |list: &mut Vec<u64>, pos: Option<usize>| {
+                if let Some(p) = pos {
+                    list.remove(p);
+                } else if list.len() == ways {
+                    list.remove(0);
+                }
+                list.push(lineno);
+            };
+            match x % 4 {
+                0 => {
+                    assert_eq!(c.access(addr), pos.is_some(), "access, step {step}");
+                    if pos.is_some() {
+                        refresh(list, pos);
+                    }
+                }
+                1 => {
+                    assert_eq!(c.access_fill(addr), pos.is_some(), "access_fill, step {step}");
+                    refresh(list, pos);
+                }
+                2 => {
+                    assert_eq!(c.touch(addr), pos.is_some(), "touch, step {step}");
+                    if pos.is_some() {
+                        refresh(list, pos);
+                    }
+                }
+                _ => {
+                    c.fill(addr);
+                    refresh(list, pos);
+                }
+            }
+            for (set, list) in lists.iter().enumerate() {
+                for l in 0..24u64 {
+                    if l as usize % sets == set {
+                        assert_eq!(c.probe(l * line), list.contains(&l), "line {l}, step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_skipped_prune_still_frees_mshrs_for_an_earlier_cycle() {
+        // Access cycles are not monotonic: a load delayed by a DTLB
+        // miss carries a later cycle than the next `lfetch`. Misses
+        // that completed by the load's cycle must not hold MSHRs
+        // against that `lfetch`, even though the load hit L1D and
+        // skipped its prune.
+        let mut h = Hierarchy::new(CacheConfig { mshrs: 4, ..CacheConfig::default() });
+        for i in 0..4u64 {
+            h.load(0x1000_0000 + i * 4096, 0, false);
+        }
+        let late = 10 * h.config().mem_latency;
+        assert_eq!(h.load(0x1000_0000, late, false).level, HitLevel::L1);
+        h.lfetch(0x2000_0000, h.config().mem_latency / 2);
+        assert_eq!(h.lfetch_stats(), (1, 0), "the lfetch found every MSHR free");
     }
 
     #[test]

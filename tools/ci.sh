@@ -53,7 +53,9 @@
 #      and coverage scheduling on) run at --jobs 1 and --jobs 4 must
 #      produce byte-identical reports and corpus directories; the
 #      campaign report schema (coverage keys, mutation/origin ledgers,
-#      inconclusive counter) is validated, cases must have run on both
+#      inconclusive counter, a minimizer ledger that sums to its
+#      candidate count with some decided before the plain leg) is
+#      validated, cases must have run on both
 #      tiers and through compiled and deopted threaded regions (every
 #      case runs on snapshot-reset machines).
 #      ADORE_NIGHTLY=1 additionally runs a >=100k-case campaign sweep.
@@ -420,7 +422,7 @@ assert sum(doc["outcomes"].values()) + doc["inconclusive"] + doc["undecided"] \
 c = doc["campaign"]
 for key in ("rounds", "batch", "corpus_imported", "corpus_added",
             "corpus_len", "new_key_events", "coverage_keys", "coverage_hits",
-            "mutations", "origins"):
+            "mutations", "origins", "minimizer"):
     assert key in c, f"campaign section missing {key!r}"
 assert c["rounds"] == 3 and c["batch"] == 48, "campaign geometry must match the flags"
 assert c["corpus_added"] > 0, "no case earned corpus admission: coverage is dead"
@@ -438,9 +440,18 @@ assert c["origins"].get("gen", 0) > 0, "fresh generation must contribute cases"
 assert c["origins"].get("mutate", 0) > 0, "corpus mutation must contribute cases"
 assert sum(c["origins"].values()) == doc["cases"]
 assert sum(c["mutations"].values()) > 0, "no mutation operator ever applied"
+# Minimization runs in the serial merge: every candidate is decided at
+# exactly one point, and the gate must stop some before the plain leg.
+m = c["minimizer"]
+parts = ("before_legs", "after_reference", "after_adore", "full_check", "kept")
+assert sum(m[p] for p in parts) == m["candidates"], f"minimizer ledger does not sum: {m}"
+assert m["candidates"] > 0, "the campaign smoke minimized nothing"
+assert m["before_legs"] + m["after_reference"] + m["after_adore"] > 0, \
+    f"no minimizer candidate was decided before the plain leg: {m}"
 print(f"  ok: {doc['cases']} campaign cases, corpus +{c['corpus_added']},"
       f" {c['coverage_keys']} coverage keys,"
-      f" origins {dict(c['origins'])}, {doc['inconclusive']} inconclusive")
+      f" origins {dict(c['origins'])}, {doc['inconclusive']} inconclusive,"
+      f" minimizer {dict(m)}")
 EOF
 rm -rf "$cdir1" "$cdir2"
 
