@@ -7,7 +7,9 @@
 //! `results/bench_simulator.json` is nanoseconds per simulated
 //! instruction. ci.sh gates the fast and threaded rows on their
 //! speedup over the reference row (at least 2x and 4x) and prints the
-//! threaded:fast ratio without a gate.
+//! threaded:fast ratio without a gate. `machine/compute_tail_fast`
+//! times the fast tier on codegen's compute-tail loop, which is almost
+//! all register-only bundles; ci.sh prints it without a gate.
 //!
 //! The benchmarks run in interleaved rounds (10, or 3 with `--quick`):
 //! each round runs every selected benchmark once, so the tiers are
@@ -87,6 +89,30 @@ fn strided_loop(iters: u64) -> u64 {
     m.cycles()
 }
 
+/// The codegen compute-tail shape, `iters` times: runs of
+/// `add acc, acc, acc` (register-only bundles, the fast tier's short
+/// path), then the loop-closing `addi`/`cmpi`/`br.cond`. Built once;
+/// each run returns the retired count.
+fn compute_tail(iters: u64) -> impl Fn() -> u64 {
+    let mut a = Asm::new();
+    a.movl(Gr(9), iters as i64);
+    a.label("loop");
+    for _ in 0..16 {
+        a.add(Gr(20), Gr(20), Gr(20));
+    }
+    a.addi(Gr(9), Gr(9), -1);
+    a.cmpi(CmpOp::Gt, Pr(1), Pr(2), Gr(9), 0);
+    a.br_cond(Pr(1), "loop");
+    a.halt();
+    let program = a.finish(CODE_BASE).unwrap();
+    move || {
+        let config = MachineConfig { exec_path: ExecPath::Fast, ..MachineConfig::default() };
+        let mut m = Machine::new(program.clone(), config);
+        m.run(u64::MAX);
+        m.retired()
+    }
+}
+
 fn streaming_loads(n: u64) -> u64 {
     let mut h = Hierarchy::new(CacheConfig::default());
     let mut total = 0u64;
@@ -156,6 +182,9 @@ fn main() {
     benches.push(Bench::new("machine/strided_loop_100k_iters", Some(iters), move || {
         strided_loop(iters)
     }));
+    let tail = compute_tail(iters);
+    let tail_insns = tail();
+    benches.push(Bench::new("machine/compute_tail_fast", Some(tail_insns), tail));
     benches
         .push(Bench::new("cache/hierarchy_streaming_loads", Some(n), move || streaming_loads(n)));
     benches.push(Bench::new("cache/single_cache_hits", Some(n), move || single_cache_hits(n)));

@@ -19,7 +19,7 @@
 //! operation, never between steps — while tests can assert that a
 //! patch really did fix up its entry by comparing tags.
 
-use isa::{Addr, Bundle, Insn, Op, Program, TRACE_POOL_BASE};
+use isa::{Addr, Bundle, Gr, Insn, Op, Pr, Program, NUM_GR, NUM_PR, TRACE_POOL_BASE};
 
 /// Slot flag: the instruction reads floating-point registers and needs
 /// the FP scoreboard walk.
@@ -96,6 +96,12 @@ pub struct DecodedBundle {
     pub live: [u8; 3],
     /// Number of live slots.
     pub live_len: u8,
+    /// True when the bundle is *register-only*: it has a live slot, and
+    /// every live slot is an unpredicated integer ALU or compare op
+    /// whose register indices are all in range (see `is_reg_only`).
+    /// The fast tier runs such a bundle on a short path (see
+    /// [`crate::exec`]).
+    pub reg_only: bool,
     /// Store generation at which this entry was (re)decoded.
     pub generation: u64,
 }
@@ -124,6 +130,7 @@ impl DecodedBundle {
             cond_branch_mask,
             live,
             live_len,
+            reg_only: live_len > 0 && bundle.iter_real().all(|(_, insn)| is_reg_only(insn)),
             generation,
         }
     }
@@ -133,6 +140,33 @@ impl DecodedBundle {
     pub fn live(&self) -> &[u8] {
         &self.live[..self.live_len as usize]
     }
+}
+
+/// True for an unpredicated `add`, `adds`, `sub`, `shladd`, `and`, `or`,
+/// `xor`, `movl`, `mov`, `cmp` or immediate `cmp` whose general
+/// registers are below [`NUM_GR`] and whose predicates are below
+/// [`NUM_PR`]: the ops [`Machine::exec_alu_op`](crate::Machine) defines.
+/// Each has zero latency, reads only general registers, and cannot
+/// fault, halt, branch or touch memory. An op with an out-of-range
+/// register stays outside the class, so it takes the general path and
+/// panics there.
+fn is_reg_only(insn: &Insn) -> bool {
+    let gr = |r: Gr| r.index() < NUM_GR;
+    let pr = |p: Pr| p.index() < NUM_PR;
+    insn.qp.is_none()
+        && match insn.op {
+            Op::Add { d, a, b }
+            | Op::Sub { d, a, b }
+            | Op::Shladd { d, a, b, .. }
+            | Op::And { d, a, b }
+            | Op::Or { d, a, b }
+            | Op::Xor { d, a, b } => gr(d) && gr(a) && gr(b),
+            Op::AddI { d, a, .. } | Op::Mov { d, s: a } => gr(d) && gr(a),
+            Op::MovL { d, .. } => gr(d),
+            Op::Cmp { pt, pf, a, b, .. } => pr(pt) && pr(pf) && gr(a) && gr(b),
+            Op::CmpI { pt, pf, a, .. } => pr(pt) && pr(pf) && gr(a),
+            _ => false,
+        }
 }
 
 /// Location of a decoded bundle inside the store: segment plus index.
@@ -269,7 +303,7 @@ impl CodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa::{AccessSize, Fr, Gr, Pr, SlotKind, CODE_BASE};
+    use isa::{AccessSize, CmpOp, Fr, SlotKind, CODE_BASE};
 
     fn prog(bundles: Vec<Bundle>) -> Program {
         Program::new(CODE_BASE, bundles)
@@ -326,6 +360,274 @@ mod tests {
         assert_eq!(d.cond_branch_mask, 1 << br_slot);
         assert_eq!(d.live(), &[br_slot as u8], "every other slot is a nop");
         assert_eq!(d.slots[br_slot].qp, 1);
+    }
+
+    /// One instance of every `Op` variant, all registers in range,
+    /// each with whether it is in the register-only class. The
+    /// classifying match has no wildcard, so a new variant fails to
+    /// compile here until it is listed.
+    fn every_op() -> Vec<(Op, bool)> {
+        let (d, a, b) = (Gr(20), Gr(14), Gr(15));
+        let (pt, pf) = (Pr(1), Pr(2));
+        let (f, g, h) = (Fr(9), Fr(8), Fr(7));
+        let target = Addr(CODE_BASE);
+        let size = AccessSize::U8;
+        let op = CmpOp::Lt;
+        let ops = [
+            Op::Nop(SlotKind::I),
+            Op::Add { d, a, b },
+            Op::AddI { d, a, imm: -1 },
+            Op::Sub { d, a, b },
+            Op::Shladd { d, a, count: 3, b },
+            Op::And { d, a, b },
+            Op::Or { d, a, b },
+            Op::Xor { d, a, b },
+            Op::MovL { d, imm: 1 << 40 },
+            Op::Mov { d, s: a },
+            Op::Cmp { op, pt, pf, a, b },
+            Op::CmpI {
+                op,
+                pt,
+                pf,
+                a,
+                imm: 0,
+            },
+            Op::Ld {
+                d,
+                base: a,
+                post_inc: 8,
+                size,
+                spec: false,
+            },
+            Op::Ld {
+                d,
+                base: a,
+                post_inc: 0,
+                size,
+                spec: true,
+            },
+            Op::St {
+                s: d,
+                base: a,
+                post_inc: 8,
+                size,
+            },
+            Op::Ldf {
+                d: f,
+                base: a,
+                post_inc: 8,
+            },
+            Op::Stf {
+                s: f,
+                base: a,
+                post_inc: 8,
+            },
+            Op::Lfetch {
+                base: a,
+                post_inc: 64,
+            },
+            Op::Fma {
+                d: f,
+                a: g,
+                b: h,
+                c: f,
+            },
+            Op::Fadd { d: f, a: g, b: h },
+            Op::Fmul { d: f, a: g, b: h },
+            Op::Getf { d, s: f },
+            Op::Setf { d: f, s: a },
+            Op::Br { target },
+            Op::BrCond { target },
+            Op::BrCall { target },
+            Op::BrRet,
+            Op::Alloc,
+            Op::Halt,
+        ];
+        ops.into_iter()
+            .map(|op| {
+                let class = match op {
+                    Op::Add { .. }
+                    | Op::AddI { .. }
+                    | Op::Sub { .. }
+                    | Op::Shladd { .. }
+                    | Op::And { .. }
+                    | Op::Or { .. }
+                    | Op::Xor { .. }
+                    | Op::MovL { .. }
+                    | Op::Mov { .. }
+                    | Op::Cmp { .. }
+                    | Op::CmpI { .. } => true,
+                    Op::Nop(_)
+                    | Op::Ld { .. }
+                    | Op::St { .. }
+                    | Op::Ldf { .. }
+                    | Op::Stf { .. }
+                    | Op::Lfetch { .. }
+                    | Op::Fma { .. }
+                    | Op::Fadd { .. }
+                    | Op::Fmul { .. }
+                    | Op::Getf { .. }
+                    | Op::Setf { .. }
+                    | Op::Br { .. }
+                    | Op::BrCond { .. }
+                    | Op::BrCall { .. }
+                    | Op::BrRet
+                    | Op::Alloc
+                    | Op::Halt => false,
+                };
+                (op, class)
+            })
+            .collect()
+    }
+
+    fn reg_only(insns: &[Insn]) -> bool {
+        DecodedBundle::decode(&Bundle::pack(insns).unwrap(), 0).reg_only
+    }
+
+    #[test]
+    fn the_register_only_class_is_unpredicated_in_range_integer_alu_ops() {
+        let ops = every_op();
+        let variants: std::collections::HashSet<_> = ops
+            .iter()
+            .map(|(op, _)| std::mem::discriminant(op))
+            .collect();
+        assert_eq!(variants.len(), 28, "one entry per `Op` variant");
+
+        for (op, class) in ops {
+            // Alone in its bundle (a lone nop leaves no live slot), then
+            // predicated, even on `p0`, and beside a memory op.
+            assert_eq!(reg_only(&[Insn::new(op)]), class, "{op:?}");
+            assert!(
+                !reg_only(&[Insn::predicated(Pr(1), op)]),
+                "predicated {op:?}"
+            );
+            assert!(
+                !reg_only(&[Insn::predicated(Pr(0), op)]),
+                "p0-predicated {op:?}"
+            );
+            let st = Insn::new(Op::St {
+                s: Gr(1),
+                base: Gr(2),
+                post_inc: 0,
+                size: AccessSize::U8,
+            });
+            if let Some(b) = Bundle::pack(&[st, Insn::new(op)]) {
+                assert!(
+                    !DecodedBundle::decode(&b, 0).reg_only,
+                    "{op:?} beside a store"
+                );
+            }
+        }
+
+        // A full bundle of class ops is in; a trailing `br.cond`, the
+        // loop-closing bundle, is not.
+        let add = Insn::new(Op::Add {
+            d: Gr(20),
+            a: Gr(20),
+            b: Gr(20),
+        });
+        let addi = Insn::new(Op::AddI {
+            d: Gr(9),
+            a: Gr(9),
+            imm: -1,
+        });
+        assert!(reg_only(&[add, addi]));
+        assert!(!reg_only(&[
+            addi,
+            Insn::predicated(
+                Pr(1),
+                Op::BrCond {
+                    target: Addr(CODE_BASE)
+                }
+            )
+        ]));
+    }
+
+    #[test]
+    fn an_out_of_range_register_leaves_the_register_only_class() {
+        let (x, y) = (Gr(20), Gr(14));
+        let bad = Gr(isa::NUM_GR as u8);
+        let bad_p = Pr(isa::NUM_PR as u8);
+        let three: [fn(Gr, Gr, Gr) -> Op; 6] = [
+            |d, a, b| Op::Add { d, a, b },
+            |d, a, b| Op::Sub { d, a, b },
+            |d, a, b| Op::Shladd { d, a, count: 2, b },
+            |d, a, b| Op::And { d, a, b },
+            |d, a, b| Op::Or { d, a, b },
+            |d, a, b| Op::Xor { d, a, b },
+        ];
+        let mut ops: Vec<Op> = three
+            .iter()
+            .flat_map(|mk| [mk(bad, x, y), mk(x, bad, y), mk(x, y, bad)])
+            .collect();
+        let op = CmpOp::Eq;
+        ops.extend([
+            Op::AddI {
+                d: bad,
+                a: x,
+                imm: 1,
+            },
+            Op::AddI {
+                d: x,
+                a: bad,
+                imm: 1,
+            },
+            Op::Mov { d: bad, s: x },
+            Op::Mov { d: x, s: bad },
+            Op::MovL { d: bad, imm: 1 },
+            Op::Cmp {
+                op,
+                pt: bad_p,
+                pf: Pr(2),
+                a: x,
+                b: y,
+            },
+            Op::Cmp {
+                op,
+                pt: Pr(1),
+                pf: bad_p,
+                a: x,
+                b: y,
+            },
+            Op::Cmp {
+                op,
+                pt: Pr(1),
+                pf: Pr(2),
+                a: bad,
+                b: y,
+            },
+            Op::Cmp {
+                op,
+                pt: Pr(1),
+                pf: Pr(2),
+                a: x,
+                b: bad,
+            },
+            Op::CmpI {
+                op,
+                pt: bad_p,
+                pf: Pr(2),
+                a: x,
+                imm: 0,
+            },
+            Op::CmpI {
+                op,
+                pt: Pr(1),
+                pf: bad_p,
+                a: x,
+                imm: 0,
+            },
+            Op::CmpI {
+                op,
+                pt: Pr(1),
+                pf: Pr(2),
+                a: bad,
+                imm: 0,
+            },
+        ]);
+        for op in ops {
+            assert!(!reg_only(&[Insn::new(op)]), "{op:?}");
+        }
     }
 
     #[test]

@@ -40,10 +40,24 @@
 //!   in one slot can feed a later slot of the same bundle;
 //! - **sample-due check inline**: the sampled instantiation carries one
 //!   `cycle >= next_at` compare per bundle; the sample itself is out of
-//!   line. The unsampled instantiation carries no sample check at all.
+//!   line. The unsampled instantiation carries no sample check at all;
+//! - **register-only bundles**: predecode marks a bundle whose live
+//!   slots are all unpredicated integer ALU or compare ops with in-range
+//!   register indices ([`DecodedBundle::reg_only`](crate::DecodedBundle)).
+//!   Entered with `cycle >= pending_until`, such a bundle runs its slots
+//!   back to back, with no predicate, watermark, `Flow`, fault, halt or
+//!   branch-mask test. Every op in the class has zero latency and reads
+//!   only general registers, all ready by `pending_until <= cycle`, so
+//!   no read can stall; none can fault, halt, branch or touch memory;
+//!   and each write leaves `pending_until == cycle`, so the watermark
+//!   still holds for the next slot. Indices are masked instead of
+//!   bounds-checked, which changes none of them, because decode checked
+//!   them; an out-of-range index takes the general path and panics there.
 //!
 //! Instruction semantics are not duplicated: every tier runs the one
-//! definition in `Machine::exec_slot_op`, and both interpreters share
+//! definition in `Machine::exec_slot_op` (whose integer ALU and compare
+//! arms are `Machine::exec_alu_op`, the op set the register-only path
+//! runs directly), and both interpreters share
 //! `advance_after_bundle`, so the fast path cannot drift on what an
 //! instruction *does* — only on how the bundle is fetched and
 //! scheduled, which is exactly what the golden cycle-exactness tests
@@ -81,6 +95,21 @@ impl Machine {
                 self.pmu.counters.stall_icache += istall;
                 self.cycle += istall;
                 self.half_bundle = false;
+            }
+
+            if db.reg_only && self.cycle >= self.pending_until {
+                // Register-only: no slot can stall, fault, halt or
+                // branch, and none is predicated, so the slots run back
+                // to back. Their writes are ready now, which keeps
+                // `cycle >= pending_until` for the later slots.
+                for &slot in db.live() {
+                    self.exec_alu_op::<true>(&db.slots[slot as usize].insn.op);
+                }
+                self.pmu.counters.retired += 3;
+                if self.end_bundle::<SAMPLING>(bundle_addr, None, full_on_entry, cycle_limit) {
+                    break;
+                }
+                continue;
             }
 
             let mut taken: Option<Addr> = None;
@@ -143,30 +172,46 @@ impl Machine {
                 self.record_off_cond_branches(&insns, bundle_addr, fall_through);
             }
 
-            self.advance_after_bundle(fall_through, taken);
-            // The sample comes before every stop check, as in the
-            // reference retire path: its interrupt cost moves the clock,
-            // so the cycle limit is tested on the clock after it, and a
-            // halting bundle can still fill the buffer (`drive` then
-            // reports the overflow first).
-            if SAMPLING {
-                let sampled = self.take_sample(Pc::new(bundle_addr, 0));
-                if full_on_entry || (sampled && self.sample_buffer_full()) {
-                    break;
-                }
-            }
-            if self.halted || self.cycle >= cycle_limit {
+            if self.end_bundle::<SAMPLING>(bundle_addr, taken, full_on_entry, cycle_limit) {
                 break;
             }
         }
         self.store = store;
     }
+
+    /// The tail of every bundle `run_fast` completes: advances the ip
+    /// and the clock, takes a due sample, and returns whether the loop
+    /// must stop. The sample comes before every stop check, as in the
+    /// reference retire path: its interrupt cost moves the clock, so
+    /// the cycle limit is tested on the clock after it, and a halting
+    /// bundle can still fill the buffer (`drive` then reports the
+    /// overflow first).
+    #[inline(always)]
+    fn end_bundle<const SAMPLING: bool>(
+        &mut self,
+        bundle_addr: Addr,
+        taken: Option<Addr>,
+        full_on_entry: bool,
+        cycle_limit: u64,
+    ) -> bool {
+        self.advance_after_bundle(bundle_addr.offset_bundles(1), taken);
+        if SAMPLING {
+            let sampled = self.take_sample(Pc::new(bundle_addr, 0));
+            if full_on_entry || (sampled && self.sample_buffer_full()) {
+                return true;
+            }
+        }
+        self.halted || self.cycle >= cycle_limit
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use isa::{AccessSize, Addr, Bundle, Gr, Insn, Op, Pc, Program, SlotKind, CODE_BASE};
+    use isa::{
+        AccessSize, Addr, Bundle, CmpOp, Gr, Insn, Op, Pc, Pr, Program, SlotKind, CODE_BASE,
+    };
 
+    use crate::code::CodeStore;
     use crate::machine::{ExecPath, Fault, Machine, MachineConfig, SamplingConfig, StopReason};
     use crate::pmu::Counters;
     use crate::DATA_BASE;
@@ -186,6 +231,14 @@ mod tests {
             d: Gr(d),
             a: Gr(a),
             b: Gr(b),
+        })
+    }
+
+    fn addi(d: u8, a: u8, imm: i64) -> Insn {
+        Insn::new(Op::AddI {
+            d: Gr(d),
+            a: Gr(a),
+            imm,
         })
     }
 
@@ -218,6 +271,7 @@ mod tests {
         ip: Addr,
         fault: Option<Fault>,
         gr: Vec<i64>,
+        pr: Vec<bool>,
     }
 
     fn run_on(path: ExecPath, bundles: &[Bundle], sampling: &Option<SamplingConfig>) -> Outcome {
@@ -250,6 +304,7 @@ mod tests {
             ip: m.ip(),
             fault: m.fault(),
             gr: m.gr.to_vec(),
+            pr: m.pr.to_vec(),
         }
     }
 
@@ -273,6 +328,41 @@ mod tests {
             jitter: 0.0,
             ..SamplingConfig::default()
         })
+    }
+
+    /// Runs `bundles` on `path` in chunks of `step` cycles, sampling
+    /// every cycle into a three-entry buffer at an interrupt cost of 20
+    /// cycles, so a sample can itself carry the clock past the limit.
+    /// Returns every stop with the cycle and retired count it left.
+    fn chunked_stops(path: ExecPath, bundles: &[Bundle], step: u64) -> Vec<(StopReason, u64, u64)> {
+        let config = MachineConfig {
+            exec_path: path,
+            sampling: Some(SamplingConfig {
+                per_sample_cost: 20,
+                ..every_cycle(3).unwrap()
+            }),
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::new(Program::new(CODE_BASE, bundles.to_vec()), config);
+        let mut stops = Vec::new();
+        let mut limit = 0;
+        loop {
+            limit += step;
+            let stop = m.run(limit);
+            stops.push((stop, m.cycles(), m.retired()));
+            m.drain_samples();
+            if stop == StopReason::Halted {
+                return stops;
+            }
+        }
+    }
+
+    /// Whether predecode puts bundle `index` of `bundles` in the
+    /// register-only class.
+    fn reg_only(bundles: &[Bundle], index: i64) -> bool {
+        let store = CodeStore::new(&Program::new(CODE_BASE, bundles.to_vec()));
+        let loc = store.locate(Addr(CODE_BASE).offset_bundles(index)).unwrap();
+        store.decoded(loc).reg_only
     }
 
     #[test]
@@ -398,31 +488,110 @@ mod tests {
             ]),
             branch_only(Op::Halt),
         ];
-        let stops = |path| {
-            let config = MachineConfig {
-                exec_path: path,
-                sampling: Some(SamplingConfig {
-                    per_sample_cost: 20,
-                    ..every_cycle(3).unwrap()
-                }),
-                ..MachineConfig::default()
-            };
-            let mut m = Machine::new(Program::new(CODE_BASE, bundles.to_vec()), config);
-            let mut stops = Vec::new();
-            let mut limit = 0;
-            loop {
-                limit += 7;
-                let stop = m.run(limit);
-                stops.push((stop, m.cycles(), m.retired()));
-                m.drain_samples();
-                if stop == StopReason::Halted {
-                    return stops;
-                }
-            }
-        };
-        let fast = stops(ExecPath::Fast);
+        let fast = chunked_stops(ExecPath::Fast, &bundles, 7);
         assert!(fast.iter().any(|s| s.0 == StopReason::CycleLimit));
-        assert_eq!(fast, stops(ExecPath::Reference));
+        assert_eq!(fast, chunked_stops(ExecPath::Reference, &bundles, 7));
+    }
+
+    #[test]
+    fn a_register_only_bundle_entered_under_a_pending_load_stalls() {
+        // The load's consumers fill a register-only bundle that starts
+        // while the load is still in flight: the bundle must take the
+        // stalling path, not the short one.
+        let bundles = [
+            movl(14, DATA_BASE as i64),
+            bundle([ld(20, 14), Insn::nop(SlotKind::I), Insn::nop(SlotKind::I)]),
+            bundle([Insn::nop(SlotKind::M), add(21, 20, 20), add(22, 21, 0)]),
+            branch_only(Op::Halt),
+        ];
+        assert!(reg_only(&bundles, 2));
+        let out = run_both(&bundles, None);
+        assert!(
+            out.counters.stall_mem > 0,
+            "the consumer must wait for the load"
+        );
+    }
+
+    #[test]
+    fn register_only_writes_to_r0_and_p0_stay_no_ops() {
+        let cmpi = |pt: u8, pf: u8| {
+            Insn::new(Op::CmpI {
+                op: CmpOp::Eq,
+                pt: Pr(pt),
+                pf: Pr(pf),
+                a: Gr(9),
+                imm: 7,
+            })
+        };
+        let bundles = [
+            movl(9, 7),
+            // `r0 = 14`, and `p0` gets the false half of a true compare.
+            bundle([Insn::nop(SlotKind::M), add(0, 9, 9), cmpi(1, 0)]),
+            // `p0` gets the false result of `r9 != r9`; `r21 = r0 + r9`.
+            bundle([
+                Insn::nop(SlotKind::M),
+                Insn::new(Op::Cmp {
+                    op: CmpOp::Ne,
+                    pt: Pr(0),
+                    pf: Pr(2),
+                    a: Gr(9),
+                    b: Gr(9),
+                }),
+                add(21, 0, 9),
+            ]),
+            // Still issues: `p0` is true.
+            bundle([
+                Insn::nop(SlotKind::M),
+                Insn::predicated(Pr(0), addi(22, 9, 1).op),
+                Insn::nop(SlotKind::I),
+            ]),
+            branch_only(Op::Halt),
+        ];
+        assert!((0..3).all(|i| reg_only(&bundles, i)));
+        let out = run_both(&bundles, None);
+        assert_eq!(out.gr[0], 0, "r0 reads zero");
+        assert_eq!(out.gr[21], 7, "r0 read as zero inside the class");
+        assert!(out.pr[0], "p0 stays true");
+        assert!(out.pr[1] && out.pr[2], "the other halves were written");
+        assert_eq!(out.gr[22], 8, "a p0-predicated slot issues");
+    }
+
+    #[test]
+    fn samples_fills_and_cycle_limits_land_on_register_only_bundles() {
+        // A straight line of register-only bundles, so samples, buffer
+        // fills and cycle limits land on them.
+        let mut bundles: Vec<Bundle> = (0..24)
+            .map(|_| bundle([Insn::nop(SlotKind::M), add(21, 21, 9), addi(9, 9, 1)]))
+            .collect();
+        bundles.push(branch_only(Op::Halt));
+        let halt = Addr(CODE_BASE).offset_bundles(24);
+        assert!((0..24).all(|i| reg_only(&bundles, i)));
+
+        let out = run_both(&bundles, every_cycle(2));
+        let (last, fills) = out.stops.split_last().unwrap();
+        assert_eq!(*last, StopReason::Halted);
+        assert!(
+            fills.len() >= 4,
+            "the buffer fills repeatedly: {:?}",
+            out.stops
+        );
+        assert!(fills.iter().all(|&s| s == StopReason::SampleBufferOverflow));
+        let on_reg_only = out
+            .samples
+            .iter()
+            .filter(|&&(_, pc, _)| pc.addr != halt)
+            .count();
+        assert!(on_reg_only >= 8, "samples land on register-only bundles");
+        assert_eq!(out.gr[9], 24);
+
+        let fast = chunked_stops(ExecPath::Fast, &bundles, 1);
+        assert!(
+            fast.iter()
+                .filter(|s| s.0 == StopReason::CycleLimit)
+                .count()
+                >= 4
+        );
+        assert_eq!(fast, chunked_stops(ExecPath::Reference, &bundles, 1));
     }
 
     #[test]

@@ -1121,46 +1121,19 @@ impl Machine {
         let ready = |lat: u64| if TIMED { now + lat } else { now };
         match op {
             Op::Nop(_) | Op::Alloc => {}
-            Op::Add { d, a, b } => {
-                let v = self.gr[a.index()].wrapping_add(self.gr[b.index()]);
-                self.write_gr(d, v, now);
-            }
-            Op::AddI { d, a, imm } => {
-                let v = self.gr[a.index()].wrapping_add(imm);
-                self.write_gr(d, v, now);
-            }
-            Op::Sub { d, a, b } => {
-                let v = self.gr[a.index()].wrapping_sub(self.gr[b.index()]);
-                self.write_gr(d, v, now);
-            }
-            Op::Shladd { d, a, count, b } => {
-                let v = (self.gr[a.index()] << count).wrapping_add(self.gr[b.index()]);
-                self.write_gr(d, v, now);
-            }
-            Op::And { d, a, b } => {
-                self.write_gr(d, self.gr[a.index()] & self.gr[b.index()], now);
-            }
-            Op::Or { d, a, b } => {
-                self.write_gr(d, self.gr[a.index()] | self.gr[b.index()], now);
-            }
-            Op::Xor { d, a, b } => {
-                self.write_gr(d, self.gr[a.index()] ^ self.gr[b.index()], now);
-            }
-            Op::MovL { d, imm } => self.write_gr(d, imm, now),
-            Op::Mov { d, s } => {
-                let v = self.gr[s.index()];
-                self.write_gr(d, v, now);
-            }
-            Op::Cmp { op, pt, pf, a, b } => {
-                let r = op.eval(self.gr[a.index()], self.gr[b.index()]);
-                self.write_pr(pt, r);
-                self.write_pr(pf, !r);
-            }
-            Op::CmpI { op, pt, pf, a, imm } => {
-                let r = op.eval(self.gr[a.index()], imm);
-                self.write_pr(pt, r);
-                self.write_pr(pf, !r);
-            }
+            // One arm per op, so that the inlined helper's own match
+            // folds to that op's body instead of dispatching again.
+            Op::Add { .. } => self.exec_alu_op::<false>(&op),
+            Op::AddI { .. } => self.exec_alu_op::<false>(&op),
+            Op::Sub { .. } => self.exec_alu_op::<false>(&op),
+            Op::Shladd { .. } => self.exec_alu_op::<false>(&op),
+            Op::And { .. } => self.exec_alu_op::<false>(&op),
+            Op::Or { .. } => self.exec_alu_op::<false>(&op),
+            Op::Xor { .. } => self.exec_alu_op::<false>(&op),
+            Op::MovL { .. } => self.exec_alu_op::<false>(&op),
+            Op::Mov { .. } => self.exec_alu_op::<false>(&op),
+            Op::Cmp { .. } => self.exec_alu_op::<false>(&op),
+            Op::CmpI { .. } => self.exec_alu_op::<false>(&op),
             Op::Ld {
                 d,
                 base,
@@ -1169,16 +1142,16 @@ impl Machine {
                 spec,
             } => {
                 let addr = self.gr[base.index()] as u64;
-                let value = if spec {
-                    self.mem.read_spec(addr, size.bytes())
-                } else if self.mem.contains(addr, size.bytes()) {
-                    self.mem.read(addr, size.bytes())
-                } else {
-                    self.fault = Some(Fault::UnmappedLoad {
-                        addr,
-                        len: size.bytes(),
-                    });
-                    return Flow::Stop;
+                let value = match self.mem.try_read(addr, size.bytes()) {
+                    Some(v) => v,
+                    None if spec => 0,
+                    None => {
+                        self.fault = Some(Fault::UnmappedLoad {
+                            addr,
+                            len: size.bytes(),
+                        });
+                        return Flow::Stop;
+                    }
                 };
                 let lat = if MEM {
                     self.load_latency(pc, addr, false)
@@ -1198,15 +1171,16 @@ impl Machine {
                 size,
             } => {
                 let addr = self.gr[base.index()] as u64;
-                if !self.mem.contains(addr, size.bytes()) {
+                if !self
+                    .mem
+                    .try_write(addr, size.bytes(), self.gr[s.index()] as u64)
+                {
                     self.fault = Some(Fault::UnmappedStore {
                         addr,
                         len: size.bytes(),
                     });
                     return Flow::Stop;
                 }
-                self.mem
-                    .write(addr, size.bytes(), self.gr[s.index()] as u64);
                 if MEM {
                     let _ = self.tlb.access(addr); // stores fill but don't stall
                     self.caches.store(addr);
@@ -1218,11 +1192,11 @@ impl Machine {
             }
             Op::Ldf { d, base, post_inc } => {
                 let addr = self.gr[base.index()] as u64;
-                if !self.mem.contains(addr, 8) {
+                let Some(bits) = self.mem.try_read(addr, 8) else {
                     self.fault = Some(Fault::UnmappedLoad { addr, len: 8 });
                     return Flow::Stop;
-                }
-                let value = self.mem.read_f64(addr);
+                };
+                let value = f64::from_bits(bits);
                 let lat = if MEM {
                     self.load_latency(pc, addr, true)
                 } else {
@@ -1236,11 +1210,10 @@ impl Machine {
             }
             Op::Stf { s, base, post_inc } => {
                 let addr = self.gr[base.index()] as u64;
-                if !self.mem.contains(addr, 8) {
+                if !self.mem.try_write(addr, 8, self.fr[s.index()].to_bits()) {
                     self.fault = Some(Fault::UnmappedStore { addr, len: 8 });
                     return Flow::Stop;
                 }
-                self.mem.write_f64(addr, self.fr[s.index()]);
                 if MEM {
                     self.caches.store(addr);
                 }
@@ -1316,6 +1289,68 @@ impl Machine {
             }
         }
         Flow::Next
+    }
+
+    /// Executes one integer ALU or compare op: `add`, `adds`, `sub`,
+    /// `shladd`, `and`, `or`, `xor`, `movl`, `mov`, `cmp` and immediate
+    /// `cmp`. This is the one definition of these ops; `exec_slot_op`
+    /// runs it on every tier, and the fast tier's register-only path
+    /// runs it directly (see [`crate::exec`]). Every result is ready at
+    /// once, so none of these ops needs `TIMED` or `MEM`.
+    ///
+    /// `MASKED`: predecode has checked every register index of the op
+    /// (`DecodedBundle::reg_only`), so indices are masked into range
+    /// instead of bounds-checked, and the mask changes no index.
+    /// Unmasked, an out-of-range index panics, as on every other path.
+    /// The op is borrowed: taken by value, each slot's op was copied to
+    /// the stack and its fields reloaded from there, which made the
+    /// register-only path slower than the general one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other op.
+    #[inline(always)]
+    pub(crate) fn exec_alu_op<const MASKED: bool>(&mut self, op: &Op) {
+        let g = |r: isa::Gr| {
+            if MASKED {
+                isa::Gr(r.0 & (isa::NUM_GR as u8 - 1))
+            } else {
+                r
+            }
+        };
+        let p = |r: isa::Pr| {
+            if MASKED {
+                isa::Pr(r.0 & (isa::NUM_PR as u8 - 1))
+            } else {
+                r
+            }
+        };
+        let now = self.cycle;
+        let gr = |r: isa::Gr| self.gr[g(r).index()];
+        match *op {
+            Op::Add { d, a, b } => self.write_gr(g(d), gr(a).wrapping_add(gr(b)), now),
+            Op::AddI { d, a, imm } => self.write_gr(g(d), gr(a).wrapping_add(imm), now),
+            Op::Sub { d, a, b } => self.write_gr(g(d), gr(a).wrapping_sub(gr(b)), now),
+            Op::Shladd { d, a, count, b } => {
+                self.write_gr(g(d), (gr(a) << count).wrapping_add(gr(b)), now)
+            }
+            Op::And { d, a, b } => self.write_gr(g(d), gr(a) & gr(b), now),
+            Op::Or { d, a, b } => self.write_gr(g(d), gr(a) | gr(b), now),
+            Op::Xor { d, a, b } => self.write_gr(g(d), gr(a) ^ gr(b), now),
+            Op::MovL { d, imm } => self.write_gr(g(d), imm, now),
+            Op::Mov { d, s } => self.write_gr(g(d), gr(s), now),
+            Op::Cmp { op, pt, pf, a, b } => {
+                let r = op.eval(gr(a), gr(b));
+                self.write_pr(p(pt), r);
+                self.write_pr(p(pf), !r);
+            }
+            Op::CmpI { op, pt, pf, a, imm } => {
+                let r = op.eval(gr(a), imm);
+                self.write_pr(p(pt), r);
+                self.write_pr(p(pf), !r);
+            }
+            _ => unreachable!("{op:?} is not an integer ALU or compare op"),
+        }
     }
 
     /// Drives a data load at `addr` through the DTLB and the cache

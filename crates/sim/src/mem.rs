@@ -91,11 +91,41 @@ impl Memory {
 
     /// True if `[addr, addr+len)` lies inside the arena.
     pub fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr.saturating_add(len) <= self.base + self.data.len() as u64
+        self.range(addr, len).is_some()
     }
 
-    fn offset(&self, addr: u64) -> usize {
-        (addr - self.base) as usize
+    /// The arena bytes backing `[addr, addr+len)`, or `None` when any
+    /// of them is unmapped: the one bounds check every access makes.
+    #[inline]
+    fn range(&self, addr: u64, len: u64) -> Option<std::ops::Range<usize>> {
+        let start = usize::try_from(addr.checked_sub(self.base)?).ok()?;
+        let end = start.checked_add(usize::try_from(len).ok()?)?;
+        (end <= self.data.len()).then_some(start..end)
+    }
+
+    /// Reads `len` (1/2/4/8) bytes zero-extended, or `None` when any of
+    /// them is unmapped. The simulator's architectural loads use this
+    /// and turn `None` into a fault.
+    #[inline]
+    pub fn try_read(&self, addr: u64, len: u64) -> Option<u64> {
+        let bytes = &self.data[self.range(addr, len)?];
+        let mut buf = [0u8; 8];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Some(u64::from_le_bytes(buf))
+    }
+
+    /// Writes the low `len` (1/2/4/8) bytes of `value` and returns
+    /// `true`, or returns `false` and writes nothing when any of them is
+    /// unmapped. The simulator's architectural stores use this and turn
+    /// `false` into a fault.
+    #[inline]
+    #[must_use]
+    pub fn try_write(&mut self, addr: u64, len: u64, value: u64) -> bool {
+        let Some(range) = self.range(addr, len) else {
+            return false;
+        };
+        self.data[range].copy_from_slice(&value.to_le_bytes()[..len as usize]);
+        true
     }
 
     /// Reads `len` (1/2/4/8) bytes zero-extended.
@@ -105,27 +135,13 @@ impl Memory {
     /// Panics on unmapped addresses; use [`Memory::read_spec`] for
     /// non-faulting semantics.
     pub fn read(&self, addr: u64, len: u64) -> u64 {
-        assert!(
-            self.contains(addr, len),
-            "unmapped read of {len} bytes at {addr:#x}"
-        );
-        self.read_unchecked(addr, len)
+        self.try_read(addr, len)
+            .unwrap_or_else(|| panic!("unmapped read of {len} bytes at {addr:#x}"))
     }
 
     /// Non-faulting read: unmapped addresses read as zero (`ld.s`).
     pub fn read_spec(&self, addr: u64, len: u64) -> u64 {
-        if self.contains(addr, len) {
-            self.read_unchecked(addr, len)
-        } else {
-            0
-        }
-    }
-
-    fn read_unchecked(&self, addr: u64, len: u64) -> u64 {
-        let off = self.offset(addr);
-        let mut buf = [0u8; 8];
-        buf[..len as usize].copy_from_slice(&self.data[off..off + len as usize]);
-        u64::from_le_bytes(buf)
+        self.try_read(addr, len).unwrap_or(0)
     }
 
     /// Writes the low `len` bytes of `value`.
@@ -135,11 +151,9 @@ impl Memory {
     /// Panics on unmapped addresses.
     pub fn write(&mut self, addr: u64, len: u64, value: u64) {
         assert!(
-            self.contains(addr, len),
+            self.try_write(addr, len, value),
             "unmapped write of {len} bytes at {addr:#x}"
         );
-        let off = self.offset(addr);
-        self.data[off..off + len as usize].copy_from_slice(&value.to_le_bytes()[..len as usize]);
     }
 
     /// Reads an `f64`.
@@ -160,13 +174,10 @@ impl Memory {
     /// Panics if any part of the range is unmapped.
     pub fn write_words(&mut self, addr: u64, words: &[u64]) {
         let len = 8 * words.len() as u64;
-        assert!(
-            self.contains(addr, len),
-            "unmapped write of {len} bytes at {addr:#x}"
-        );
-        let off = self.offset(addr);
-        let dst = &mut self.data[off..off + len as usize];
-        for (d, w) in dst.chunks_exact_mut(8).zip(words) {
+        let range = self
+            .range(addr, len)
+            .unwrap_or_else(|| panic!("unmapped write of {len} bytes at {addr:#x}"));
+        for (d, w) in self.data[range].chunks_exact_mut(8).zip(words) {
             d.copy_from_slice(&w.to_le_bytes());
         }
     }
@@ -224,6 +235,25 @@ mod tests {
         let m = Memory::new(4096);
         assert_eq!(m.read_spec(0x10, 8), 0); // far below base
         assert_eq!(m.read_spec(u64::MAX - 4, 8), 0); // wraps
+    }
+
+    #[test]
+    fn checked_accessors_refuse_unmapped_bytes() {
+        let mut m = Memory::new(64);
+        let end = m.base() + 64;
+        assert!(m.try_write(end - 8, 8, 7));
+        assert_eq!(m.try_read(end - 8, 8), Some(7));
+        assert!(!m.try_write(end - 4, 8, u64::MAX), "straddles the end");
+        assert_eq!(
+            m.try_read(end - 8, 8),
+            Some(7),
+            "a refused write writes nothing"
+        );
+        assert_eq!(m.try_read(end - 4, 8), None);
+        assert_eq!(m.try_read(m.base() - 1, 1), None);
+        assert_eq!(m.try_read(u64::MAX - 4, 8), None, "wraps");
+        assert!(m.contains(end - 8, 8) && !m.contains(end - 7, 8));
+        assert!(m.contains(end, 0));
     }
 
     #[test]

@@ -606,6 +606,11 @@ print(f"  ok: threaded tier {tratio:.2f}x reference"
 # to the keep-or-delete decision on the threaded tier.
 print(f"  info: threaded tier {fast / threaded:.2f}x fast"
       f" ({threaded:.2f} vs {fast:.2f} ns per simulated instruction)")
+# Not a gate: the compute-tail loop runs almost only register-only
+# bundles, the fast tier's short path.
+tail = rows["machine/compute_tail_fast"]["ns_per_element"]
+print(f"  info: fast tier {tail:.2f} ns per simulated instruction on the compute tail"
+      f" ({fast:.2f} on the suite)")
 EOF
 
 echo "== validate JSON reports =="
