@@ -20,31 +20,16 @@ use crate::patch::PatchedTrace;
 use crate::prefetch::{pack_sequence, schedule_group, InsertionStats, OptimizedTrace};
 use crate::trace::Trace;
 
-/// Instrumentation configuration.
-#[derive(Debug, Clone)]
-pub struct InstrumentConfig {
-    /// Profiling-buffer capacity in recorded addresses.
-    pub buffer_entries: u64,
-    /// Minimum fraction of deltas that must agree for a stride to count
-    /// as dominant (Wu uses a profitability threshold; 0.55 here).
-    pub min_stride_share: f64,
-    /// Minimum recorded addresses before analysis is meaningful.
-    pub min_samples: u64,
-    /// Profile windows to wait between installing the instrumentation
-    /// and reading the buffer back.
-    pub observe_windows: u64,
-}
-
-impl Default for InstrumentConfig {
-    fn default() -> InstrumentConfig {
-        InstrumentConfig {
-            buffer_entries: 2048,
-            min_stride_share: 0.55,
-            min_samples: 64,
-            observe_windows: 2,
-        }
-    }
-}
+/// Profiling-buffer capacity in recorded addresses.
+pub(crate) const BUFFER_ENTRIES: u64 = 2048;
+/// Minimum fraction of deltas that must agree for a stride to count as
+/// dominant (Wu uses a profitability threshold; 0.55 here).
+const MIN_STRIDE_SHARE: f64 = 0.55;
+/// Minimum recorded addresses before analysis is meaningful.
+const MIN_SAMPLES: u64 = 64;
+/// Profile windows to wait between installing the instrumentation and
+/// reading the buffer back.
+pub(crate) const OBSERVE_WINDOWS: u64 = 2;
 
 /// A trace instrumented to record one load's address stream.
 #[derive(Debug, Clone)]
@@ -153,15 +138,10 @@ pub fn instrument_trace(
 }
 
 /// Reads the recorded address stream back and returns the dominant
-/// stride, if any: the most common successive delta, provided it covers
-/// at least `min_share` of all deltas.
-pub fn dominant_stride(
-    mem: &Memory,
-    buffer: u64,
-    capacity: u64,
-    min_samples: u64,
-    min_share: f64,
-) -> Option<i64> {
+/// stride, if any: the most common successive delta, provided at least
+/// 64 addresses were recorded and it covers at least 55 % of all
+/// deltas.
+pub fn dominant_stride(mem: &Memory, buffer: u64, capacity: u64) -> Option<i64> {
     let mut addrs = Vec::new();
     for i in 0..capacity {
         let v = mem.read_spec(buffer + 8 * i, 8);
@@ -170,7 +150,7 @@ pub fn dominant_stride(
         }
         addrs.push(v as i64);
     }
-    if (addrs.len() as u64) < min_samples {
+    if (addrs.len() as u64) < MIN_SAMPLES {
         return None;
     }
     let mut histogram: std::collections::HashMap<i64, u64> = std::collections::HashMap::new();
@@ -179,7 +159,7 @@ pub fn dominant_stride(
     }
     let total: u64 = histogram.values().sum();
     let (&stride, &count) = histogram.iter().max_by_key(|(_, c)| **c)?;
-    if stride != 0 && count as f64 >= min_share * total as f64 {
+    if stride != 0 && count as f64 >= MIN_STRIDE_SHARE * total as f64 {
         Some(stride)
     } else {
         None
@@ -322,7 +302,7 @@ mod tests {
             mem.write(buf + 8 * i, 8, addr as u64);
             addr += if i % 10 == 9 { 1000 } else { 48 };
         }
-        let s = dominant_stride(&mem, buf, 512, 64, 0.55).unwrap();
+        let s = dominant_stride(&mem, buf, 512).unwrap();
         assert_eq!(s, 48);
     }
 
@@ -335,7 +315,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             mem.write(buf + 8 * i, 8, 0x2000_0000 + (x % 100_000));
         }
-        assert_eq!(dominant_stride(&mem, buf, 512, 64, 0.55), None);
+        assert_eq!(dominant_stride(&mem, buf, 512), None);
     }
 
     #[test]
@@ -345,7 +325,7 @@ mod tests {
         for i in 0..10u64 {
             mem.write(buf + 8 * i, 8, 0x2000_0000 + 48 * i);
         }
-        assert_eq!(dominant_stride(&mem, buf, 512, 64, 0.55), None);
+        assert_eq!(dominant_stride(&mem, buf, 512), None);
     }
 
     #[test]

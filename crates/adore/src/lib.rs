@@ -89,7 +89,7 @@ pub mod trace;
 
 pub use decision::{Decision, Outcome, Site};
 pub use delinq::{find_delinquent_loads, loads_for_trace, DelinquentLoad, MAX_LOADS_PER_TRACE};
-pub use instrument::{dominant_stride, instrument_trace, promote, InstrumentConfig, Instrumentation};
+pub use instrument::{dominant_stride, instrument_trace, promote, Instrumentation};
 pub use patch::{install, unpatch, PatchedTrace};
 pub use pattern::{classify, Pattern};
 pub use phase::{PhaseConfig, PhaseDecision, PhaseDetector, PhaseSignature};

@@ -29,14 +29,15 @@ pub struct PhaseConfig {
     /// Phases with mean DPI below this are ignored for prefetching
     /// (misses per instruction; 0.0002 = 0.2 misses / 1000 instructions).
     pub min_dpi: f64,
-    /// Unstable evaluations before the effective window size doubles.
-    pub unstable_before_doubling: usize,
-    /// Maximum window-size multiplier.
-    pub max_window_scale: usize,
-    /// Two stable phases whose `PCcenter`s differ by less than this are
-    /// considered the same phase (bytes).
-    pub same_phase_pc_tolerance: f64,
 }
+
+/// Unstable evaluations before the effective window size doubles.
+const UNSTABLE_BEFORE_DOUBLING: usize = 24;
+/// Maximum window-size multiplier.
+const MAX_WINDOW_SCALE: usize = 4;
+/// Two stable phases whose `PCcenter`s differ by at most this are
+/// considered the same phase (bytes).
+const SAME_PHASE_PC_TOLERANCE: f64 = 256.0;
 
 impl Default for PhaseConfig {
     fn default() -> PhaseConfig {
@@ -46,9 +47,6 @@ impl Default for PhaseConfig {
             dpi_rel_dev: 0.25,
             pc_dev_bytes: 8192.0,
             min_dpi: 0.0002,
-            unstable_before_doubling: 24,
-            max_window_scale: 4,
-            same_phase_pc_tolerance: 256.0,
         }
     }
 }
@@ -178,13 +176,13 @@ impl PhaseDetector {
     /// True when two signatures describe the same phase (used by the
     /// runtime to avoid re-optimizing).
     pub fn same_phase(&self, a: &PhaseSignature, b: &PhaseSignature) -> bool {
-        (a.pc_center - b.pc_center).abs() <= self.config.same_phase_pc_tolerance
+        (a.pc_center - b.pc_center).abs() <= SAME_PHASE_PC_TOLERANCE
     }
 
     fn note_unstable(&mut self) -> PhaseDecision {
         self.consecutive_unstable += 1;
-        if self.consecutive_unstable >= self.config.unstable_before_doubling
-            && self.window_scale < self.config.max_window_scale
+        if self.consecutive_unstable >= UNSTABLE_BEFORE_DOUBLING
+            && self.window_scale < MAX_WINDOW_SCALE
         {
             // The window may be too small to hold a large phase.
             self.window_scale *= 2;
@@ -313,7 +311,7 @@ mod tests {
                 .map(|i| window(i, if i % 2 == 0 { 1.0 } else { 9.0 }, 0.004, 0x4000_0000 as f64))
                 .collect(),
         );
-        for _ in 0..PhaseConfig::default().unstable_before_doubling {
+        for _ in 0..UNSTABLE_BEFORE_DOUBLING {
             let _ = d.evaluate(&ueb);
         }
         assert_eq!(d.window_scale(), 2);

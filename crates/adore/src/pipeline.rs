@@ -38,7 +38,9 @@ use sim::Machine;
 
 use crate::decision::{Decision, Outcome, Site};
 use crate::delinq::{find_delinquent_loads, loads_for_trace, DelinquentLoad};
-use crate::instrument::{dominant_stride, instrument_trace, promote, PendingInstr};
+use crate::instrument::{
+    dominant_stride, instrument_trace, promote, PendingInstr, BUFFER_ENTRIES, OBSERVE_WINDOWS,
+};
 use crate::patch::{install, unpatch, PatchedTrace};
 use crate::pattern::Pattern;
 use crate::phase::{PhaseDecision, PhaseDetector, PhaseSignature};
@@ -536,21 +538,14 @@ impl Pass for InstrPromote {
         _ueb: &UserEventBuffer,
     ) -> Flow {
         let now = ctx.scratch.now;
-        let instr = &ctx.config.instrument;
         let mut i = 0;
         while i < ctx.pending_instr.len() {
-            if now < ctx.pending_instr[i].installed_window + instr.observe_windows {
+            if now < ctx.pending_instr[i].installed_window + OBSERVE_WINDOWS {
                 i += 1;
                 continue;
             }
             let pi = ctx.pending_instr.swap_remove(i);
-            let stride = dominant_stride(
-                m.mem(),
-                pi.buffer,
-                pi.capacity,
-                instr.min_samples,
-                instr.min_stride_share,
-            );
+            let stride = dominant_stride(m.mem(), pi.buffer, pi.capacity);
             let _ = unpatch(m, &pi.patch);
             // The machine may still be mid-iteration inside the unpatched
             // copy and keep recording until the phase exits, so the buffer
@@ -666,7 +661,10 @@ impl Pass for PhaseGate {
     }
 }
 
-/// Unpatches phases whose CPI regressed after patching (§2.3).
+/// Unpatches phases whose CPI regressed by more than 2 % after patching
+/// (the paper's "detect and fix nonprofitable ones", §2.3). With
+/// insertion off there are no live patches, so it does nothing;
+/// disabling the pass in [`PipelineConfig`] is its one off switch.
 struct UnpatchMonitor;
 
 impl Pass for UnpatchMonitor {
@@ -681,9 +679,6 @@ impl Pass for UnpatchMonitor {
         _w: &ProfileWindow,
         _ueb: &UserEventBuffer,
     ) -> Flow {
-        if !ctx.config.unpatch_nonprofitable {
-            return Flow::Continue;
-        }
         let Some(sig) = ctx.scratch.sig else { return Flow::Continue };
         // The regressed phase is recognized either by its code-side
         // signature or — when execution moved entirely into the trace
@@ -1042,16 +1037,15 @@ fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Tra
         return;
     };
     let site = Site::Trace(trace.start);
-    let entries = ctx.config.instrument.buffer_entries;
-    let bytes = 8 * entries + 64;
+    let bytes = 8 * BUFFER_ENTRIES + 64;
     if m.mem().remaining() <= bytes
         || ctx.pending_instr.iter().any(|p| p.patch.original_head == trace.start)
     {
         ctx.reject(PassKind::PatchDeploy, site, Rejection::InstrumentBufferExhausted);
         return;
     }
-    let buffer = m.mem_mut().alloc(8 * entries, 64);
-    let Some(instr) = instrument_trace(trace, load.position, buffer, entries) else {
+    let buffer = m.mem_mut().alloc(8 * BUFFER_ENTRIES, 64);
+    let Some(instr) = instrument_trace(trace, load.position, buffer, BUFFER_ENTRIES) else {
         return;
     };
     let body_cycles = (trace.bundles.len() as u64).div_ceil(2).max(1) + 1;
@@ -1069,7 +1063,7 @@ fn deploy_instrumentation(ctx: &mut OptContext<'_>, m: &mut Machine, trace: &Tra
             load_pos: load.position,
             dist_iters,
             buffer,
-            capacity: entries,
+            capacity: BUFFER_ENTRIES,
             installed_window: ctx.scratch.now,
         });
     } else {

@@ -24,6 +24,7 @@
 use std::collections::HashSet;
 
 use isa::{AccessSize, Addr, Bundle, Gr, Insn, Op, Pc, SlotKind};
+use sim::cache::L1D_LINE;
 
 use crate::delinq::DelinquentLoad;
 use crate::pattern::{classify, Pattern};
@@ -33,8 +34,6 @@ use crate::trace::Trace;
 /// Prefetch-generation configuration.
 #[derive(Debug, Clone)]
 pub struct PrefetchConfig {
-    /// L1D line size for distance alignment of small integer strides.
-    pub l1d_line: u64,
     /// Minimum prefetch distance in iterations.
     pub min_distance_iters: u64,
     /// Maximum prefetch distance in iterations.
@@ -66,7 +65,6 @@ pub struct PrefetchConfig {
 impl Default for PrefetchConfig {
     fn default() -> PrefetchConfig {
         PrefetchConfig {
-            l1d_line: 64,
             min_distance_iters: 2,
             max_distance_iters: 256,
             enable_direct: true,
@@ -239,10 +237,10 @@ pub(crate) fn schedule_streams(
                 }
                 let rp = free_regs.remove(0);
                 let mut dist = dist_iters as i64 * *stride;
-                if !*fp && stride.unsigned_abs() < cfg.l1d_line {
+                if !*fp && stride.unsigned_abs() < L1D_LINE {
                     // Align the distance to the L1D line (integer loads
                     // only — FP bypasses L1, §3.3).
-                    let line = cfg.l1d_line as i64;
+                    let line = L1D_LINE as i64;
                     dist = (dist + dist.signum() * (line - 1)) / line * line;
                 }
                 entry.push(Insn::new(Op::AddI { d: rp, a: *base, imm: dist }));
@@ -452,7 +450,7 @@ pub(crate) fn schedule_streams(
 /// (in load order), then scheduling rejections (in stream order).
 ///
 /// This is a convenience wrapper over the two pipeline halves,
-/// [`classify_loads`] and [`schedule_streams`]; the pass pipeline calls
+/// `classify_loads` and `schedule_streams`; the pass pipeline calls
 /// the halves separately so pattern analysis and prefetch scheduling
 /// can be ablated and measured independently.
 pub fn optimize_trace(

@@ -15,7 +15,6 @@ use perfmon::{Perfmon, PerfmonConfig};
 use sim::{Machine, MachineConfig, SamplingConfig, StopReason};
 
 use crate::decision::Decision;
-use crate::instrument::InstrumentConfig;
 use crate::phase::PhaseConfig;
 use crate::pipeline::{OptContext, Pipeline, PipelineConfig, PipelineLedger};
 use crate::policy::{PolicyConfig, PolicyReport};
@@ -40,16 +39,10 @@ pub struct AdoreConfig {
     pub insert_prefetches: bool,
     /// Main-thread cycles charged per patch publication.
     pub patch_cost_cycles: u64,
-    /// Monitor optimized phases and *unpatch* their traces when the
-    /// phase CPI regressed after patching (the paper's "detect and fix
-    /// nonprofitable ones", §2.3). Regression margin: 2 %.
-    pub unpatch_nonprofitable: bool,
     /// Instrument loads whose address slice is unanalyzable to discover
     /// their stride at runtime (the paper's §6 future work). Off by
     /// default — the paper's evaluation does not include it.
     pub instrument_unanalyzable: bool,
-    /// Instrumentation parameters.
-    pub instrument: InstrumentConfig,
     /// Which optimizer passes run, and in what order. The default is
     /// the canonical full pipeline; ablation cells disable individual
     /// passes through this.
@@ -65,7 +58,6 @@ impl AdoreConfig {
         AdoreConfig {
             insert_prefetches: true,
             patch_cost_cycles: 20_000,
-            unpatch_nonprofitable: true,
             ..Default::default()
         }
     }

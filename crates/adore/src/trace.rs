@@ -40,13 +40,14 @@ impl CodeSource for sim::Machine {
     }
 }
 
+/// Maximum bundles copied into one trace.
+const MAX_TRACE_BUNDLES: usize = 128;
+
 /// Trace-selection configuration.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Maximum traces selected per optimization event.
     pub max_traces: usize,
-    /// Maximum bundles copied into one trace.
-    pub max_bundles: usize,
     /// Taken-probability above which a conditional branch is followed
     /// taken (and below `1 - taken_bias`, followed fall-through).
     pub taken_bias: f64,
@@ -56,7 +57,7 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
-        TraceConfig { max_traces: 6, max_bundles: 128, taken_bias: 0.7, min_target_count: 4 }
+        TraceConfig { max_traces: 6, taken_bias: 0.7, min_target_count: 4 }
     }
 }
 
@@ -209,7 +210,7 @@ fn build_trace<C: CodeSource>(
     let mut cur = start;
 
     loop {
-        if bundles.len() >= cfg.max_bundles {
+        if bundles.len() >= MAX_TRACE_BUNDLES {
             break;
         }
         if visited.contains(&cur) {

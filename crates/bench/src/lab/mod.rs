@@ -78,7 +78,7 @@ pub fn overview() -> String {
     out
 }
 
-/// The `lab` binary entry point: dispatches argv[1] to its subcommand.
+/// The `lab` binary entry point: dispatches `argv[1]` to its subcommand.
 pub fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = if args.is_empty() { "help".to_string() } else { args.remove(0) };

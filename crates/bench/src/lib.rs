@@ -68,7 +68,7 @@ pub const PAPER_ORDER: [&str; 17] = [
     "equake", "facerec", "fma3d", "lucas", "mesa", "swim",
 ];
 
-/// The pointer-rich scenario families ([`workloads::families`]) in
+/// The pointer-rich scenario families ([`workloads::families`](mod@workloads::families)) in
 /// report order — the grid `lab families` measures.
 pub const FAMILY_ORDER: [&str; 3] = ["server", "graph", "gc"];
 
@@ -163,7 +163,7 @@ pub fn paper_table2(name: &str) -> Option<(u64, u64, u64, u64)> {
 ///
 /// Every field here must be deterministic: the engine's acceptance
 /// criterion is byte-identical reports for any `--jobs` value, so the
-/// argument list excludes `--jobs` (see [`cli::parse`]) and the
+/// argument list excludes `--jobs` (see [`cli::Cli::report_args`]) and the
 /// sampling block excludes the per-cell seed.
 pub fn experiment_report_with(
     tool: &str,

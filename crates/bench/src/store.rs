@@ -14,9 +14,12 @@
 //!   arena size, and `Debug` rendering of the init actions — the
 //!   kernel content varies with `--scale`, so two scales never
 //!   collide;
-//! * the compile options (via the same deterministic
-//!   [`crate::engine::opts_key`] string the in-memory cache uses);
-//! * the `Debug` rendering of the [`MachineConfig`].
+//! * the compile options (via the same deterministic `opts_key`
+//!   string the in-memory cache uses);
+//! * the `Debug` rendering of the [`MachineConfig`]. It carries only
+//!   the settable fields: the cache geometry, latencies and DTLB are
+//!   constants in `sim` and reach the key through [`STORE_VERSION`]
+//!   alone.
 //!
 //! The `AdoreConfig` is deliberately **excluded**: a plain baseline
 //! never runs ADORE, and every ablation variant of a cell must share
@@ -43,6 +46,12 @@ use crate::engine::opts_key;
 /// Version of the stored-entry semantics. Bump whenever simulator
 /// timing, workload generation or the entry layout changes: stale
 /// entries from older versions then miss instead of poisoning results.
+///
+/// That includes every timing constant of `sim` (the cache geometry
+/// and latencies in `sim::cache`, the DTLB in `sim::tlb`, the core
+/// latencies and trace-pool size in `sim::machine`): the key hashes
+/// [`MachineConfig`]'s `Debug` text, which does not carry them, so
+/// changing one without a bump serves stale baselines silently.
 pub const STORE_VERSION: u64 = 1;
 
 /// A content-addressed on-disk store of plain-run baselines.

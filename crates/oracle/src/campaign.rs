@@ -6,7 +6,7 @@
 //! freshly generated from its seed and checked once. Further rounds
 //! close the loop: cases that light up coverage the campaign has not
 //! seen before are admitted to a corpus, the corpus is mutated to
-//! derive new cases ([`crate::mutate`]), and scheduling is weighted
+//! derive new cases ([`crate::mutate`](mod@crate::mutate)), and scheduling is weighted
 //! toward entries that earned their place with more novelty. Coverage combines the generator's static feature
 //! vector ([`crate::generator::static_coverage`], `feat:` keys) with
 //! runtime signals the ADORE leg produced ([`crate::diff::RunCoverage`]:
@@ -45,9 +45,13 @@ use crate::diff::{
     Gated,
 };
 use crate::generator::{generate, static_coverage, Coverage, GenConfig};
-use crate::mutate::{mutate, MutateConfig};
+use crate::mutate::mutate;
 use crate::spec::ProgSpec;
 use crate::text::{parse_repro, serialize_repro};
+
+/// Probability a planned case is freshly generated rather than mutated
+/// from the corpus (always 1 while the corpus is empty).
+const FRESH_PROB: f64 = 0.35;
 
 /// Campaign tuning.
 #[derive(Debug, Clone)]
@@ -60,10 +64,7 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads evaluating a round's batch.
     pub jobs: usize,
-    /// Probability a planned case is freshly generated rather than
-    /// mutated from the corpus (always 1 while the corpus is empty).
-    pub fresh_prob: f64,
-    /// Generator knobs for fresh cases and mutation material.
+    /// Generator settings for fresh cases and mutation material.
     pub gen: GenConfig,
     /// Harness budgets shared by every evaluation.
     pub diff: DiffConfig,
@@ -73,8 +74,6 @@ pub struct CampaignConfig {
     /// the compile/deopt machinery. Deterministic in the case seed,
     /// hence independent of `jobs`.
     pub alternate_exec: bool,
-    /// Mutation knobs.
-    pub mutate: MutateConfig,
     /// Persistent corpus directory: minimized entries are written here
     /// and `*.txt` reproducers found here are imported in round 0.
     pub corpus_dir: Option<PathBuf>,
@@ -92,11 +91,9 @@ impl Default for CampaignConfig {
             batch: 64,
             seed: 1,
             jobs: 1,
-            fresh_prob: 0.35,
             gen: GenConfig::default(),
             diff: DiffConfig::default(),
             alternate_exec: false,
-            mutate: MutateConfig::default(),
             corpus_dir: None,
             minimize_evals: 24,
             progress: false,
@@ -264,7 +261,7 @@ fn plan_round(round: usize, corpus: &[CorpusEntry], cfg: &CampaignConfig) -> Vec
     let mut plan = Vec::with_capacity(cfg.batch);
     for _ in 0..cfg.batch {
         let case_seed = rng.next_u64();
-        if corpus.is_empty() || rng.chance(cfg.fresh_prob) {
+        if corpus.is_empty() || rng.chance(FRESH_PROB) {
             let (spec, _) = generate(case_seed, &cfg.gen);
             plan.push(Planned { spec, origin: "gen", case_seed, ops: Vec::new() });
         } else {
@@ -284,7 +281,7 @@ fn plan_round(round: usize, corpus: &[CorpusEntry], cfg: &CampaignConfig) -> Vec
                 &corpus[parent].spec,
                 donor.map(|d| &corpus[d].spec),
                 case_seed,
-                &cfg.mutate,
+                &cfg.gen,
             );
             plan.push(Planned { spec, origin: "mutate", case_seed, ops });
         }

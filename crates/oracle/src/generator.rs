@@ -8,6 +8,10 @@
 //! wild addresses, FP compute and cross-unit transfers, every
 //! [`AccessSize`], calls/returns, and bundle stop-bit placement.
 //!
+//! The program shape is fixed: 3–6 segments, a 25 % predication rate,
+//! a 12 % bundle-stop rate and a 1.5 % wild-access rate are constants.
+//! [`GenConfig`] sets only the arena size.
+//!
 //! Register discipline (the generator's safety contract):
 //!
 //! * **address registers** `r4`–`r7` each own one region of the arena;
@@ -43,35 +47,32 @@ pub(crate) const ADDR_REGS: [Gr; 4] = [Gr(4), Gr(5), Gr(6), Gr(7)];
 pub(crate) const INNER_COUNTER: Gr = Gr(21);
 pub(crate) const OUTER_COUNTER: Gr = Gr(22);
 
-/// Generator tuning knobs.
+/// Program segments (straight/loop/skip/call), hot loop included, are
+/// drawn from `[MIN_SEGMENTS, MAX_SEGMENTS]`.
+const MIN_SEGMENTS: u64 = 3;
+/// See [`MIN_SEGMENTS`].
+const MAX_SEGMENTS: u64 = 6;
+/// Probability that an eligible instruction is predicated.
+const PREDICATION_PROB: f64 = 0.25;
+/// Probability of an explicit bundle stop after an instruction.
+const FLUSH_PROB: f64 = 0.12;
+/// Probability of a rare wild (faulting) non-speculative access in a
+/// straight segment.
+const WILD_MEM_PROB: f64 = 0.015;
+
+/// Generator settings. The program shape (segment count and the
+/// predication, bundle-stop and wild-access rates) is fixed; only the
+/// arena size is settable.
 #[derive(Debug, Clone)]
 pub struct GenConfig {
-    /// Arena capacity in bytes; split evenly across [`ADDR_REGS`].
+    /// Arena capacity in bytes; split evenly across the four address
+    /// registers `r4`–`r7`.
     pub arena_bytes: u64,
-    /// Number of program segments (straight/loop/skip/call), hot loop
-    /// included, drawn from `[min_segments, max_segments]`.
-    pub min_segments: usize,
-    /// See `min_segments`.
-    pub max_segments: usize,
-    /// Probability that an eligible instruction is predicated.
-    pub predication_prob: f64,
-    /// Probability of an explicit bundle stop after an instruction.
-    pub flush_prob: f64,
-    /// Probability of a rare wild (faulting) non-speculative access in
-    /// a straight segment.
-    pub wild_mem_prob: f64,
 }
 
 impl Default for GenConfig {
     fn default() -> GenConfig {
-        GenConfig {
-            arena_bytes: 1 << 18,
-            min_segments: 3,
-            max_segments: 6,
-            predication_prob: 0.25,
-            flush_prob: 0.12,
-            wild_mem_prob: 0.015,
-        }
+        GenConfig { arena_bytes: 1 << 18 }
     }
 }
 
@@ -194,7 +195,7 @@ impl Coverage {
 pub fn generate(seed: u64, cfg: &GenConfig) -> (ProgSpec, Coverage) {
     let mut g = Gen {
         rng: Rng64::new(seed ^ 0x6f72_61636c_6521),
-        cfg: cfg.clone(),
+        arena_bytes: cfg.arena_bytes,
         items: Vec::new(),
         cov: Coverage::default(),
         next_label: 0,
@@ -319,7 +320,7 @@ pub fn static_coverage(spec: &ProgSpec) -> Coverage {
 pub(crate) fn random_safe_items(rng: &mut Rng64, cfg: &GenConfig, n: usize, heavy: bool) -> Vec<Item> {
     let mut g = Gen {
         rng: Rng64::new(rng.next_u64()),
-        cfg: cfg.clone(),
+        arena_bytes: cfg.arena_bytes,
         items: Vec::new(),
         cov: Coverage::default(),
         next_label: 0,
@@ -337,7 +338,7 @@ pub(crate) fn random_safe_items(rng: &mut Rng64, cfg: &GenConfig, n: usize, heav
 
 struct Gen {
     rng: Rng64,
-    cfg: GenConfig,
+    arena_bytes: u64,
     items: Vec<Item>,
     cov: Coverage,
     next_label: u64,
@@ -347,7 +348,7 @@ struct Gen {
 
 impl Gen {
     fn region(&self, reg_idx: usize) -> (u64, u64) {
-        let size = self.cfg.arena_bytes / ADDR_REGS.len() as u64;
+        let size = self.arena_bytes / ADDR_REGS.len() as u64;
         (sim::DATA_BASE + reg_idx as u64 * size, size)
     }
 
@@ -418,15 +419,14 @@ impl Gen {
     /// Emits `insn`, maybe predicated (when `predicable`), maybe
     /// followed by a bundle stop.
     fn put(&mut self, insn: Insn, predicable: bool) {
-        let insn = if predicable && insn.qp.is_none() && self.rng.chance(self.cfg.predication_prob)
-        {
+        let insn = if predicable && insn.qp.is_none() && self.rng.chance(PREDICATION_PROB) {
             self.cov.predicated += 1;
             Insn::predicated(self.read_pr(), insn.op)
         } else {
             insn
         };
         self.items.push(Item::Insn(insn));
-        if self.rng.chance(self.cfg.flush_prob) {
+        if self.rng.chance(FLUSH_PROB) {
             self.cov.flushes += 1;
             self.items.push(Item::Flush);
         }
@@ -453,7 +453,7 @@ impl Gen {
             let imm = match self.rng.below(3) {
                 0 => self.rng.range_i64(-128, 128),
                 // An address inside the arena: makes ld.s hit real data.
-                1 => self.rng.range_u64(sim::DATA_BASE, sim::DATA_BASE + self.cfg.arena_bytes)
+                1 => self.rng.range_u64(sim::DATA_BASE, sim::DATA_BASE + self.arena_bytes)
                     as i64,
                 _ => self.rng.next_u64() as i64,
             };
@@ -466,8 +466,7 @@ impl Gen {
             self.put(Insn::new(Op::Setf { d, s }), false);
         }
 
-        let n = self.rng.range_u64(self.cfg.min_segments as u64, self.cfg.max_segments as u64 + 1)
-            as usize;
+        let n = self.rng.range_u64(MIN_SEGMENTS, MAX_SEGMENTS + 1) as usize;
         let hot_at = self.rng.below(n as u64) as usize;
         for i in 0..n {
             if i == hot_at {
@@ -834,7 +833,7 @@ impl Gen {
     /// rare deliberately-faulting accesses (straight code only, so a
     /// fault is identical in every execution).
     fn random_op(&mut self, allow_hazards: bool) {
-        if allow_hazards && self.rng.chance(self.cfg.wild_mem_prob) {
+        if allow_hazards && self.rng.chance(WILD_MEM_PROB) {
             if self.rng.below(8) == 0 {
                 // Bare `br.ret` with an empty call stack: a consistent
                 // ReturnUnderflow fault in every execution.

@@ -18,7 +18,7 @@
 //! * [`spec`] / [`text`] — the symbolic program form the shrinker
 //!   minimizes and the line-based reproducer format replayed from
 //!   `tests/corpus/`;
-//! * [`mutate`] — bundle-level mutation of corpus programs (havoc,
+//! * [`mutate`](mod@mutate) — bundle-level mutation of corpus programs (havoc,
 //!   splice, immediate tweaks) inside the generator's
 //!   register-discipline contract;
 //! * [`campaign`] — the coverage-guided campaign engine: a persistent
@@ -44,6 +44,6 @@ pub use diff::{
 };
 pub use generator::{generate, static_coverage, Coverage, GenConfig};
 pub use interp::{Interp, Outcome};
-pub use mutate::{mutate, MutateConfig};
+pub use mutate::mutate;
 pub use spec::{BranchKind, Item, ProgSpec};
 pub use text::{parse_repro, serialize_repro, ParseError};

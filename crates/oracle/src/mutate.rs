@@ -18,6 +18,10 @@
 //! the three-way harness still reaches a verdict. What a mutation must
 //! never do is diverge the legs or un-bound a loop, and the protected
 //! sets above are exactly what guarantees that.
+//!
+//! Each child stacks one to three operators (`MAX_STACK`), and the
+//! replacement and insertion material comes from the campaign's own
+//! [`GenConfig`], the one that generates its fresh cases.
 
 use isa::{Gr, Insn, Op, Pr};
 use workloads::Rng64;
@@ -25,20 +29,8 @@ use workloads::Rng64;
 use crate::generator::{random_safe_items, GenConfig, ADDR_REGS, INNER_COUNTER, OUTER_COUNTER};
 use crate::spec::{BranchKind, Item, ProgSpec};
 
-/// Mutation tuning.
-#[derive(Debug, Clone)]
-pub struct MutateConfig {
-    /// Generator knobs for replacement/insertion material.
-    pub gen: GenConfig,
-    /// Operators stacked per derived case, drawn from `[1, max_stack]`.
-    pub max_stack: usize,
-}
-
-impl Default for MutateConfig {
-    fn default() -> MutateConfig {
-        MutateConfig { gen: GenConfig::default(), max_stack: 3 }
-    }
-}
+/// Operators stacked per derived case are drawn from `[1, MAX_STACK]`.
+const MAX_STACK: u64 = 3;
 
 /// Stable operator names, in pick order (report/ledger keys).
 pub const OPERATORS: [&str; 7] =
@@ -56,14 +48,14 @@ pub fn mutate(
     parent: &ProgSpec,
     donor: Option<&ProgSpec>,
     seed: u64,
-    cfg: &MutateConfig,
+    gen: &GenConfig,
 ) -> (ProgSpec, Vec<&'static str>) {
     let mut rng = Rng64::new(seed ^ 0x6d75_7461_7465); // "mutate"
     for _attempt in 0..4 {
         let mut child = parent.clone();
         child.seed = rng.next_u64();
         let mut applied: Vec<&'static str> = Vec::new();
-        let stack = rng.range_u64(1, cfg.max_stack.max(1) as u64 + 1) as usize;
+        let stack = rng.range_u64(1, MAX_STACK + 1) as usize;
         let mut structural_done = false;
         for _ in 0..stack {
             let mut op = *rng.choose(&OPERATORS);
@@ -74,8 +66,8 @@ pub fn mutate(
                 op = "tweak_imm";
             }
             let ok = match op {
-                "havoc" => havoc(&mut child, &mut rng, cfg),
-                "insert" => insert_ops(&mut child, &mut rng, cfg),
+                "havoc" => havoc(&mut child, &mut rng, gen),
+                "insert" => insert_ops(&mut child, &mut rng, gen),
                 "delete" => delete_op(&mut child, &mut rng),
                 "tweak_imm" => tweak_imm(&mut child, &mut rng),
                 "splice" => {
@@ -176,23 +168,23 @@ fn mutable_indices(items: &[Item]) -> Vec<usize> {
 }
 
 /// Replaces one mutable instruction with freshly generated safe items.
-fn havoc(spec: &mut ProgSpec, rng: &mut Rng64, cfg: &MutateConfig) -> bool {
+fn havoc(spec: &mut ProgSpec, rng: &mut Rng64, gen: &GenConfig) -> bool {
     let candidates = mutable_indices(&spec.items);
     if candidates.is_empty() {
         return false;
     }
     let at = *rng.choose(&candidates);
-    let fresh = random_safe_items(rng, &cfg.gen, 1, true);
+    let fresh = random_safe_items(rng, gen, 1, true);
     spec.items.splice(at..=at, fresh);
     true
 }
 
 /// Inserts 1–3 freshly generated safe items at a main-body position.
-fn insert_ops(spec: &mut ProgSpec, rng: &mut Rng64, cfg: &MutateConfig) -> bool {
+fn insert_ops(spec: &mut ProgSpec, rng: &mut Rng64, gen: &GenConfig) -> bool {
     let halt = halt_index(&spec.items);
     let at = rng.below(halt as u64 + 1) as usize;
     let n = rng.range_u64(1, 4) as usize;
-    let fresh = random_safe_items(rng, &cfg.gen, n, true);
+    let fresh = random_safe_items(rng, gen, n, true);
     spec.items.splice(at..at, fresh);
     true
 }
@@ -421,9 +413,9 @@ mod tests {
     fn mutated_children_assemble_and_keep_the_discipline() {
         let (parent, _) = generate(7, &GenConfig::default());
         let (donor, _) = generate(13, &GenConfig::default());
-        let cfg = MutateConfig::default();
+        let gen = GenConfig::default();
         for seed in 0..64 {
-            let (child, ops) = mutate(&parent, Some(&donor), seed, &cfg);
+            let (child, ops) = mutate(&parent, Some(&donor), seed, &gen);
             assert!(!ops.is_empty(), "seed {seed}: at least one operator must apply");
             assert!(child.assemble().is_ok(), "seed {seed}: child must assemble");
             assert!(discipline_holds(&child), "seed {seed}: register discipline broken");
@@ -438,10 +430,10 @@ mod tests {
     fn mutation_is_deterministic_in_the_seed() {
         let (parent, _) = generate(2, &GenConfig::default());
         let (donor, _) = generate(4, &GenConfig::default());
-        let cfg = MutateConfig::default();
+        let gen = GenConfig::default();
         for seed in [0, 9, 1234] {
-            let a = mutate(&parent, Some(&donor), seed, &cfg);
-            let b = mutate(&parent, Some(&donor), seed, &cfg);
+            let a = mutate(&parent, Some(&donor), seed, &gen);
+            let b = mutate(&parent, Some(&donor), seed, &gen);
             assert_eq!(a.0, b.0, "seed {seed}: spec must be reproducible");
             assert_eq!(a.1, b.1, "seed {seed}: operator trace must be reproducible");
         }
@@ -454,9 +446,9 @@ mod tests {
         // static feature vector must move.
         let (parent, _) = generate(5, &GenConfig::default());
         let base = static_coverage(&parent);
-        let cfg = MutateConfig::default();
+        let gen = GenConfig::default();
         let moved = (0..32).any(|seed| {
-            let (child, _) = mutate(&parent, None, seed, &cfg);
+            let (child, _) = mutate(&parent, None, seed, &gen);
             static_coverage(&child) != base
         });
         assert!(moved, "32 mutations never changed the static feature vector");
@@ -468,9 +460,8 @@ mod tests {
         // any movl to a loop counter keeps a positive, bounded trip
         // count in every mutated child.
         let (parent, _) = generate(11, &GenConfig::default());
-        let cfg = MutateConfig { max_stack: 4, ..MutateConfig::default() };
         for seed in 0..64 {
-            let (child, _) = mutate(&parent, None, seed, &cfg);
+            let (child, _) = mutate(&parent, None, seed, &GenConfig::default());
             for it in &child.items {
                 if let Item::Insn(insn) = it {
                     if let Op::MovL { d, imm } = insn.op {

@@ -5,6 +5,12 @@
 //! unified L2, a large L3, and a long memory latency, so that loads with
 //! latency ≥ 8 cycles (the DEAR qualification threshold) are exactly the
 //! L2-or-worse misses runtime prefetching targets (paper §3.1).
+//!
+//! The paper measures one machine, so the line sizes, associativities,
+//! latencies and MSHR count are constants of the model (`L1D_LINE`
+//! through `MSHRS`). [`CacheConfig`] holds only what some caller
+//! varies: the three data-cache sizes and the memory bus's service
+//! interval.
 
 use std::fmt;
 
@@ -261,76 +267,76 @@ impl fmt::Display for HitLevel {
     }
 }
 
-/// Geometry and latency configuration of the hierarchy.
+// The hierarchy's fixed geometry and latencies. They approximate the
+// 900 MHz Itanium 2 (McKinley) of the paper's zx6000 testbed, the one
+// machine the paper measures, so they are facts of the model rather
+// than settings. Changing any of these changes cycle counts: bump
+// `bench::store::STORE_VERSION`, because the baseline store's key hashes
+// only `MachineConfig`'s settable fields and would serve stale
+// baselines silently.
+
+/// L1D line size in bytes (also the unit ADORE aligns small integer
+/// prefetch strides to, §3.3).
+pub const L1D_LINE: u64 = 64;
+/// L1D associativity.
+const L1D_WAYS: usize = 4;
+/// L1D hit latency (cycles).
+const L1_LATENCY: u64 = 1;
+/// L1I size in bytes.
+const L1I_SIZE: u64 = 16 * 1024;
+/// L1I line size in bytes.
+const L1I_LINE: u64 = 64;
+/// L1I associativity.
+const L1I_WAYS: usize = 4;
+/// L2 (unified) line size in bytes.
+const L2_LINE: u64 = 128;
+/// L2 associativity.
+const L2_WAYS: usize = 8;
+/// L2 hit latency (cycles).
+const L2_LATENCY: u64 = 6;
+/// L3 line size in bytes.
+const L3_LINE: u64 = 128;
+/// L3 associativity.
+const L3_WAYS: usize = 12;
+/// L3 hit latency (cycles).
+const L3_LATENCY: u64 = 13;
+/// Main-memory latency (cycles).
+const MEM_LATENCY: u64 = 160;
+/// Maximum in-flight misses; further demand misses queue behind the
+/// oldest and further `lfetch`es are dropped (hint semantics).
+const MSHRS: usize = 16;
+/// Masks an address down to its L2 line base without a hardware divide
+/// (line sizes are powers of two).
+const L2_LINE_MASK: u64 = !(L2_LINE - 1);
+
+/// The hierarchy's settable sizes and bandwidth: the values some
+/// caller varies. Every other geometry and latency is a constant of
+/// this module.
 ///
-/// Defaults approximate the 900 MHz Itanium 2 (McKinley) in the paper's
-/// zx6000 testbed: 16 KB/64 B/4-way L1D with 1-cycle loads, 256 KB/
-/// 128 B/8-way unified L2 at ~6 cycles, 1.5 MB/128 B/12-way L3 at ~13
-/// cycles, and main memory >100 cycles away.
+/// Defaults are the Itanium 2's 16 KB L1D, 256 KB L2 and 1.5 MB L3. The
+/// oracle shrinks the three sizes so its short cases reach every level;
+/// the `no_bw_cap` ablation sets `mem_service_interval` to 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// L1D size in bytes.
     pub l1d_size: u64,
-    /// L1D line size in bytes.
-    pub l1d_line: u64,
-    /// L1D associativity.
-    pub l1d_ways: usize,
-    /// L1D hit latency (cycles).
-    pub l1_latency: u64,
-    /// L1I size in bytes.
-    pub l1i_size: u64,
-    /// L1I line size in bytes.
-    pub l1i_line: u64,
-    /// L1I associativity.
-    pub l1i_ways: usize,
     /// L2 size in bytes (unified).
     pub l2_size: u64,
-    /// L2 line size in bytes.
-    pub l2_line: u64,
-    /// L2 associativity.
-    pub l2_ways: usize,
-    /// L2 hit latency (cycles).
-    pub l2_latency: u64,
     /// L3 size in bytes.
     pub l3_size: u64,
-    /// L3 line size in bytes.
-    pub l3_line: u64,
-    /// L3 associativity.
-    pub l3_ways: usize,
-    /// L3 hit latency (cycles).
-    pub l3_latency: u64,
-    /// Main-memory latency (cycles).
-    pub mem_latency: u64,
     /// Minimum cycles between successive main-memory line fills (the
     /// bus/bank bandwidth limit of §1.3; prefetching cannot stream
     /// faster than this).
     pub mem_service_interval: u64,
-    /// Maximum in-flight misses; further demand misses queue behind the
-    /// oldest and further `lfetch`es are dropped (hint semantics).
-    pub mshrs: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
         CacheConfig {
             l1d_size: 16 * 1024,
-            l1d_line: 64,
-            l1d_ways: 4,
-            l1_latency: 1,
-            l1i_size: 16 * 1024,
-            l1i_line: 64,
-            l1i_ways: 4,
             l2_size: 256 * 1024,
-            l2_line: 128,
-            l2_ways: 8,
-            l2_latency: 6,
             l3_size: 1536 * 1024,
-            l3_line: 128,
-            l3_ways: 12,
-            l3_latency: 13,
-            mem_latency: 160,
             mem_service_interval: 24,
-            mshrs: 16,
         }
     }
 }
@@ -342,7 +348,8 @@ pub const DEAR_LATENCY_THRESHOLD: u64 = 8;
 /// The full cache hierarchy plus in-flight miss tracking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
-    config: CacheConfig,
+    /// [`CacheConfig::mem_service_interval`].
+    mem_service_interval: u64,
     l1d: Cache,
     l1i: Cache,
     l2: Cache,
@@ -367,9 +374,6 @@ pub struct Hierarchy {
     prune_due: u64,
     /// Earliest cycle the memory bus can start the next line fill.
     mem_next_free: u64,
-    /// `!(l2_line - 1)`: masks an address down to its L2 line base
-    /// without a hardware divide (line sizes are powers of two).
-    l2_line_mask: u64,
     lfetch_issued: u64,
     lfetch_dropped: u64,
 }
@@ -388,17 +392,16 @@ impl Hierarchy {
     /// Builds the hierarchy from a configuration.
     pub fn new(config: CacheConfig) -> Hierarchy {
         Hierarchy {
-            l1d: Cache::new("L1D", config.l1d_size, config.l1d_line, config.l1d_ways),
-            l1i: Cache::new("L1I", config.l1i_size, config.l1i_line, config.l1i_ways),
-            l2: Cache::new("L2", config.l2_size, config.l2_line, config.l2_ways),
-            l3: Cache::new("L3", config.l3_size, config.l3_line, config.l3_ways),
+            l1d: Cache::new("L1D", config.l1d_size, L1D_LINE, L1D_WAYS),
+            l1i: Cache::new("L1I", L1I_SIZE, L1I_LINE, L1I_WAYS),
+            l2: Cache::new("L2", config.l2_size, L2_LINE, L2_WAYS),
+            l3: Cache::new("L3", config.l3_size, L3_LINE, L3_WAYS),
             inflight: Vec::new(),
             pending_fills: Vec::new(),
             next_completion: u64::MAX,
             prune_due: 0,
             mem_next_free: 0,
-            l2_line_mask: !(config.l2_line - 1),
-            config,
+            mem_service_interval: config.mem_service_interval,
             lfetch_issued: 0,
             lfetch_dropped: 0,
         }
@@ -406,9 +409,8 @@ impl Hierarchy {
 
     /// Restores the just-constructed state in place: all four caches
     /// emptied, in-flight misses and pending prefetch fills dropped,
-    /// statistics cleared. Equivalent to
-    /// `Hierarchy::new(self.config().clone())` but reuses every
-    /// allocation.
+    /// statistics cleared. Equivalent to building it anew from the same
+    /// [`CacheConfig`] but reuses every allocation.
     pub fn reset(&mut self) {
         self.l1d.reset();
         self.l1i.reset();
@@ -421,11 +423,6 @@ impl Hierarchy {
         self.mem_next_free = 0;
         self.lfetch_issued = 0;
         self.lfetch_dropped = 0;
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// (issued, dropped) `lfetch` counts.
@@ -471,7 +468,7 @@ impl Hierarchy {
     /// Cycles a new miss at `now` queues for a free MSHR. Reads the
     /// in-flight list, so the caller has pruned it.
     fn mshr_wait(&self, now: u64) -> u64 {
-        if self.inflight.len() < self.config.mshrs {
+        if self.inflight.len() < MSHRS {
             return 0;
         }
         let earliest = self.inflight.iter().copied().min().unwrap_or(now);
@@ -499,13 +496,13 @@ impl Hierarchy {
         if !fp && self.l1d.access_fill(addr) {
             return AccessResult {
                 level: HitLevel::L1,
-                latency: self.config.l1_latency,
+                latency: L1_LATENCY,
             };
         }
         if self.l2.access_fill(addr) {
             return AccessResult {
                 level: HitLevel::L2,
-                latency: self.config.l2_latency,
+                latency: L2_LATENCY,
             };
         }
         self.load_beyond_l2(addr, now)
@@ -520,18 +517,18 @@ impl Hierarchy {
         // The prune removes completed fills, so any match is still in
         // flight even though the tag arrays were updated eagerly.
         self.prune(now);
-        let l2_line = addr & self.l2_line_mask;
+        let l2_line = addr & L2_LINE_MASK;
         let complete = self
             .pending_fills
             .iter()
             .filter(|&&(l, _)| l == l2_line)
             .map(|&(_, c)| c)
             .min()?;
-        let remaining = complete.saturating_sub(now).max(self.config.l1_latency);
+        let remaining = complete.saturating_sub(now).max(L1_LATENCY);
         self.fill_all(addr, fp);
-        let level = if remaining <= self.config.l2_latency {
+        let level = if remaining <= L2_LATENCY {
             HitLevel::L2
-        } else if remaining <= self.config.l3_latency {
+        } else if remaining <= L3_LATENCY {
             HitLevel::L3
         } else {
             HitLevel::Memory
@@ -549,12 +546,12 @@ impl Hierarchy {
         self.prune(now);
         let queue = self.mshr_wait(now);
         let (level, latency) = if self.l3.access_fill(addr) {
-            (HitLevel::L3, self.config.l3_latency + queue)
+            (HitLevel::L3, L3_LATENCY + queue)
         } else {
             // Main memory: respect the bus bandwidth limit.
             let start = (now + queue).max(self.mem_next_free);
-            self.mem_next_free = start + self.config.mem_service_interval;
-            (HitLevel::Memory, start - now + self.config.mem_latency)
+            self.mem_next_free = start + self.mem_service_interval;
+            (HitLevel::Memory, start - now + MEM_LATENCY)
         };
         self.start_inflight(now + latency);
         AccessResult { level, latency }
@@ -582,25 +579,25 @@ impl Hierarchy {
     pub fn lfetch(&mut self, addr: u64, now: u64) {
         self.prune(now);
         self.lfetch_issued += 1;
-        let l2_line = addr & self.l2_line_mask;
+        let l2_line = addr & L2_LINE_MASK;
         if self.pending_fills.iter().any(|&(l, _)| l == l2_line) {
             return; // already being fetched
         }
         if self.l2.probe(addr) && self.l1d.probe(addr) {
             return; // already everywhere useful
         }
-        if self.inflight.len() >= self.config.mshrs {
+        if self.inflight.len() >= MSHRS {
             self.lfetch_dropped += 1;
             return;
         }
         let latency = if self.l2.probe(addr) {
-            self.config.l2_latency
+            L2_LATENCY
         } else if self.l3.probe(addr) {
-            self.config.l3_latency
+            L3_LATENCY
         } else {
             let start = now.max(self.mem_next_free);
-            self.mem_next_free = start + self.config.mem_service_interval;
-            start - now + self.config.mem_latency
+            self.mem_next_free = start + self.mem_service_interval;
+            start - now + MEM_LATENCY
         };
         self.start_inflight(now + latency);
         self.pending_fills.push((l2_line, now + latency));
@@ -626,11 +623,11 @@ impl Hierarchy {
     #[inline(never)]
     fn ifetch_miss(&mut self, addr: u64) -> u64 {
         if self.l2.access_fill(addr) {
-            self.config.l2_latency
+            L2_LATENCY
         } else if self.l3.access_fill(addr) {
-            self.config.l3_latency
+            L3_LATENCY
         } else {
-            self.config.mem_latency
+            MEM_LATENCY
         }
     }
 }
@@ -685,7 +682,7 @@ mod tests {
         let mut h = small();
         let r1 = h.load(0x1000_0000, 0, false);
         assert_eq!(r1.level, HitLevel::Memory);
-        assert_eq!(r1.latency, h.config().mem_latency);
+        assert_eq!(r1.latency, MEM_LATENCY);
         let r2 = h.load(0x1000_0000, 200, false);
         assert_eq!(r2.level, HitLevel::L1);
         assert_eq!(r2.latency, 1);
@@ -697,7 +694,7 @@ mod tests {
         h.load(0x1000_0000, 0, true);
         let r = h.load(0x1000_0000, 300, true);
         assert_eq!(r.level, HitLevel::L2);
-        assert_eq!(r.latency, h.config().l2_latency);
+        assert_eq!(r.latency, L2_LATENCY);
         // An integer load of the same line also misses L1 (FP fill did
         // not populate L1D) but hits L2.
         let r = h.load(0x1000_0000, 600, false);
@@ -707,7 +704,7 @@ mod tests {
     #[test]
     fn lfetch_makes_future_load_fast() {
         let mut h = small();
-        let mem = h.config().mem_latency;
+        let mem = MEM_LATENCY;
         h.lfetch(0x2000_0000, 0);
         // Long after the fill completes: L1 hit.
         let r = h.load(0x2000_0000, mem + 10, false);
@@ -719,16 +716,16 @@ mod tests {
         let mut h = small();
         h.lfetch(0x2000_0000, 0);
         // Arrive halfway through the fill: pay roughly the remainder.
-        let half = h.config().mem_latency / 2;
+        let half = MEM_LATENCY / 2;
         let r = h.load(0x2000_0000, half, false);
-        assert!(r.latency < h.config().mem_latency);
-        assert!(r.latency >= h.config().l2_latency);
+        assert!(r.latency < MEM_LATENCY);
+        assert!(r.latency >= L2_LATENCY);
     }
 
     #[test]
     fn lfetch_dropped_when_mshrs_full() {
         let mut h = small();
-        for i in 0..h.config().mshrs as u64 {
+        for i in 0..MSHRS as u64 {
             h.lfetch(0x3000_0000 + i * 4096, 0);
         }
         let before = h.lfetch_stats().1;
@@ -740,14 +737,11 @@ mod tests {
     fn mshr_pressure_queues_demand_misses() {
         let mut h = small();
         let mut last = 0;
-        for i in 0..(h.config().mshrs as u64 + 4) {
+        for i in 0..(MSHRS as u64 + 4) {
             let r = h.load(0x5000_0000 + i * 4096, 0, false);
             last = r.latency;
         }
-        assert!(
-            last > h.config().mem_latency,
-            "queued miss should exceed raw latency"
-        );
+        assert!(last > MEM_LATENCY, "queued miss should exceed raw latency");
     }
 
     #[test]
@@ -831,13 +825,15 @@ mod tests {
         // that completed by the load's cycle must not hold MSHRs
         // against that `lfetch`, even though the load hit L1D and
         // skipped its prune.
-        let mut h = Hierarchy::new(CacheConfig { mshrs: 4, ..CacheConfig::default() });
-        for i in 0..4u64 {
-            h.load(0x1000_0000 + i * 4096, 0, false);
+        let mut h = small();
+        // One L2 line apart: every load misses to memory and keeps its
+        // own L1D set, so the first line is still in L1D below.
+        for i in 0..MSHRS as u64 {
+            h.load(0x1000_0000 + i * L2_LINE, 0, false);
         }
-        let late = 10 * h.config().mem_latency;
+        let late = 10 * MEM_LATENCY;
         assert_eq!(h.load(0x1000_0000, late, false).level, HitLevel::L1);
-        h.lfetch(0x2000_0000, h.config().mem_latency / 2);
+        h.lfetch(0x2000_0000, MEM_LATENCY / 2);
         assert_eq!(h.lfetch_stats(), (1, 0), "the lfetch found every MSHR free");
     }
 
@@ -860,10 +856,9 @@ mod tests {
 
     #[test]
     fn dear_threshold_separates_l2_hits() {
-        let cfg = CacheConfig::default();
-        assert!(cfg.l2_latency < DEAR_LATENCY_THRESHOLD);
-        assert!(cfg.l3_latency >= DEAR_LATENCY_THRESHOLD);
-        assert!(cfg.mem_latency >= DEAR_LATENCY_THRESHOLD);
+        const { assert!(L2_LATENCY < DEAR_LATENCY_THRESHOLD) };
+        const { assert!(L3_LATENCY >= DEAR_LATENCY_THRESHOLD) };
+        const { assert!(MEM_LATENCY >= DEAR_LATENCY_THRESHOLD) };
     }
 
     #[test]
@@ -872,7 +867,7 @@ mod tests {
         // service interval: the Nth fill completes no earlier than
         // N * interval after the first.
         let mut h = small();
-        let cfg = h.config().clone();
+        let interval = CacheConfig::default().mem_service_interval;
         let n = 8u64;
         let mut last_latency = 0;
         for i in 0..n {
@@ -880,7 +875,7 @@ mod tests {
             last_latency = r.latency;
         }
         assert!(
-            last_latency >= cfg.mem_latency + (n - 1) * cfg.mem_service_interval,
+            last_latency >= MEM_LATENCY + (n - 1) * interval,
             "8th concurrent miss must wait for bus slots: {last_latency}"
         );
     }
@@ -895,7 +890,7 @@ mod tests {
         // two simultaneous L3-class hits don't queue. Warm two lines:
         let a = 0x900_0000u64;
         h.load(a, 0, false);
-        let warm = h.config().mem_latency * 2;
+        let warm = MEM_LATENCY * 2;
         // Both lines now in caches; same-cycle re-loads at L1 cost 1.
         let r1 = h.load(a, warm, false);
         let r2 = h.load(a + 8, warm, false);

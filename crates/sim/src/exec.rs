@@ -1,6 +1,6 @@
 //! The predecoded execution fast path.
 //!
-//! [`Machine::run`]'s tier dispatch (see [`crate::tier`]) steps here
+//! [`Machine::run`]'s tier dispatch (see `crate::tier`) steps here
 //! when [`ExecPath::Fast`](crate::ExecPath::Fast) is configured (the
 //! default). The fast path is **cycle-exact** with the reference
 //! implementation in `machine.rs` — same architectural state, same PMU

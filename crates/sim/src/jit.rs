@@ -5,7 +5,7 @@
 //! path while per-bundle entry counts accumulate; once a bundle has been
 //! entered [`HOT_THRESHOLD`] times it becomes the head of a **compiled
 //! region**: a contiguous run of bundles translated into chains of
-//! closures ([`OpFn`]) executed with direct-threaded dispatch — no
+//! closures (`OpFn`) executed with direct-threaded dispatch — no
 //! fetch, no scoreboard walk, no per-slot decode.
 //!
 //! A closure does not define what its instruction does. It checks the

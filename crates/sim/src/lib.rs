@@ -53,4 +53,4 @@ pub use machine::{
 };
 pub use mem::{Memory, DATA_BASE};
 pub use pmu::{BranchTraceBuffer, BtbEntry, Counters, DearKind, DearRecord, Pmu, Sample};
-pub use tlb::{Tlb, TlbConfig};
+pub use tlb::Tlb;

@@ -20,7 +20,7 @@ use crate::cache::{CacheConfig, Hierarchy, HitLevel};
 use crate::code::CodeStore;
 use crate::mem::Memory;
 use crate::pmu::{Pmu, Sample};
-use crate::tlb::{Tlb, TlbConfig};
+use crate::tlb::Tlb;
 
 /// PMU sampling configuration (perfmon-style).
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +102,7 @@ impl ExecPath {
     /// CLI `--help` text, so the two can never drift apart.
     pub const VALUE_LIST: &'static str = "reference|fast|threaded";
 
-    /// The tier's canonical lowercase name (what [`FromStr`]
+    /// The tier's canonical lowercase name (what [`FromStr`](std::str::FromStr)
     /// accepts and [`Display`](std::fmt::Display) prints).
     pub fn name(self) -> &'static str {
         match self {
@@ -144,27 +144,32 @@ impl std::fmt::Display for ExecPath {
     }
 }
 
-/// Machine configuration.
+// The core's fixed latencies and trace-pool size. Changing any of
+// these changes cycle counts: bump `bench::store::STORE_VERSION` (see
+// the note in `crate::cache`).
+
+/// Bubble cycles on a taken branch.
+const TAKEN_BRANCH_PENALTY: u64 = 1;
+/// Latency of floating-point arithmetic (`fma`, `fadd`, `fmul`).
+const FP_LATENCY: u64 = 4;
+/// Latency of cross-unit moves (`getf`/`setf`), part of what makes
+/// fp↔int address computations hostile to stride detection.
+const XFER_LATENCY: u64 = 5;
+/// Trace-pool capacity in bundles (the shared-memory block `dyn_open`
+/// allocates once, paper §2.2).
+const TRACE_POOL_BUNDLES: usize = 16 * 1024;
+
+/// Machine configuration: the settings some caller varies. The core's
+/// latencies, the cache geometry and the DTLB are constants of the
+/// modelled Itanium 2 (see [`crate::cache`] and [`crate::tlb`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Cache hierarchy geometry and latencies.
+    /// Cache sizes and memory bandwidth.
     pub cache: CacheConfig,
     /// Data arena capacity in bytes.
     pub mem_capacity: usize,
-    /// Bubble cycles on a taken branch.
-    pub taken_branch_penalty: u64,
-    /// Latency of floating-point arithmetic (`fma` etc.).
-    pub fp_latency: u64,
-    /// Latency of cross-unit moves (`getf`/`setf`), part of what makes
-    /// fp↔int address computations hostile to stride detection.
-    pub xfer_latency: u64,
     /// PMU sampling; `None` disables sampling entirely.
     pub sampling: Option<SamplingConfig>,
-    /// Data TLB geometry and walker latency.
-    pub tlb: TlbConfig,
-    /// Trace-pool capacity in bundles (the shared-memory block
-    /// `dyn_open` allocates once, paper §2.2).
-    pub trace_pool_bundles: usize,
     /// Execution engine; [`ExecPath::Fast`] unless overridden.
     pub exec_path: ExecPath,
 }
@@ -174,12 +179,7 @@ impl Default for MachineConfig {
         MachineConfig {
             cache: CacheConfig::default(),
             mem_capacity: 64 << 20,
-            taken_branch_penalty: 1,
-            fp_latency: 4,
-            xfer_latency: 5,
             sampling: None,
-            tlb: TlbConfig::default(),
-            trace_pool_bundles: 16 * 1024,
             exec_path: ExecPath::default(),
         }
     }
@@ -443,7 +443,7 @@ impl Machine {
         Machine {
             mem: Memory::new(config.mem_capacity),
             caches: Hierarchy::new(config.cache.clone()),
-            tlb: Tlb::new(config.tlb.clone()),
+            tlb: Tlb::new(),
             pmu: Pmu::new(),
             gr: [0; 128],
             fr,
@@ -655,7 +655,7 @@ impl Machine {
     /// Fails with [`PatchError::PoolFull`] when the fixed-size pool
     /// cannot hold the trace.
     pub fn install_trace(&mut self, bundles: Vec<Bundle>) -> Result<Addr, PatchError> {
-        if self.pool.len() + bundles.len() > self.config.trace_pool_bundles {
+        if self.pool.len() + bundles.len() > TRACE_POOL_BUNDLES {
             return Err(PatchError::PoolFull);
         }
         self.before_edit();
@@ -667,7 +667,7 @@ impl Machine {
 
     /// Remaining trace-pool capacity in bundles.
     pub fn pool_remaining(&self) -> usize {
-        self.config.trace_pool_bundles - self.pool.len()
+        TRACE_POOL_BUNDLES - self.pool.len()
     }
 
     /// Replaces the bundle at `addr` (static code or trace pool),
@@ -1071,8 +1071,8 @@ impl Machine {
         match taken {
             Some(t) => {
                 self.ip = t.bundle_align();
-                self.cycle += self.config.taken_branch_penalty;
-                self.pmu.counters.stall_branch += self.config.taken_branch_penalty;
+                self.cycle += TAKEN_BRANCH_PENALTY;
+                self.pmu.counters.stall_branch += TAKEN_BRANCH_PENALTY;
                 self.half_bundle = false;
             }
             None => {
@@ -1240,23 +1240,23 @@ impl Machine {
             }
             Op::Fma { d, a, b, c } => {
                 let v = self.fr[a.index()].mul_add(self.fr[b.index()], self.fr[c.index()]);
-                self.write_fr(d, v, ready(self.config.fp_latency));
+                self.write_fr(d, v, ready(FP_LATENCY));
             }
             Op::Fadd { d, a, b } => {
                 let v = self.fr[a.index()] + self.fr[b.index()];
-                self.write_fr(d, v, ready(self.config.fp_latency));
+                self.write_fr(d, v, ready(FP_LATENCY));
             }
             Op::Fmul { d, a, b } => {
                 let v = self.fr[a.index()] * self.fr[b.index()];
-                self.write_fr(d, v, ready(self.config.fp_latency));
+                self.write_fr(d, v, ready(FP_LATENCY));
             }
             Op::Getf { d, s } => {
                 let v = self.fr[s.index()] as i64;
-                self.write_gr(d, v, ready(self.config.xfer_latency));
+                self.write_gr(d, v, ready(XFER_LATENCY));
             }
             Op::Setf { d, s } => {
                 let v = self.gr[s.index()] as f64;
-                self.write_fr(d, v, ready(self.config.xfer_latency));
+                self.write_fr(d, v, ready(XFER_LATENCY));
             }
             // `br.cond` is reached only when its qualifying predicate
             // held.
@@ -1718,8 +1718,8 @@ mod tests {
         m.run(u64::MAX);
         assert_eq!(m.gr(Gr(11)), 42);
         assert_eq!(m.gr(Gr(12)), 84);
-        // Two cross-unit transfers cost at least 2 × xfer latency.
-        assert!(m.cycles() >= 10);
+        // Two cross-unit transfers cost at least 2 × XFER_LATENCY.
+        assert!(m.cycles() >= 2 * XFER_LATENCY);
     }
 
     #[test]

@@ -6,33 +6,26 @@
 //! constrains prefetching the way real hardware does: a non-faulting
 //! `lfetch` that misses the DTLB is silently dropped rather than walking
 //! the page table.
+//!
+//! Its geometry is fixed, like the caches' (see [`crate::cache`]): 128
+//! fully associative entries over 16 KB pages and a 25-cycle walk.
 
-/// DTLB configuration. Defaults approximate the Itanium 2 L2 DTLB with
-/// 16 KB pages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TlbConfig {
-    /// Number of entries (fully associative).
-    pub entries: usize,
-    /// Page size in bytes (must be a power of two).
-    pub page_bytes: u64,
-    /// Hardware-walker latency added to a demand access that misses.
-    pub miss_latency: u64,
-}
+// The DTLB's fixed geometry, approximating the Itanium 2 L2 DTLB with
+// 16 KB pages. Changing any of these changes cycle counts: bump
+// `bench::store::STORE_VERSION` (see the note in `crate::cache`).
 
-impl Default for TlbConfig {
-    fn default() -> TlbConfig {
-        TlbConfig {
-            entries: 128,
-            page_bytes: 16 * 1024,
-            miss_latency: 25,
-        }
-    }
-}
+/// DTLB entries (fully associative).
+const TLB_ENTRIES: usize = 128;
+/// Page size in bytes.
+const PAGE_BYTES: u64 = 16 * 1024;
+/// Hardware-walker latency added to a demand access that misses.
+const TLB_MISS_LATENCY: u64 = 25;
+/// `log2(PAGE_BYTES)`: page numbers via shift, not hardware divide.
+const PAGE_SHIFT: u32 = PAGE_BYTES.trailing_zeros();
 
 /// A fully associative, true-LRU translation buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tlb {
-    config: TlbConfig,
     /// (page number, LRU stamp); linear scan — entry counts are small.
     entries: Vec<(u64, u64)>,
     /// Page of the most recent `access`, short-circuiting the scan for
@@ -41,8 +34,6 @@ pub struct Tlb {
     /// change, so skipping the refresh preserves relative LRU order
     /// (the memoized page already holds the newest stamp).
     last_page: u64,
-    /// `log2(page_bytes)`: page numbers via shift, not hardware divide.
-    page_shift: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -50,27 +41,15 @@ pub struct Tlb {
 
 impl Tlb {
     /// Creates an empty TLB.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the page size is a power of two and there is at
-    /// least one entry.
-    pub fn new(config: TlbConfig) -> Tlb {
-        assert!(
-            config.page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        assert!(config.entries > 0, "TLB needs at least one entry");
+    pub(crate) fn new() -> Tlb {
         Tlb {
-            entries: Vec::with_capacity(config.entries),
+            entries: Vec::with_capacity(TLB_ENTRIES),
             // No page number can reach u64::MAX (pages are addresses
             // divided by the page size), so MAX means "no memo".
             last_page: u64::MAX,
-            page_shift: config.page_bytes.trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
-            config,
         }
     }
 
@@ -85,18 +64,13 @@ impl Tlb {
         self.misses = 0;
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
-    }
-
     /// (hits, misses) since creation.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     fn page(&self, addr: u64) -> u64 {
-        addr >> self.page_shift
+        addr >> PAGE_SHIFT
     }
 
     /// Translates a demand access: returns the added latency (0 on a
@@ -124,7 +98,7 @@ impl Tlb {
             return 0;
         }
         self.misses += 1;
-        if self.entries.len() == self.config.entries {
+        if self.entries.len() == TLB_ENTRIES {
             let victim = self
                 .entries
                 .iter()
@@ -135,7 +109,7 @@ impl Tlb {
             self.entries.swap_remove(victim);
         }
         self.entries.push((page, self.tick));
-        self.config.miss_latency
+        TLB_MISS_LATENCY
     }
 
     /// Probes without filling (the `lfetch` path: hints that miss the
@@ -152,58 +126,42 @@ mod tests {
 
     #[test]
     fn hit_after_fill() {
-        let mut t = Tlb::new(TlbConfig::default());
-        assert_eq!(t.access(0x1000_0000), 25);
+        let mut t = Tlb::new();
+        assert_eq!(t.access(0x1000_0000), TLB_MISS_LATENCY);
         assert_eq!(t.access(0x1000_0008), 0, "same page");
-        assert_eq!(t.access(0x1000_4000), 25, "next 16K page");
+        assert_eq!(t.access(0x1000_4000), TLB_MISS_LATENCY, "next 16K page");
         assert_eq!(t.stats(), (1, 2));
     }
 
     #[test]
     fn lru_eviction() {
-        let mut t = Tlb::new(TlbConfig {
-            entries: 2,
-            page_bytes: 4096,
-            miss_latency: 10,
-        });
-        t.access(0x0000); // page 0
-        t.access(0x1000); // page 1
-        t.access(0x0008); // refresh page 0
-        t.access(0x2000); // page 2 evicts page 1
+        let mut t = Tlb::new();
+        for page in 0..TLB_ENTRIES as u64 {
+            t.access(page * PAGE_BYTES);
+        }
+        t.access(0x0008); // refresh page 0, so page 1 is now LRU
+        t.access(TLB_ENTRIES as u64 * PAGE_BYTES); // evicts page 1
         assert!(t.probe(0x0000));
-        assert!(!t.probe(0x1000));
-        assert!(t.probe(0x2000));
+        assert!(!t.probe(PAGE_BYTES));
+        assert!(t.probe(2 * PAGE_BYTES));
+        assert!(t.probe(TLB_ENTRIES as u64 * PAGE_BYTES));
     }
 
     #[test]
     fn probe_does_not_fill() {
-        let t = Tlb::new(TlbConfig::default());
+        let t = Tlb::new();
         assert!(!t.probe(0x5000_0000));
     }
 
     #[test]
     fn reach_is_entries_times_page() {
-        let mut t = Tlb::new(TlbConfig {
-            entries: 4,
-            page_bytes: 4096,
-            miss_latency: 10,
-        });
-        for i in 0..4u64 {
-            t.access(i * 4096);
+        let mut t = Tlb::new();
+        for i in 0..TLB_ENTRIES as u64 {
+            t.access(i * PAGE_BYTES);
         }
-        // All four still resident.
-        for i in 0..4u64 {
-            assert!(t.probe(i * 4096));
+        // All of them still resident.
+        for i in 0..TLB_ENTRIES as u64 {
+            assert!(t.probe(i * PAGE_BYTES));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_page_size_panics() {
-        let _ = Tlb::new(TlbConfig {
-            entries: 4,
-            page_bytes: 3000,
-            miss_latency: 10,
-        });
     }
 }

@@ -4,13 +4,13 @@
 //! shapes ADORE's direct/indirect/chase detector already handles. These
 //! three families stress what that evaluation never shows the optimizer:
 //!
-//! * [`server`] — a request-serving loop drawing keys from a Zipfian
+//! * `server` — a request-serving loop drawing keys from a Zipfian
 //!   distribution over a hash table plus linked freelists, with load
 //!   spikes (a burst phase with a different loop mix) forcing phase
 //!   churn;
-//! * [`graph`] — graph analytics (BFS frontier expansion + pagerank
+//! * `graph` — graph analytics (BFS frontier expansion + pagerank
 //!   gathers over a CSR layout) dominated by irregular indirect misses;
-//! * [`gc`] — an allocator/GC-style traversal whose mark loop reads
+//! * `gc` — an allocator/GC-style traversal whose mark loop reads
 //!   payloads through *jump pointers* (the dependence-based prefetch
 //!   shape of the Pointer-Chase Prefetcher literature), plus a sweep
 //!   over a shuffled freelist.

@@ -5,7 +5,9 @@
 #   tools/ci.sh
 #
 # Steps:
-#   1. release build of every crate, warnings denied
+#   1. release build of every crate, warnings denied, and the
+#      workspace's rustdoc with its warnings (broken or private intra-doc
+#      links) denied
 #   2. full test suite (unit + integration + doc tests), wall-clock
 #      logged, then the tests of the standalone perf/ benchmark package
 #      (the workspace build does not cover it)
@@ -122,8 +124,9 @@ EOF
 $(cat)" "$@"
 }
 
-echo "== build (release, -D warnings) =="
+echo "== build (release, -D warnings) and rustdoc (-D warnings) =="
 cargo build --release --workspace --benches
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== test (default quick tiers) =="
 t0=$(date +%s%N)
