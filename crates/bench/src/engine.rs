@@ -4,19 +4,18 @@
 //! (workload × [`CompileOptions`] × [`AdoreConfig`]) point measured in
 //! a particular way. An [`ExperimentSpec`] declares the grid — sections
 //! of cells plus which report columns each cell emits — and
-//! [`ExperimentSpec::run`] executes it on the work-stealing shard pool
-//! from [`obs::pool`]:
+//! [`ExperimentSpec::run`] executes it on the worker pool from
+//! [`obs::pool`]:
 //!
-//! * **work distribution** — cells are fed through per-shard deques
-//!   ([`obs::pool::service_scope`]); an idle worker steals from the
-//!   back of a busy shard, so one slow cell cannot strand a backlog;
+//! * **work distribution** — cells join the pool's one FIFO queue
+//!   ([`obs::pool::service_scope`]) and each idle worker takes the
+//!   oldest, so one slow cell holds only its own worker;
 //! * **determinism** — each cell's sampling seed derives from its
 //!   identity (tool/section/workload), never from thread or timing
 //!   state, and rows are emitted in strict submission order by the
 //!   pool's reorder buffer, so the merged report is byte-identical for
 //!   any `--jobs` value (the envelope timestamp and the volatile
-//!   `engine.scheduling` / `engine.baseline_store` observability
-//!   subsections are the exceptions);
+//!   `engine.baseline_store` subsection are the exceptions);
 //! * **streaming** — [`ExperimentSpec::run_streaming`] hands each row
 //!   to a sink the moment it and all its predecessors are done, so
 //!   partial results survive interruption;
@@ -38,8 +37,7 @@
 //! * **observability** — per-cell timing goes to stderr through
 //!   [`obs::Progress`] while the deterministic cell labels (a function
 //!   of the grid) and cache statistics are embedded in the report's
-//!   `engine` section, alongside the volatile scheduling and store
-//!   counters.
+//!   `engine` section, alongside the volatile store counters.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -353,7 +351,7 @@ impl ExperimentSpec {
         let jobs = self.jobs.clamp(1, n.max(1));
 
         let mut ordered: Vec<Json> = Vec::with_capacity(n);
-        let (_, pool_stats) = obs::pool::service_scope(
+        obs::pool::service_scope(
             jobs,
             |_| (),
             |_: &mut (), i: usize, (): ()| {
@@ -398,10 +396,9 @@ impl ExperimentSpec {
         }
         let (store_hits, store_misses) = runner.store_stats();
         // Deterministic keys first (byte-identical to schema v1), then
-        // the volatile observability subsections new in schema v2:
-        // `baseline_store` depends on what prior processes left on
-        // disk, `scheduling` on thread timing. Jobs-invariance diffs
-        // zero both ([`EngineResult::canonical`]).
+        // the volatile `baseline_store` subsection new in schema v2: it
+        // depends on what prior processes left on disk. Jobs-invariance
+        // diffs zero it ([`EngineResult::canonical`]).
         let store_json = match &runner.store {
             Some(s) => Json::object()
                 .with("enabled", true)
@@ -433,18 +430,7 @@ impl ExperimentSpec {
                     .with("split_cells", split_cells),
             );
         }
-        report.set(
-            "engine",
-            engine
-                .with("baseline_store", store_json)
-                .with(
-                    "scheduling",
-                    Json::object()
-                        .with("shards", pool_stats.shards)
-                        .with("stolen_tasks", pool_stats.stolen)
-                        .with("queue_depth_hwm", pool_stats.queue_hwm),
-                ),
-        );
+        report.set("engine", engine.with("baseline_store", store_json));
 
         let wall = progress.wall();
         eprintln!(
@@ -596,15 +582,13 @@ impl EngineResult {
     }
 
     /// The report with its volatile fields zeroed, pretty-printed: the
-    /// envelope timestamp and the `engine.scheduling` /
-    /// `engine.baseline_store` subsections, which describe how (not
-    /// what) the grid ran. Everything else is the same for any `--jobs`
-    /// value and any prior store state.
+    /// envelope timestamp and the `engine.baseline_store` subsection,
+    /// which describes how (not what) the grid ran. Everything else is
+    /// the same for any `--jobs` value and any prior store state.
     pub fn canonical(&self) -> String {
         let mut j = self.report.json().clone();
         j.set("generated_unix_s", 0u64);
         let mut engine = j.get("engine").expect("engine section").clone();
-        engine.set("scheduling", Json::object());
         engine.set("baseline_store", Json::object());
         j.set("engine", engine);
         j.pretty()
@@ -686,18 +670,7 @@ pub struct BaselineCache {
     store: Option<Arc<BaselineStore>>,
 }
 
-impl Default for BaselineCache {
-    fn default() -> Self {
-        BaselineCache::new()
-    }
-}
-
 impl BaselineCache {
-    /// An empty cache with no persistent store behind it.
-    pub fn new() -> BaselineCache {
-        BaselineCache::with_store(None)
-    }
-
     /// An empty cache backed by `store` (when `Some`): misses fall
     /// through to disk before simulating.
     pub fn with_store(store: Option<Arc<BaselineStore>>) -> BaselineCache {

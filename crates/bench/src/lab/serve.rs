@@ -34,7 +34,7 @@
 //!
 //! A malformed request still produces its response line, with an
 //! `error` field inside the row. Volatile statistics (persistent-store
-//! hits, steal counts) go to stderr only, so the stdout stream is
+//! hits and misses) go to stderr only, so the stdout stream is
 //! byte-identical for any `--jobs` value.
 
 use std::io::{BufRead, Write};
@@ -134,7 +134,7 @@ fn parse_request(line: &str, runner: &CellRunner) -> Task {
 }
 
 /// The testable core: requests from `input`, response lines to `out`.
-/// Requests run on the work-stealing pool while the feeder keeps
+/// Requests run on the worker pool while the feeder keeps
 /// reading, and responses flush line-by-line so a consumer sees a
 /// stable, byte-deterministic prefix even mid-stream.
 pub fn serve_io(cli: &Cli, input: impl BufRead + Send, out: &mut impl Write) -> ServeSummary {

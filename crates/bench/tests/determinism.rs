@@ -69,7 +69,7 @@ fn parallel_report_is_byte_identical_to_serial() {
 fn baseline_cache_counts_hits_and_distinguishes_machines() {
     let suite = workloads::suite(0.05);
     let w = suite.iter().find(|w| w.name == "swim").unwrap();
-    let cache = BaselineCache::new();
+    let cache = BaselineCache::with_store(None);
     let mcfg = ExperimentSpec::paper_machine_config();
     let a = cache.plain(w, &CompileOptions::o2(), &mcfg).unwrap();
     let b = cache.plain(w, &CompileOptions::o2(), &mcfg).unwrap();

@@ -101,19 +101,6 @@ impl Program {
         self.symbols.get(&addr.0).map(String::as_str)
     }
 
-    /// The nearest symbol at or before `addr`, with the offset from it.
-    pub fn symbolize(&self, addr: Addr) -> Option<(&str, u64)> {
-        self.symbols
-            .range(..=addr.0)
-            .next_back()
-            .map(|(a, n)| (n.as_str(), addr.0 - a))
-    }
-
-    /// Returns true if `addr` lies in the trace pool rather than the
-    /// static code segment.
-    pub fn is_trace_pool_addr(addr: Addr) -> bool {
-        addr.0 >= TRACE_POOL_BASE
-    }
 }
 
 impl fmt::Display for Program {
@@ -164,15 +151,6 @@ mod tests {
         p.add_symbol(p.addr_of(0), "main");
         p.add_symbol(p.addr_of(2), "loop");
         assert_eq!(p.symbol_at(p.addr_of(2)), Some("loop"));
-        assert_eq!(p.symbolize(p.addr_of(3)), Some(("loop", 16)));
-        assert_eq!(p.symbolize(p.addr_of(1)), Some(("main", 16)));
-    }
-
-    #[test]
-    fn trace_pool_detection() {
-        assert!(Program::is_trace_pool_addr(Addr(TRACE_POOL_BASE)));
-        assert!(Program::is_trace_pool_addr(Addr(TRACE_POOL_BASE + 160)));
-        assert!(!Program::is_trace_pool_addr(Addr(CODE_BASE)));
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   coverage and accuracy run-over-run.
 //! * [`progress`] — live (out-of-order) stderr lines for concurrently
 //!   produced work items, with wall-clock timing.
-//! * [`pool`] — a work-stealing shard pool over `std::thread::scope`:
-//!   the resident-service primitive ([`pool::service_scope`]) that
-//!   feeds jobs through per-shard deques and emits results in strict
+//! * [`pool`] — a worker pool over `std::thread::scope`: the
+//!   resident-service primitive ([`pool::service_scope`]) that feeds
+//!   jobs through one FIFO queue and emits results in strict
 //!   submission order, plus a batch wrapper ([`pool::run_indexed`])
-//!   used by the experiment engine and the fuzzing campaign.
+//!   used by the fuzzing campaign.
 
 #![warn(missing_docs)]
 
@@ -28,6 +28,6 @@ pub mod progress;
 pub mod report;
 
 pub use json::{Json, ToJson};
-pub use pool::{run_indexed, service_scope, PoolStats, Submitter};
+pub use pool::{run_indexed, service_scope, Submitter};
 pub use progress::Progress;
 pub use report::{Report, SCHEMA_VERSION};

@@ -1,182 +1,108 @@
-//! Work-stealing shard pool: the shared execution substrate of the
+//! One-queue worker pool: the shared execution substrate of the
 //! experiment service.
 //!
-//! Every large consumer in this repository — the experiment engine's
-//! cell grids, the differential fuzzer's case batches, the campaign's
-//! round evaluation — has the same shape: a stream of independent,
+//! The experiment engine's cell grids, `lab serve`'s request stream and
+//! the campaign's case batches share one shape: independent,
 //! index-identified jobs whose *results must be observed in submission
-//! order* even though workers finish them in any order. This module
-//! factors that shape out once:
+//! order* although workers finish them in any order. [`service_scope`]
+//! runs that shape once:
 //!
-//! * **sharded queues** — submitted jobs land round-robin on per-worker
-//!   deques; each worker pops its own shard from the front and, when
-//!   empty, steals from the back of a sibling's shard, so an uneven
-//!   grid (one slow `mcf` cell amid cheap ones) cannot idle the pool;
-//! * **resident operation** — [`service_scope`] keeps workers alive
-//!   while a feeder thread pushes jobs (e.g. spec cells arriving on
-//!   stdin); workers sleep on a condvar between arrivals and drain the
-//!   queues after [`Submitter::close`];
-//! * **ordered emission** — results are re-sequenced and handed to the
-//!   caller's `emit` closure strictly in submission-index order, as
-//!   soon as each next index completes. Downstream streams (JSONL rows,
-//!   report sections) are therefore byte-identical for any worker
-//!   count, while still being incremental;
-//! * **per-worker state** — each worker owns a state value built by
-//!   `init` (a leased simulator pair, a scratch arena) that is returned
-//!   to the caller at the end for accounting.
+//! * jobs join one FIFO queue and each idle worker takes the oldest, so
+//!   jobs start in submission order and a slow job (an `mcf` cell amid
+//!   cheap ones) holds only its own worker;
+//! * a feeder thread pushes jobs while the workers sleep between
+//!   arrivals (e.g. spec cells read from stdin);
+//! * results are parked and emitted strictly in submission-index order
+//!   as soon as each next one exists, so downstream streams (JSONL
+//!   rows, report sections) are byte-identical for any worker count
+//!   yet incremental;
+//! * each worker owns a state built by `init` (a leased simulator, a
+//!   scratch arena), returned to the caller for accounting.
 //!
-//! Scheduling statistics ([`PoolStats`]: steal count, queue-depth
-//! high-water mark) are inherently timing-dependent; reports must keep
-//! them in a clearly volatile section (the engine's
-//! `engine.scheduling`), never among deterministic rows.
+//! One mutex guards the queue, the parked results and the count of live
+//! workers; workers wait on a "work queued" condvar, the emitter on a
+//! "result parked" one.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::json::{Json, ToJson};
-
-/// Scheduling counters of one pool run. Everything here may legally
-/// vary from run to run (and with the worker count); deterministic
-/// consumers must treat the whole struct as volatile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker shards the pool ran with.
-    pub shards: usize,
-    /// Jobs executed by a worker other than the shard they were
-    /// submitted to (work stealing).
-    pub stolen: u64,
-    /// High-water mark of jobs queued (all shards) and not yet started.
-    pub queue_hwm: usize,
-    /// Jobs executed in total.
-    pub executed: u64,
+/// Everything the pool's threads share, guarded by [`Shared::state`].
+struct State<T, R> {
+    /// Submitted jobs not yet taken, oldest first.
+    queue: VecDeque<(usize, T)>,
+    /// Still accepting submissions.
+    open: bool,
+    /// Finished results waiting for their turn in submission order.
+    parked: BTreeMap<usize, R>,
+    /// Workers that have not yet exited.
+    live: usize,
 }
 
-impl ToJson for PoolStats {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .with("shards", self.shards)
-            .with("stolen_tasks", self.stolen)
-            .with("queue_depth_hwm", self.queue_hwm)
-            .with("executed", self.executed)
+struct Shared<T, R> {
+    state: Mutex<State<T, R>>,
+    work_queued: Condvar,
+    result_parked: Condvar,
+}
+
+impl<T, R> Shared<T, R> {
+    /// Locks the state. Every update under the lock is a single queue,
+    /// map or counter operation, so a panic elsewhere never leaves it
+    /// half-written and a poisoned lock is safe to reuse.
+    fn lock(&self) -> MutexGuard<'_, State<T, R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the oldest queued job, sleeping until one arrives; `None`
+    /// once the stream is closed and drained.
+    fn next_job(&self) -> Option<(usize, T)> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.queue.pop_front() {
+                return Some(job);
+            }
+            if !state.open {
+                return None;
+            }
+            state = self.work_queued.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
-/// Queue bookkeeping guarded by one mutex: pending counts and the
-/// open/closed state workers sleep on.
-struct Gate {
-    /// Jobs submitted and not yet picked up by a worker.
-    pending: usize,
-    /// Still accepting submissions.
-    open: bool,
-    /// Total jobs submitted so far (final once `open` is false).
-    submitted: usize,
+/// Counts a worker out when its thread ends, by returning or by
+/// unwinding, so the emitter never waits on a worker that is gone.
+struct LiveWorker<'p, T, R>(&'p Shared<T, R>);
+
+impl<T, R> Drop for LiveWorker<'_, T, R> {
+    fn drop(&mut self) {
+        self.0.lock().live -= 1;
+        self.0.result_parked.notify_one();
+    }
 }
 
-struct Shared<T> {
-    shards: Vec<Mutex<VecDeque<(usize, T)>>>,
-    gate: Mutex<Gate>,
-    work_ready: Condvar,
-    stolen: AtomicU64,
-    executed: AtomicU64,
-    depth_hwm: AtomicUsize,
+/// Submission handle passed to the feeder closure of [`service_scope`];
+/// dropping it when the feeder returns (or unwinds) closes the stream.
+pub struct Submitter<'p, T, R> {
+    shared: &'p Shared<T, R>,
+    next_index: Cell<usize>,
 }
 
-/// Submission handle passed to the feeder closure of [`service_scope`].
-pub struct Submitter<'p, T> {
-    shared: &'p Shared<T>,
-    next_index: AtomicUsize,
-}
-
-impl<'p, T> Submitter<'p, T> {
+impl<T, R> Submitter<'_, T, R> {
     /// Queues one job and returns its submission index (the order
     /// `emit` will observe).
     pub fn push(&self, item: T) -> usize {
-        let index = self.next_index.fetch_add(1, Ordering::SeqCst);
-        let shard = index % self.shared.shards.len();
-        let mut gate = self.shared.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Queue under the gate: a worker can take the job as soon as it
-        // is queued, but uncounts it under the gate, so only after this
-        // push has counted it (otherwise `pending` could underflow).
-        self.shared.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back((index, item));
-        gate.pending += 1;
-        gate.submitted += 1;
-        let depth = gate.pending;
-        drop(gate);
-        self.shared.depth_hwm.fetch_max(depth, Ordering::SeqCst);
-        self.shared.work_ready.notify_one();
+        let index = self.next_index.replace(self.next_index.get() + 1);
+        self.shared.lock().queue.push_back((index, item));
+        self.shared.work_queued.notify_one();
         index
     }
-
-    /// Declares the job stream finished; workers drain what is queued
-    /// and exit. Called automatically when the feeder closure returns.
-    pub fn close(&self) {
-        let mut gate = self.shared.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        gate.open = false;
-        drop(gate);
-        self.shared.work_ready.notify_all();
-    }
 }
 
-impl<T> Shared<T> {
-    /// Takes the next job for worker `me`: own shard front first, then
-    /// steal from siblings' backs, then sleep until work arrives or the
-    /// stream closes empty.
-    fn take(&self, me: usize) -> Option<(usize, T)> {
-        loop {
-            if let Some(job) = self.try_take(me) {
-                return Some(job);
-            }
-            let mut gate = self.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            loop {
-                if gate.pending > 0 {
-                    break; // retry the deques
-                }
-                if !gate.open {
-                    return None;
-                }
-                gate = self
-                    .work_ready
-                    .wait(gate)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
+impl<T, R> Drop for Submitter<'_, T, R> {
+    fn drop(&mut self) {
+        self.shared.lock().open = false;
+        self.shared.work_queued.notify_all();
     }
-
-    fn try_take(&self, me: usize) -> Option<(usize, T)> {
-        let n = self.shards.len();
-        for offset in 0..n {
-            let victim = (me + offset) % n;
-            let job = {
-                let mut deque = self.shards[victim]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                // Owner takes oldest-first; thieves take from the other
-                // end to minimize contention on the owner's next job.
-                if victim == me { deque.pop_front() } else { deque.pop_back() }
-            };
-            if let Some(job) = job {
-                let mut gate = self.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                gate.pending -= 1;
-                drop(gate);
-                if victim != me {
-                    self.stolen.fetch_add(1, Ordering::SeqCst);
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-/// Results parked until their turn in the submission order.
-struct Reorder<R> {
-    ready: Mutex<BTreeMap<usize, R>>,
-    workers_live: AtomicUsize,
-    result_ready: Condvar,
 }
 
 /// Runs a resident worker pool inside a thread scope.
@@ -191,139 +117,83 @@ struct Reorder<R> {
 /// * `emit(index, result)` — runs on the calling thread, invoked in
 ///   strict submission-index order as soon as each next result exists.
 ///
-/// Returns the worker states (in worker order) and the scheduling
-/// statistics. Determinism contract: for a fixed job stream, everything
-/// observable through `emit` is independent of `jobs`; only
-/// [`PoolStats`] and worker-state contents may differ.
-pub fn service_scope<T, S, R>(
+/// Returns the worker states in worker order. Determinism contract: for
+/// a fixed job stream, everything observable through `emit` is
+/// independent of `jobs`; only the worker-state contents may differ. A
+/// panic in any closure propagates to the caller once the remaining
+/// workers have drained the queue.
+pub fn service_scope<T: Send, S: Send, R: Send>(
     jobs: usize,
     init: impl Fn(usize) -> S + Sync,
     work: impl Fn(&mut S, usize, T) -> R + Sync,
-    feed: impl FnOnce(&Submitter<'_, T>) + Send,
+    feed: impl FnOnce(&Submitter<'_, T, R>) + Send,
     mut emit: impl FnMut(usize, R),
-) -> (Vec<S>, PoolStats)
-where
-    T: Send,
-    S: Send,
-    R: Send,
-{
+) -> Vec<S> {
     let jobs = jobs.max(1);
-    let shared = Shared {
-        shards: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-        gate: Mutex::new(Gate { pending: 0, open: true, submitted: 0 }),
-        work_ready: Condvar::new(),
-        stolen: AtomicU64::new(0),
-        executed: AtomicU64::new(0),
-        depth_hwm: AtomicUsize::new(0),
-    };
-    let reorder = Reorder {
-        ready: Mutex::new(BTreeMap::new()),
-        workers_live: AtomicUsize::new(jobs),
-        result_ready: Condvar::new(),
-    };
-    let state_slots: Vec<Mutex<Option<S>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let state = State { queue: VecDeque::new(), open: true, parked: BTreeMap::new(), live: jobs };
+    let (work_queued, result_parked) = (Condvar::new(), Condvar::new());
+    let shared = Shared { state: Mutex::new(state), work_queued, result_parked };
 
     std::thread::scope(|scope| {
-        for me in 0..jobs {
-            let shared = &shared;
-            let reorder = &reorder;
-            let init = &init;
-            let work = &work;
-            let slot = &state_slots[me];
-            scope.spawn(move || {
-                let mut state = init(me);
-                while let Some((index, job)) = shared.take(me) {
-                    let result = work(&mut state, index, job);
-                    shared.executed.fetch_add(1, Ordering::SeqCst);
-                    reorder
-                        .ready
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .insert(index, result);
-                    reorder.result_ready.notify_all();
-                }
-                *slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(state);
-                // Decrement under the reorder mutex: the emitter checks
-                // `workers_live` while holding it, so an unsynchronized
-                // decrement+notify could slip between its check and its
-                // wait and be lost.
-                {
-                    let _guard =
-                        reorder.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    reorder.workers_live.fetch_sub(1, Ordering::SeqCst);
-                }
-                reorder.result_ready.notify_all();
-            });
-        }
+        let workers: Vec<_> = (0..jobs)
+            .map(|me| {
+                let (shared, init, work) = (&shared, &init, &work);
+                scope.spawn(move || {
+                    let _live = LiveWorker(shared);
+                    let mut state = init(me);
+                    while let Some((index, job)) = shared.next_job() {
+                        let result = work(&mut state, index, job);
+                        shared.lock().parked.insert(index, result);
+                        shared.result_parked.notify_one();
+                    }
+                    state
+                })
+            })
+            .collect();
 
         // The feeder gets its own thread so a blocking source (stdin)
         // cannot stall ordered emission below.
-        let feeder = scope.spawn(|| {
-            let submitter = Submitter { shared: &shared, next_index: AtomicUsize::new(0) };
-            feed(&submitter);
-            submitter.close();
-        });
+        scope.spawn(|| feed(&Submitter { shared: &shared, next_index: Cell::new(0) }));
 
         // Ordered emission on the calling thread.
         let mut next_emit = 0usize;
-        let mut ready = reorder.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = shared.lock();
         loop {
-            if let Some(result) = ready.remove(&next_emit) {
-                drop(ready);
+            if let Some(result) = state.parked.remove(&next_emit) {
+                drop(state);
                 emit(next_emit, result);
                 next_emit += 1;
-                ready = reorder.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                continue;
-            }
-            if reorder.workers_live.load(Ordering::SeqCst) == 0 {
-                // All workers exited: the stream is closed, drained,
-                // and every result is already in `ready` — the branch
-                // above would have found `next_emit` if it existed.
+                state = shared.lock();
+            } else if state.live == 0 {
+                // Every worker has exited, so no result is still to
+                // come; a gap left by a panicked job re-raises its
+                // panic at the join below.
                 break;
+            } else {
+                state = shared.result_parked.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
-            ready = reorder
-                .result_ready
-                .wait(ready)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        drop(ready);
-        feeder.join().expect("pool feeder thread");
-    });
+        drop(state);
 
-    let states = state_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("worker state returned")
-        })
-        .collect();
-    let stats = PoolStats {
-        shards: jobs,
-        stolen: shared.stolen.load(Ordering::SeqCst),
-        queue_hwm: shared.depth_hwm.load(Ordering::SeqCst),
-        executed: shared.executed.load(Ordering::SeqCst),
-    };
-    (states, stats)
+        workers
+            .into_iter()
+            .map(|worker| worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// Batch front-end over [`service_scope`]: runs `items` through the
 /// pool and returns their results in submission order, plus the worker
-/// states and scheduling statistics.
-pub fn run_indexed<T, S, R>(
+/// states.
+pub fn run_indexed<T: Send, S: Send, R: Send>(
     jobs: usize,
     items: Vec<T>,
     init: impl Fn(usize) -> S + Sync,
     work: impl Fn(&mut S, usize, T) -> R + Sync,
-) -> (Vec<R>, Vec<S>, PoolStats)
-where
-    T: Send,
-    S: Send,
-    R: Send,
-{
+) -> (Vec<R>, Vec<S>) {
     let n = items.len();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let (states, stats) = service_scope(
+    let states = service_scope(
         jobs.clamp(1, n.max(1)),
         init,
         work,
@@ -338,18 +208,19 @@ where
         .into_iter()
         .map(|slot| slot.expect("every submitted job emitted"))
         .collect();
-    (results, states, stats)
+    (results, states)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn batch_results_are_submission_ordered_for_any_worker_count() {
         for jobs in [1, 2, 7] {
-            let (results, states, stats) = run_indexed(
+            let (results, states) = run_indexed(
                 jobs,
                 (0..40u64).collect(),
                 |_| 0u64,
@@ -360,22 +231,28 @@ mod tests {
                 },
             );
             assert_eq!(results, (0..40u64).map(|i| i * 3).collect::<Vec<_>>());
-            assert_eq!(stats.executed, 40);
-            assert_eq!(stats.shards, jobs.min(40));
+            assert_eq!(states.len(), jobs.min(40));
             assert_eq!(states.iter().sum::<u64>(), 40, "every job counted exactly once");
         }
     }
 
     #[test]
     fn repeated_batches_never_uncount_a_job_before_it_is_counted() {
-        // A worker may take a job the moment it is queued; `pending`
-        // must already count it. Many short batches make that race
-        // likely (it underflowed within a few thousand batches when the
-        // count came after the queueing).
+        // Many short batches race the workers against the feeder and
+        // the close; every job must still run exactly once and every
+        // batch must end.
         for _ in 0..3000 {
-            let (results, _, stats) = run_indexed(2, (0..40u64).collect(), |_| (), |_, _, i| i);
+            let (results, states) = run_indexed(
+                2,
+                (0..40u64).collect(),
+                |_| 0u64,
+                |count, _, i| {
+                    *count += 1;
+                    i
+                },
+            );
             assert_eq!(results.len(), 40);
-            assert_eq!(stats.executed, 40);
+            assert_eq!(states.iter().sum::<u64>(), 40);
         }
     }
 
@@ -383,12 +260,13 @@ mod tests {
     fn emission_order_is_strict_even_when_late_jobs_finish_first() {
         // Job 0 is made slow; all emissions must still start at 0.
         let emitted = Mutex::new(Vec::new());
-        let (_, stats) = service_scope(
+        let states = service_scope(
             4,
-            |_| (),
-            |_, index, ()| {
+            |_| 0usize,
+            |count, index, ()| {
+                *count += 1;
                 if index == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    std::thread::sleep(Duration::from_millis(30));
                 }
                 index
             },
@@ -403,7 +281,7 @@ mod tests {
             },
         );
         assert_eq!(*emitted.lock().unwrap(), (0..16).collect::<Vec<_>>());
-        assert_eq!(stats.executed, 16);
+        assert_eq!(states.iter().sum::<usize>(), 16);
     }
 
     #[test]
@@ -411,51 +289,100 @@ mod tests {
         // Jobs arrive with pauses, as on a stdin-fed service; workers
         // must sleep and wake rather than exit early.
         let mut seen = Vec::new();
-        let (_, stats) = service_scope(
+        let states = service_scope(
             2,
-            |_| (),
-            |_, _, item: u32| item + 1,
+            |_| 0usize,
+            |count, _, item: u32| {
+                *count += 1;
+                item + 1
+            },
             |submitter| {
                 for batch in 0..3 {
                     for i in 0..4 {
                         submitter.push(batch * 4 + i);
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    std::thread::sleep(Duration::from_millis(5));
                 }
             },
             |_, result| seen.push(result),
         );
         assert_eq!(seen, (1..=12).collect::<Vec<_>>());
-        assert_eq!(stats.executed, 12);
+        assert_eq!(states.iter().sum::<usize>(), 12);
     }
 
     #[test]
-    fn stealing_happens_when_one_shard_hogs_the_work() {
-        // With 2 shards, even indices land on shard 0, odd on shard 1.
-        // Worker 1's jobs are instant; worker 0's first job is slow, so
-        // worker 1 must steal the rest of shard 0's backlog.
-        let slow = AtomicUsize::new(0);
-        let (_, _, stats) = run_indexed(
+    fn a_slow_job_does_not_strand_the_queue() {
+        // Job 0 holds its worker until the other 63 jobs are done (or a
+        // generous timeout passes), so the other worker must run them.
+        let done = (Mutex::new(0usize), Condvar::new());
+        let (_, mut counts) = run_indexed(
             2,
             (0..64usize).collect(),
-            |_| (),
-            |_, _, item| {
-                if item == 0 && slow.fetch_add(1, Ordering::SeqCst) == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(40));
+            |_| 0usize,
+            |count, _, item| {
+                *count += 1;
+                let (finished, cv) = &done;
+                if item == 0 {
+                    let guard = finished.lock().unwrap();
+                    let _ = cv.wait_timeout_while(guard, Duration::from_secs(10), |n| *n < 63);
+                } else {
+                    *finished.lock().unwrap() += 1;
+                    cv.notify_all();
                 }
-                item
             },
         );
-        assert!(stats.stolen > 0, "expected steals, got {stats:?}");
-        assert_eq!(stats.executed, 64);
+        counts.sort_unstable();
+        assert_eq!(counts, [1, 63], "the worker not holding job 0 ran all the others");
     }
 
     #[test]
-    fn pool_stats_serialize_with_documented_keys() {
-        let j = PoolStats { shards: 2, stolen: 3, queue_hwm: 5, executed: 8 }.to_json();
-        assert_eq!(j.get("shards").and_then(Json::as_u64), Some(2));
-        assert_eq!(j.get("stolen_tasks").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("queue_depth_hwm").and_then(Json::as_u64), Some(5));
-        assert_eq!(j.get("executed").and_then(Json::as_u64), Some(8));
+    fn each_worker_takes_jobs_in_submission_order() {
+        // Queue all 64 jobs before either worker takes one, then hold
+        // job 1 so the two workers' loads are uneven.
+        let all_queued = Barrier::new(3);
+        let taken = service_scope(
+            2,
+            |_| {
+                all_queued.wait();
+                Vec::new()
+            },
+            |taken: &mut Vec<usize>, index, ()| {
+                if index == 1 {
+                    std::thread::sleep(Duration::from_millis(40));
+                }
+                taken.push(index);
+            },
+            |submitter| {
+                for _ in 0..64 {
+                    submitter.push(());
+                }
+                all_queued.wait();
+            },
+            |_, ()| {},
+        );
+        assert_eq!(taken.iter().map(Vec::len).sum::<usize>(), 64);
+        for indices in &taken {
+            assert!(indices.windows(2).all(|w| w[0] < w[1]), "out of order: {indices:?}");
+        }
+    }
+
+    #[test]
+    fn an_empty_stream_ends() {
+        let mut emitted = 0;
+        let states = service_scope(3, |me| me, |_, _, (): ()| (), |_| {}, |_, ()| emitted += 1);
+        assert_eq!(states, [0, 1, 2]);
+        assert_eq!(emitted, 0);
+        let (results, states) = run_indexed(4, Vec::<u8>::new(), |_| (), |_, _, item| item);
+        assert!(results.is_empty());
+        assert_eq!(states.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn a_panicking_job_reaches_the_caller() {
+        run_indexed(2, (0..16usize).collect(), |_| (), |_, _, item| {
+            assert!(item != 5, "job 5 failed");
+            item
+        });
     }
 }

@@ -28,7 +28,10 @@ use crate::json::{Json, ToJson};
 ///
 /// v2: the engine's `engine` section gained `baseline_store` and
 /// `scheduling` subsections (persistent-store hits/misses, shard
-/// count, queue depth high-water mark, stolen-task count).
+/// count, queue depth high-water mark, stolen-task count). The
+/// volatile `scheduling` subsection was later dropped without a bump,
+/// because nothing reads it; committed `results/*.json` keep it until
+/// they are regenerated.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// A report under construction: the standard envelope plus whatever

@@ -289,10 +289,10 @@ fn plan_round(round: usize, corpus: &[CorpusEntry], cfg: &CampaignConfig) -> Vec
     plan
 }
 
-/// Evaluates a round's plan on the shared work-stealing service pool
+/// Evaluates a round's plan on the shared worker pool
 /// ([`obs::pool::run_indexed`]). Results come back indexed by plan
 /// position, so the serial merge that follows is independent of worker
-/// scheduling; each shard leases one [`CaseRunner`] for its lifetime.
+/// scheduling; each worker leases one [`CaseRunner`] for its lifetime.
 fn evaluate_batch(
     plan: &[Planned],
     cfg: &CampaignConfig,
@@ -300,11 +300,11 @@ fn evaluate_batch(
 ) -> Vec<(CaseResult, crate::diff::RunCoverage)> {
     let progress = cfg.progress.then(|| obs::Progress::new("campaign", plan.len()));
 
-    let (results, runners, _pool) = obs::pool::run_indexed(
+    let (results, runners) = obs::pool::run_indexed(
         cfg.jobs.max(1),
         (0..plan.len()).collect(),
         |_| CaseRunner::new(),
-        |runner: &mut CaseRunner, _shard, i: usize| {
+        |runner: &mut CaseRunner, _index, i: usize| {
             let started = Instant::now();
             let result = check_case(&plan[i].spec, &case_diff(cfg, plan[i].case_seed), runner);
             if let Some(p) = &progress {

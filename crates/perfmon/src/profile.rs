@@ -129,18 +129,6 @@ impl MissProfile {
         }
         out
     }
-
-    /// Fraction of total latency attributed to the load at `pc`.
-    pub fn latency_share(&self, pc: Pc) -> f64 {
-        if self.total_latency == 0 {
-            return 0.0;
-        }
-        self.entries
-            .iter()
-            .find(|e| e.addr == pc.addr.0 && e.slot == pc.slot)
-            .map(|e| e.total_latency as f64 / self.total_latency as f64)
-            .unwrap_or(0.0)
-    }
 }
 
 impl ToJson for MissProfile {
@@ -211,18 +199,6 @@ mod tests {
         assert!(top.len() < 10);
         let covered: u64 = top.iter().map(|e| e.total_latency).sum();
         assert!(covered as f64 >= 0.2 * p.total_latency() as f64);
-    }
-
-    #[test]
-    fn latency_share_lookup() {
-        let samples = vec![
-            sample_with_dear(0, 0x4000_0000, 0, 0x1000_0000, 300),
-            sample_with_dear(1, 0x4000_0100, 0, 0x1000_0040, 100),
-        ];
-        let p = MissProfile::from_samples(&samples);
-        let share = p.latency_share(Pc::new(Addr(0x4000_0000), 0));
-        assert!((share - 0.75).abs() < 1e-12);
-        assert_eq!(p.latency_share(Pc::new(Addr(0x5000_0000), 0)), 0.0);
     }
 
     #[test]

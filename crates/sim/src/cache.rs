@@ -882,20 +882,24 @@ mod tests {
 
     #[test]
     fn l3_hits_are_not_bandwidth_capped() {
-        let mut h = small();
-        // Warm a line into L3 only (fill, then evict from L2 by filling
-        // conflicting lines would be complex; instead check latency of
-        // an L3 hit path via lfetch bookkeeping): simplest: a memory
-        // load then re-load far later is an L1 hit; here we just check
-        // two simultaneous L3-class hits don't queue. Warm two lines:
-        let a = 0x900_0000u64;
-        h.load(a, 0, false);
-        let warm = MEM_LATENCY * 2;
-        // Both lines now in caches; same-cycle re-loads at L1 cost 1.
-        let r1 = h.load(a, warm, false);
-        let r2 = h.load(a + 8, warm, false);
-        assert_eq!(r1.latency, 1);
-        assert_eq!(r2.latency, 1);
+        // A one-set L2, so the lines that evict the warm ones from L1D
+        // also evict them from L2; L3 keeps them in sets of their own.
+        let l2_size = L2_LINE * L2_WAYS as u64;
+        let mut h = Hierarchy::new(CacheConfig { l2_size, ..CacheConfig::default() });
+        let l1d_way = CacheConfig::default().l1d_size / L1D_WAYS as u64;
+        let warm: Vec<u64> = (0..8).map(|i| 0x900_0000 + i * L2_LINE).collect();
+        let evictors = warm.iter().flat_map(|&a| (1..=L1D_WAYS as u64).map(move |k| a + k * l1d_way));
+        // One load per MEM_LATENCY cycles: no load queues for the bus or
+        // an MSHR, and all are done before the timed loads.
+        let mut now = 0;
+        for addr in warm.iter().copied().chain(evictors) {
+            h.load(addr, now, false);
+            now += MEM_LATENCY;
+        }
+        for &addr in &warm {
+            let hit = AccessResult { level: HitLevel::L3, latency: L3_LATENCY };
+            assert_eq!(h.load(addr, now, false), hit, "same-cycle L3 hits skip the memory bus");
+        }
     }
 
     #[test]

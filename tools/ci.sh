@@ -14,11 +14,11 @@
 #   3. release run of the ignored slow tiers: the quick-scale golden
 #      cycle-exactness pass and the full-scale (ADORE_FULL_E2E=1)
 #      end-to-end tier
-#   4. smoke experiments through the sharded service engine: the same
+#   4. smoke experiments through the pooled service engine: the same
 #      `lab fig7 --quick` grid twice against one persistent baseline
 #      store — cold at --jobs 1, warm at --jobs 2 — must produce
 #      byte-identical reports (modulo the timestamp and the volatile
-#      engine.scheduling / engine.baseline_store subsections); the warm
+#      engine.baseline_store subsection); the warm
 #      run must hit the store for every baseline (zero recomputes) and
 #      beat the cold run's wall-clock (both are logged)
 #   4b. resident-service smoke: two spec cells piped into `lab serve`
@@ -101,10 +101,11 @@ ms_since() { echo $(( ($(date +%s%N) - $1) / 1000000 )); }
 # Runs the Python check read from stdin (arguments passed through) with
 # R (the results directory) and same_modulo_volatile(a, b, message)
 # defined. The helper zeroes the volatile report fields in both
-# reports, in place: the timestamp, plus the engine.scheduling /
-# engine.baseline_store subsections, which describe how (not what) the
-# engine executed. It asserts the rest is byte-identical (failing with
-# `message`) and returns the canonical length.
+# reports, in place: the timestamp, plus the engine.baseline_store
+# subsection, which describes how (not what) the engine executed. It
+# asserts that neither report has an engine.scheduling section (the
+# engine no longer writes one), that the rest is byte-identical
+# (failing with `message`) and returns the canonical length.
 py_report_check() {
     local prelude
     prelude=$(cat <<'EOF'
@@ -112,8 +113,8 @@ import json, os, sys
 R = os.environ["ADORE_RESULTS_DIR"]
 def same_modulo_volatile(a, b, message):
     for doc in (a, b):
+        assert "scheduling" not in doc["engine"], "engine.scheduling is gone"
         doc["generated_unix_s"] = 0
-        doc["engine"]["scheduling"] = {}
         doc["engine"]["baseline_store"] = {}
     sa, sb = (json.dumps(x, indent=1) for x in (a, b))
     assert sa == sb, message
