@@ -90,9 +90,7 @@ pub fn find_delinquent_loads(traces: &[Trace], ueb: &UserEventBuffer) -> Vec<Del
             })
             .collect();
         in_trace.sort_by(|a, b| {
-            b.total_latency
-                .cmp(&a.total_latency)
-                .then_with(|| a.pc.addr.cmp(&b.pc.addr))
+            b.total_latency.cmp(&a.total_latency).then_with(|| a.pc.addr.cmp(&b.pc.addr))
         });
         in_trace.truncate(MAX_LOADS_PER_TRACE);
         out.extend(in_trace);
@@ -104,11 +102,7 @@ pub fn find_delinquent_loads(traces: &[Trace], ueb: &UserEventBuffer) -> Vec<Del
 /// `trace_index`, in the order `find_delinquent_loads` produced them
 /// (decreasing total latency within the trace).
 pub fn loads_for_trace(loads: &[DelinquentLoad], trace_index: usize) -> Vec<DelinquentLoad> {
-    loads
-        .iter()
-        .filter(|l| l.trace_index == trace_index)
-        .cloned()
-        .collect()
+    loads.iter().filter(|l| l.trace_index == trace_index).cloned().collect()
 }
 
 #[cfg(test)]
@@ -145,7 +139,12 @@ mod tests {
                 retired: 500 * (i as u64 + 1),
                 dcache_misses: i as u64,
                 btb: vec![],
-                dear: Some(DearRecord { load_pc: Pc::new(Addr(a), s), miss_addr: ma, latency: lat, kind: sim::DearKind::CacheMiss }),
+                dear: Some(DearRecord {
+                    load_pc: Pc::new(Addr(a), s),
+                    miss_addr: ma,
+                    latency: lat,
+                    kind: sim::DearKind::CacheMiss,
+                }),
             })
             .collect();
         let mut ueb = UserEventBuffer::new(4);
@@ -188,9 +187,8 @@ mod tests {
     #[test]
     fn top_three_limit_applies() {
         let t = trace_at(0x4000_0000, 8, true);
-        let misses: Vec<(u64, u8, u64, u64)> = (0..6)
-            .map(|i| (0x4000_0000 + 16 * i, 0u8, 0x1000_0000 + 64 * i, 100 + i))
-            .collect();
+        let misses: Vec<(u64, u8, u64, u64)> =
+            (0..6).map(|i| (0x4000_0000 + 16 * i, 0u8, 0x1000_0000 + 64 * i, 100 + i)).collect();
         let ueb = ueb_with_misses(&misses);
         let d = find_delinquent_loads(&[t], &ueb);
         assert_eq!(d.len(), MAX_LOADS_PER_TRACE);

@@ -223,9 +223,7 @@ pub fn count_recording_stores(bundles: &[Bundle]) -> usize {
     bundles
         .iter()
         .flat_map(|b| b.slots.iter())
-        .filter(|i| {
-            i.qp == Some(Pr::RESERVED) && matches!(i.op, Op::St { .. })
-        })
+        .filter(|i| i.qp == Some(Pr::RESERVED) && matches!(i.op, Op::St { .. }))
         .count()
 }
 
@@ -341,9 +339,11 @@ mod tests {
         assert_eq!(lfetches, 1);
         assert_eq!(ot.stats.direct, 1);
         // The anchor add re-computes rp from the load's address register.
-        let anchored = ot.body.iter().flat_map(|b| b.slots.iter()).any(|i| {
-            matches!(i.op, Op::AddI { a: Gr(42), imm: 2048, d } if d.is_reserved())
-        });
+        let anchored = ot
+            .body
+            .iter()
+            .flat_map(|b| b.slots.iter())
+            .any(|i| matches!(i.op, Op::AddI { a: Gr(42), imm: 2048, d } if d.is_reserved()));
         assert!(anchored);
     }
 

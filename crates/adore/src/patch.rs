@@ -71,10 +71,8 @@ pub fn install(machine: &mut Machine, ot: &OptimizedTrace) -> Result<PatchedTrac
     let installed_at = machine.install_trace(bundles)?;
     debug_assert_eq!(installed_at, pool_addr);
 
-    let saved = machine.replace_bundle(
-        ot.start,
-        Bundle::branch_only(Insn::new(Op::Br { target: pool_addr })),
-    )?;
+    let saved = machine
+        .replace_bundle(ot.start, Bundle::branch_only(Insn::new(Op::Br { target: pool_addr })))?;
 
     // Publishing the trace and redirecting the head are two distinct
     // code mutations; both must have invalidated any stale predecoded
@@ -177,8 +175,7 @@ mod tests {
             share: 1.0,
             last_miss_addr: 0x1000_0000,
         }];
-        let (opt, _) =
-            crate::prefetch::optimize_trace(&trace, &loads, &Default::default());
+        let (opt, _) = crate::prefetch::optimize_trace(&trace, &loads, &Default::default());
         opt.expect("prefetch applies")
     }
 
@@ -237,10 +234,7 @@ mod tests {
             assert_eq!(m.run(u64::MAX), StopReason::Halted);
             results.push((m.cycles(), m.retired(), m.gr(Gr(21))));
         }
-        assert_eq!(
-            results[0], results[1],
-            "reference and fast paths diverged on patched code"
-        );
+        assert_eq!(results[0], results[1], "reference and fast paths diverged on patched code");
     }
 
     #[test]
@@ -271,10 +265,7 @@ mod tests {
 
         assert_eq!(m.run(u64::MAX), StopReason::Halted);
         let stats = m.jit_stats().unwrap();
-        assert!(
-            stats.deopts >= 1,
-            "live patch must deopt the compiled region: {stats:?}"
-        );
+        assert!(stats.deopts >= 1, "live patch must deopt the compiled region: {stats:?}");
         assert!(
             stats.regions_compiled >= 2,
             "redirected head and pool trace must re-warm and recompile: {stats:?}"

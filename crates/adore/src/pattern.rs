@@ -107,10 +107,7 @@ struct Body<'a> {
 impl<'a> Body<'a> {
     fn iter(&self) -> impl Iterator<Item = ((usize, u8), &'a isa::Insn)> + '_ {
         self.trace.bundles.iter().enumerate().flat_map(|(bi, b)| {
-            b.slots
-                .iter()
-                .enumerate()
-                .map(move |(si, insn)| ((bi, si as u8), insn))
+            b.slots.iter().enumerate().map(move |(si, insn)| ((bi, si as u8), insn))
         })
     }
 
@@ -512,10 +509,7 @@ mod tests {
             a.label("x");
         });
         let pos = nth_load(&t, 0);
-        assert_eq!(
-            classify(&t, pos),
-            Ok(Pattern::Direct { stride: 12, fp: false, base: Gr(14) })
-        );
+        assert_eq!(classify(&t, pos), Ok(Pattern::Direct { stride: 12, fp: false, base: Gr(14) }));
     }
 
     #[test]

@@ -134,16 +134,13 @@ impl PhaseDetector {
         // Aggregate groups of `window_scale` windows into effective
         // windows (the paper doubles the profile window instead; the
         // effect is the same statistic over a longer period).
-        let groups: Vec<ProfileWindow> = recent
-            .chunks(self.window_scale)
-            .map(|chunk| merge(chunk))
-            .collect();
+        let groups: Vec<ProfileWindow> =
+            recent.chunks(self.window_scale).map(|chunk| merge(chunk)).collect();
         if groups.len() < self.config.windows_required {
             return self.note_unstable();
         }
 
-        let pool_mean =
-            groups.iter().map(|w| w.pool_fraction).sum::<f64>() / groups.len() as f64;
+        let pool_mean = groups.iter().map(|w| w.pool_fraction).sum::<f64>() / groups.len() as f64;
         let cpis: Vec<f64> = groups.iter().map(|w| w.cpi).collect();
         let dpis: Vec<f64> = groups.iter().map(|w| w.dpi).collect();
         let pcs: Vec<f64> = groups.iter().map(|w| w.pc_center).collect();
@@ -198,8 +195,7 @@ fn merge(windows: &[&ProfileWindow]) -> ProfileWindow {
     let retired: u64 = windows.iter().map(|w| w.retired).sum();
     let dear: u64 = windows.iter().map(|w| w.dear_misses).sum();
     let pc = windows.iter().map(|w| w.pc_center).sum::<f64>() / windows.len() as f64;
-    let pool =
-        windows.iter().map(|w| w.pool_fraction).sum::<f64>() / windows.len() as f64;
+    let pool = windows.iter().map(|w| w.pool_fraction).sum::<f64>() / windows.len() as f64;
     let cpi = if retired > 0 { cycles as f64 / retired as f64 } else { 0.0 };
     let dpi = if retired > 0 { dear as f64 / retired as f64 } else { 0.0 };
     ProfileWindow {
@@ -280,9 +276,7 @@ mod tests {
     #[test]
     fn moving_pc_center_is_unstable() {
         let ueb = ueb_of(
-            (0..6)
-                .map(|i| window(i, 3.0, 0.004, 0x4000_0000 as f64 + i as f64 * 1e6))
-                .collect(),
+            (0..6).map(|i| window(i, 3.0, 0.004, 0x4000_0000 as f64 + i as f64 * 1e6)).collect(),
         );
         let mut d = PhaseDetector::new(PhaseConfig::default());
         assert_eq!(d.evaluate(&ueb), PhaseDecision::Unstable);

@@ -120,13 +120,10 @@ impl std::str::FromStr for PassKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<PassKind, String> {
-        PassKind::ALL
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| {
-                let names: Vec<&str> = PassKind::ALL.iter().map(|k| k.name()).collect();
-                format!("unknown pass `{s}` (known: {})", names.join(", "))
-            })
+        PassKind::ALL.into_iter().find(|k| k.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = PassKind::ALL.iter().map(|k| k.name()).collect();
+            format!("unknown pass `{s}` (known: {})", names.join(", "))
+        })
     }
 }
 
@@ -403,9 +400,7 @@ impl Default for PipelineLedger {
 impl PipelineLedger {
     /// A zeroed ledger for the given pass order.
     pub fn new(order: &[PassKind]) -> PipelineLedger {
-        PipelineLedger {
-            passes: order.iter().map(|&k| (k, PassLedger::default())).collect(),
-        }
+        PipelineLedger { passes: order.iter().map(|&k| (k, PassLedger::default())).collect() }
     }
 
     /// The ledger entry for a pass, created on first use.
@@ -605,10 +600,8 @@ impl Pass for PhaseGate {
         match decision.actionable(ctx.config.phase.min_dpi) {
             Ok(sig) => {
                 let detector = &ctx.detector;
-                ctx.scratch.entry_idx = ctx
-                    .optimized
-                    .iter()
-                    .position(|(s, _, _, _)| detector.same_phase(s, &sig));
+                ctx.scratch.entry_idx =
+                    ctx.optimized.iter().position(|(s, _, _, _)| detector.same_phase(s, &sig));
                 ctx.scratch.sig = Some(sig);
                 ctx.ledger.accept(PassKind::PhaseGate, 1);
                 // A stable window of a known phase feeds the policy
@@ -755,11 +748,8 @@ impl Pass for ReoptGate {
             // cooldown — the trial cadence itself paces the deploys
             // (wants_reopt is false while a trial is being observed).
             let policy_driven = ctx.config.policy.enable && ctx.policy.wants_reopt(i);
-            let max_attempts = if policy_driven {
-                (ctx.config.policy.arms.len() as u32 + 1).max(4)
-            } else {
-                4
-            };
+            let max_attempts =
+                if policy_driven { (ctx.config.policy.arms.len() as u32 + 1).max(4) } else { 4 };
             if exhausted || attempts >= max_attempts {
                 ctx.reject(PassKind::ReoptGate, Site::Window, Rejection::PhaseExhausted);
                 return Flow::Stop; // nothing more to gain from this phase
@@ -1106,7 +1096,10 @@ mod tests {
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].get("name").and_then(|v| v.as_str()), Some("phase_gate"));
         assert_eq!(
-            items[0].get("rejections").and_then(|r| r.get("phase_unstable")).and_then(|v| v.as_u64()),
+            items[0]
+                .get("rejections")
+                .and_then(|r| r.get("phase_unstable"))
+                .and_then(|v| v.as_u64()),
             Some(3)
         );
         assert_eq!(items[1].get("accepted").and_then(|v| v.as_u64()), Some(3));

@@ -219,19 +219,28 @@ impl ToJson for Policy {
         Json::object()
             .with("name", self.name)
             .with("distance_pct", self.dist.pct())
-            .with("tier", match self.tier {
-                AcceptTier::Paper => "paper",
-                AcceptTier::Strict => "strict",
-            })
-            .with("aggr", match self.aggr {
-                TraceAggr::Conservative => "conservative",
-                TraceAggr::Paper => "paper",
-                TraceAggr::Aggressive => "aggressive",
-            })
-            .with("target", match self.target {
-                LfetchTarget::L1 => "l1",
-                LfetchTarget::L2 => "l2",
-            })
+            .with(
+                "tier",
+                match self.tier {
+                    AcceptTier::Paper => "paper",
+                    AcceptTier::Strict => "strict",
+                },
+            )
+            .with(
+                "aggr",
+                match self.aggr {
+                    TraceAggr::Conservative => "conservative",
+                    TraceAggr::Paper => "paper",
+                    TraceAggr::Aggressive => "aggressive",
+                },
+            )
+            .with(
+                "target",
+                match self.target {
+                    LfetchTarget::L1 => "l1",
+                    LfetchTarget::L2 => "l2",
+                },
+            )
     }
 }
 
@@ -447,7 +456,14 @@ impl PolicyController {
         s.scores[t.arm] = Some((score, streams));
         s.next_arm = t.arm + 1;
         let arm = self.cfg.arms[t.arm].name;
-        self.decisions.push(PolicyDecision { window: now, phase, action: "score", arm, score, cpi });
+        self.decisions.push(PolicyDecision {
+            window: now,
+            phase,
+            action: "score",
+            arm,
+            score,
+            cpi,
+        });
         if self.states[phase].next_arm >= arms {
             self.commit_best(phase, now, cpi);
         }
@@ -488,7 +504,12 @@ impl PolicyController {
         }
         let arm = s.next_arm;
         s.deployed = Some(arm);
-        s.trial = Some(Trial { arm, started: now, cpi0: cpi.max(f64::MIN_POSITIVE), accepted0: sched_accepted });
+        s.trial = Some(Trial {
+            arm,
+            started: now,
+            cpi0: cpi.max(f64::MIN_POSITIVE),
+            accepted0: sched_accepted,
+        });
         let name = self.cfg.arms[arm].name;
         self.decisions.push(PolicyDecision {
             window: now,
@@ -731,7 +752,7 @@ mod tests {
         c.observe(0, 2, 1.0, 5); // wide: +50%
         c.on_deploy(0, 6, 1.0, 5);
         c.observe(0, 7, 0.9, 6); // near: +10%
-        // lean never trialed — run ends.
+                                 // lean never trialed — run ends.
         c.finish(9);
         let r = c.report();
         assert_eq!(r.committed, vec![(0, "wide")]);

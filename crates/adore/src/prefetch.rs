@@ -201,7 +201,8 @@ pub(crate) fn schedule_streams(
         })
         .filter(|r| r.is_reserved())
         .collect();
-    let mut free_regs: Vec<Gr> = Gr::RESERVED.iter().copied().filter(|r| !used.contains(r)).collect();
+    let mut free_regs: Vec<Gr> =
+        Gr::RESERVED.iter().copied().filter(|r| !used.contains(r)).collect();
     let mut streams: HashSet<(Gr, i64)> = HashSet::new();
     let mut chased: HashSet<Gr> = HashSet::new();
     let mut jumped: HashSet<(Gr, i64)> = HashSet::new();
@@ -360,8 +361,7 @@ pub(crate) fn schedule_streams(
                     Insn::new(Op::Lfetch { base: rs, post_inc: 0 }),
                 ];
                 let after = (up.0, up.1 + 1);
-                let ok2 =
-                    schedule_group(&mut body, &mut back_edge, after, None, &chain, &mut []);
+                let ok2 = schedule_group(&mut body, &mut back_edge, after, None, &chain, &mut []);
                 debug_assert!(ok1 && ok2);
                 stats.pointer += 1;
                 fates.push((*pc, Ok(dist_iters)));
@@ -417,8 +417,7 @@ pub(crate) fn schedule_streams(
                 }
                 chain.push(Insn::new(Op::Lfetch { base: rj, post_inc: 0 }));
                 let after = (up.0, up.1 + 1);
-                let ok2 =
-                    schedule_group(&mut body, &mut back_edge, after, None, &chain, &mut []);
+                let ok2 = schedule_group(&mut body, &mut back_edge, after, None, &chain, &mut []);
                 debug_assert!(ok1 && ok2);
                 stats.jump += 1;
                 fates.push((*pc, Ok(dist_iters)));
@@ -649,9 +648,11 @@ mod tests {
         // Exactly one lfetch, with the stride folded into a
         // post-increment (prefetch-code optimization, §3.4).
         assert_eq!(count_op(&opt.body, |o| matches!(o, Op::Lfetch { .. })), 1);
-        let has_merged = opt.body.iter().flat_map(|b| b.slots.iter()).any(|i| {
-            matches!(i.op, Op::Lfetch { base, post_inc: 64 } if base.is_reserved())
-        });
+        let has_merged = opt
+            .body
+            .iter()
+            .flat_map(|b| b.slots.iter())
+            .any(|i| matches!(i.op, Op::Lfetch { base, post_inc: 64 } if base.is_reserved()));
         assert!(has_merged, "lfetch should advance by the stride");
         // Entry initializes the prefetch pointer from the live base.
         assert_eq!(count_op(&opt.entry, |o| matches!(o, Op::AddI { a: Gr(14), .. })), 1);

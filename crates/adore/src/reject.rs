@@ -178,9 +178,6 @@ mod tests {
     #[test]
     fn display_matches_label_and_serializes_as_string() {
         assert_eq!(Rejection::DuplicateStream.to_string(), "duplicate_stream");
-        assert_eq!(
-            Rejection::UnanalyzableSlice.to_json().to_string(),
-            "\"unanalyzable_slice\""
-        );
+        assert_eq!(Rejection::UnanalyzableSlice.to_json().to_string(), "\"unanalyzable_slice\"");
     }
 }

@@ -55,11 +55,7 @@ pub struct AdoreConfig {
 impl AdoreConfig {
     /// A configuration with prefetch insertion enabled.
     pub fn enabled() -> AdoreConfig {
-        AdoreConfig {
-            insert_prefetches: true,
-            patch_cost_cycles: 20_000,
-            ..Default::default()
-        }
+        AdoreConfig { insert_prefetches: true, patch_cost_cycles: 20_000, ..Default::default() }
     }
 
     /// Sampling-only: measures the overhead of the machinery (Fig. 11).

@@ -82,10 +82,7 @@ pub struct Trace {
 impl Trace {
     /// Finds the copied position of an original instruction address.
     pub fn position_of(&self, pc: Pc) -> Option<(usize, u8)> {
-        self.origins
-            .iter()
-            .position(|&o| o == pc.addr)
-            .map(|b| (b, pc.slot))
+        self.origins.iter().position(|&o| o == pc.addr).map(|b| (b, pc.slot))
     }
 
     /// The instruction at a trace position.
@@ -658,14 +655,18 @@ mod tests {
         // Somewhere in the trace there is a flipped conditional branch:
         // predicated on the complement (p6) and exiting to the original
         // fall-through (the cold side).
-        let flipped = t.bundles.iter().flat_map(|b| b.slots.iter()).find(|i| {
-            i.qp == Some(Pr(6)) && matches!(i.op, Op::BrCond { .. })
-        });
+        let flipped = t
+            .bundles
+            .iter()
+            .flat_map(|b| b.slots.iter())
+            .find(|i| i.qp == Some(Pr(6)) && matches!(i.op, Op::BrCond { .. }));
         assert!(flipped.is_some(), "expected a flipped branch in {t:?}");
         // And the cold block's instruction is NOT in the trace.
-        let has_cold = t.bundles.iter().flat_map(|b| b.slots.iter()).any(|i| {
-            matches!(i.op, Op::AddI { imm: 100, .. })
-        });
+        let has_cold = t
+            .bundles
+            .iter()
+            .flat_map(|b| b.slots.iter())
+            .any(|i| matches!(i.op, Op::AddI { imm: 100, .. }));
         assert!(!has_cold, "the cold path must be excluded");
     }
 

@@ -58,12 +58,8 @@ fn decision_lines(name: &str, path: ExecPath) -> Vec<String> {
     let mut m = w.prepare(&bin, mcfg);
     let report = adore::run(&mut m, &config);
     assert!(m.is_halted(), "{name} must halt on {path}");
-    let mut lines: Vec<String> = report
-        .policy
-        .decisions
-        .iter()
-        .map(|d| format!("{name} {}", d.to_json()))
-        .collect();
+    let mut lines: Vec<String> =
+        report.policy.decisions.iter().map(|d| format!("{name} {}", d.to_json())).collect();
     for (phase, arm) in &report.policy.committed {
         lines.push(format!("{name} committed phase={phase} arm={arm}"));
     }
@@ -131,7 +127,8 @@ fn decision_logs_replay_identically_and_match_the_blessed_log() {
     );
     for (i, (want, got)) in blessed.iter().zip(&observed).enumerate() {
         assert_eq!(
-            want, got,
+            want,
+            got,
             "decision {i} diverged from {} (re-bless after intentional controller changes)",
             path.display()
         );

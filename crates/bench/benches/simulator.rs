@@ -41,12 +41,7 @@ fn run_suite(compiled: &[(Workload, CompiledBinary)], path: ExecPath) -> u64 {
         let mut config = MachineConfig::default();
         config.exec_path = path;
         let mut m = w.prepare(bin, config);
-        assert_eq!(
-            m.run(u64::MAX),
-            StopReason::Halted,
-            "suite workload {} must halt",
-            w.name
-        );
+        assert_eq!(m.run(u64::MAX), StopReason::Halted, "suite workload {} must halt", w.name);
         retired += m.retired();
     }
     retired

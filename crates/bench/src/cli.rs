@@ -238,9 +238,9 @@ impl Registry {
                 Some((n, v)) => (n.to_string(), Some(v.to_string())),
                 None => (body.to_string(), None),
             };
-            let def = self
-                .def(&name)
-                .ok_or_else(|| format!("unknown flag --{name} (see `lab {} --help`)", self.command))?;
+            let def = self.def(&name).ok_or_else(|| {
+                format!("unknown flag --{name} (see `lab {} --help`)", self.command)
+            })?;
             let value = match def.kind {
                 FlagKind::Bool => {
                     if inline.is_some() {
@@ -282,9 +282,8 @@ impl Registry {
                 jobs = Some(parse_jobs("ADORE_JOBS", &env)?);
             }
         }
-        let jobs = jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        });
+        let jobs = jobs
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
         let scale = if values.iter().any(|(n, _)| n == "quick") { QUICK_SCALE } else { FULL_SCALE };
         Ok(Cli { scale, jobs, picks, values, report_args })
     }
@@ -335,9 +334,7 @@ impl Cli {
     /// Values of every `--<name>=VALUE` occurrence, in order.
     pub fn flag_values<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> + 'a {
         let name = norm(name).to_string();
-        self.values
-            .iter()
-            .filter_map(move |(n, v)| if *n == name { v.as_deref() } else { None })
+        self.values.iter().filter_map(move |(n, v)| if *n == name { v.as_deref() } else { None })
     }
 
     /// Value of the first `--<name>=VALUE` occurrence, if any.
@@ -399,7 +396,12 @@ pub(crate) mod tests {
 
     #[test]
     fn flag_values_parse_assignments_and_two_token_forms() {
-        let c = parse(&["--disable-pass=phase_gate", "--disable-pass", "reopt_gate", "--pass=trace_select"]);
+        let c = parse(&[
+            "--disable-pass=phase_gate",
+            "--disable-pass",
+            "reopt_gate",
+            "--pass=trace_select",
+        ]);
         let d: Vec<&str> = c.flag_values("disable-pass").collect();
         assert_eq!(d, vec!["phase_gate", "reopt_gate"]);
         assert_eq!(c.flag_value("pass"), Some("trace_select"));
@@ -453,9 +455,8 @@ pub(crate) mod tests {
         // ...but empty/whitespace means unset (the `ADORE_JOBS= cmd`
         // idiom), falling back to available parallelism.
         for unset in ["", "   "] {
-            let c = reg()
-                .try_parse_from(v(&[]), Some(unset.to_string()))
-                .expect("empty env is unset");
+            let c =
+                reg().try_parse_from(v(&[]), Some(unset.to_string())).expect("empty env is unset");
             assert!(c.jobs >= 1);
         }
         // A valid value is used, and --jobs still wins over it.

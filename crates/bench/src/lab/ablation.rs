@@ -94,11 +94,8 @@ pub(crate) fn run(cli: Cli) {
             println!("{label:<34} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%", v[0], v[1], v[2], v[3]);
         }
         for &kind in &disabled {
-            let v: Vec<f64> = result
-                .rows(&pass_section_key(kind))
-                .iter()
-                .map(|r| jf(r, "speedup_pct"))
-                .collect();
+            let v: Vec<f64> =
+                result.rows(&pass_section_key(kind)).iter().map(|r| jf(r, "speedup_pct")).collect();
             let label = format!("pass `{kind}` disabled");
             println!("{label:<34} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%", v[0], v[1], v[2], v[3]);
         }

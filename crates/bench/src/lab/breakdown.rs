@@ -10,7 +10,7 @@ use compiler::CompileOptions;
 use obs::Json;
 
 use crate::cli::{Cli, Registry};
-use crate::{jf, je, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
+use crate::{je, jf, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
 pub(crate) fn registry() -> Registry {
     Registry::new("breakdown", "cycle-accounting breakdown before and after ADORE (§2.1)")

@@ -16,7 +16,8 @@ use crate::cli::{Cli, Registry};
 use crate::{je, jf, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
 pub(crate) fn registry() -> Registry {
-    Registry::new("explain", "the fate of every delinquent load in one ADORE run (§4.3)").picks("workload names — subset to explain (default: all)")
+    Registry::new("explain", "the fate of every delinquent load in one ADORE run (§4.3)")
+        .picks("workload names — subset to explain (default: all)")
 }
 
 pub(crate) fn run(cli: Cli) {

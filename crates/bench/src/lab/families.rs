@@ -19,11 +19,8 @@ pub(crate) fn registry() -> Registry {
 
 pub(crate) fn run(cli: Cli) {
     let pick = cli.pick().unwrap_or("all").to_string();
-    let names: Vec<&'static str> = FAMILY_ORDER
-        .iter()
-        .copied()
-        .filter(|n| pick == "all" || pick == *n)
-        .collect();
+    let names: Vec<&'static str> =
+        FAMILY_ORDER.iter().copied().filter(|n| pick == "all" || pick == *n).collect();
     if names.is_empty() {
         eprintln!("error: unknown family `{pick}` (expected server, graph, gc or all)");
         std::process::exit(2);
@@ -35,8 +32,16 @@ pub(crate) fn run(cli: Cli) {
     println!("== Scenario families: O2 + runtime prefetching ==");
     println!(
         "{:<8} {:>14} {:>14} {:>10}  {:>8} {:>8} {:>7} {:>7} {:>7} {:>7}",
-        "family", "base cycles", "adore cycles", "speedup%", "patched", "phases", "direct",
-        "indir", "ptr", "jump"
+        "family",
+        "base cycles",
+        "adore cycles",
+        "speedup%",
+        "patched",
+        "phases",
+        "direct",
+        "indir",
+        "ptr",
+        "jump"
     );
     for r in result.rows("families") {
         match je(r) {

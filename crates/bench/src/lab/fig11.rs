@@ -8,7 +8,7 @@
 use compiler::CompileOptions;
 
 use crate::cli::{Cli, Registry};
-use crate::{jf, je, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
+use crate::{je, jf, js, ju, ExperimentSpec, Measure, PAPER_ORDER};
 
 pub(crate) fn registry() -> Registry {
     Registry::new("fig11", "runtime-system overhead with prefetch insertion disabled")

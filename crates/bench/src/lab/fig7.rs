@@ -6,10 +6,11 @@
 use compiler::CompileOptions;
 
 use crate::cli::{Cli, Registry};
-use crate::{jf, je, js, ju, paper_fig7a, paper_fig7b, ExperimentSpec, Measure, PAPER_ORDER};
+use crate::{je, jf, js, ju, paper_fig7a, paper_fig7b, ExperimentSpec, Measure, PAPER_ORDER};
 
 pub(crate) fn registry() -> Registry {
-    Registry::new("fig7", "runtime prefetching speedups over O2 (a) and O3 (b) binaries").picks("a | b | both — which part to run (default: both)")
+    Registry::new("fig7", "runtime prefetching speedups over O2 (a) and O3 (b) binaries")
+        .picks("a | b | both — which part to run (default: both)")
 }
 
 pub(crate) fn run(cli: Cli) {

@@ -8,7 +8,7 @@ use compiler::CompileOptions;
 use obs::Json;
 
 use crate::cli::{Cli, Registry};
-use crate::{jf, je, js, ju, ExperimentSpec, Measure};
+use crate::{je, jf, js, ju, ExperimentSpec, Measure};
 
 pub(crate) fn registry() -> Registry {
     Registry::new("fig8_9", "CPI and miss-rate timelines for art (Fig. 8) and mcf (Fig. 9)")

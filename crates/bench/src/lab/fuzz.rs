@@ -50,7 +50,11 @@ pub(crate) fn registry() -> Registry {
             ),
         )
         .value("pass", None, "restrict the ADORE leg to this single pipeline pass")
-        .value("policy", None, "force the adaptive policy controller: on | off (default: alternate by seed)")
+        .value(
+            "policy",
+            None,
+            "force the adaptive policy controller: on | off (default: alternate by seed)",
+        )
         .flag("campaign", "run the coverage-guided campaign instead of classic mode")
         .uint("rounds", None, "campaign: mutation rounds")
         .uint("batch", None, "campaign: cases per round")

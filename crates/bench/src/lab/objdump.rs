@@ -8,7 +8,8 @@ use compiler::{compile, CompileOptions};
 use crate::cli::{Cli, Registry};
 
 pub(crate) fn registry() -> Registry {
-    Registry::new("objdump", "compile a workload and print its disassembly listing").picks("<workload|matmul|daxpy|memcpy> (default: daxpy)")
+    Registry::new("objdump", "compile a workload and print its disassembly listing")
+        .picks("<workload|matmul|daxpy|memcpy> (default: daxpy)")
 }
 
 pub(crate) fn run(cli: Cli) {

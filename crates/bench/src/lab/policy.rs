@@ -29,12 +29,9 @@ fn grid(pick: &str) -> Vec<&'static str> {
         "all" => PAPER_ORDER.iter().chain(FAMILY_ORDER.iter()).copied().collect(),
         "suite" => PAPER_ORDER.to_vec(),
         "families" => FAMILY_ORDER.to_vec(),
-        name => PAPER_ORDER
-            .iter()
-            .chain(FAMILY_ORDER.iter())
-            .copied()
-            .filter(|n| *n == name)
-            .collect(),
+        name => {
+            PAPER_ORDER.iter().chain(FAMILY_ORDER.iter()).copied().filter(|n| *n == name).collect()
+        }
     }
 }
 
@@ -42,7 +39,9 @@ pub(crate) fn run(cli: Cli) {
     let pick = cli.pick().unwrap_or("all").to_string();
     let names = grid(&pick);
     if names.is_empty() {
-        eprintln!("error: unknown pick `{pick}` (expected a workload name, suite, families or all)");
+        eprintln!(
+            "error: unknown pick `{pick}` (expected a workload name, suite, families or all)"
+        );
         std::process::exit(2);
     }
     let result = ExperimentSpec::paper_defaults("policy", &cli)
@@ -52,8 +51,16 @@ pub(crate) fn run(cli: Cli) {
     println!("== Adaptive policy controller vs static policy (O2) ==");
     println!(
         "{:<8} {:>14} {:>13} {:>13}  {:>8} {:>8} {:>7}  {:>6} {:<7} {}",
-        "bench", "base cycles", "static", "adaptive", "static%", "adapt%", "delta", "fback",
-        "result", "committed"
+        "bench",
+        "base cycles",
+        "static",
+        "adaptive",
+        "static%",
+        "adapt%",
+        "delta",
+        "fback",
+        "result",
+        "committed"
     );
     let (mut wins, mut losses, mut ties) = (0usize, 0usize, 0usize);
     for r in result.rows("grid") {
@@ -83,8 +90,7 @@ pub(crate) fn run(cli: Cli) {
             .and_then(|p| p.get("committed"))
             .and_then(obs::Json::as_array)
             .map(|arms| {
-                let mut names: Vec<&str> =
-                    arms.iter().map(|a| js(a, "arm")).collect();
+                let mut names: Vec<&str> = arms.iter().map(|a| js(a, "arm")).collect();
                 names.sort_unstable();
                 names.dedup();
                 names.join(",")

@@ -13,7 +13,7 @@ use compiler::CompileOptions;
 use obs::Json;
 
 use crate::cli::{Cli, Registry};
-use crate::{jf, je, js, ju, paper_table1, ExperimentSpec, Measure, PAPER_ORDER};
+use crate::{je, jf, js, ju, paper_table1, ExperimentSpec, Measure, PAPER_ORDER};
 
 pub(crate) fn registry() -> Registry {
     Registry::new("table1", "profile-guided static prefetching (Table 1)")

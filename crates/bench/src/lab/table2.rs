@@ -17,23 +17,17 @@ pub(crate) fn registry() -> Registry {
 
 pub(crate) fn run(cli: Cli) {
     let result = ExperimentSpec::paper_defaults("table2", &cli)
-        .section_with(
-            "rows",
-            &PAPER_ORDER,
-            CompileOptions::o2(),
-            Measure::Streams,
-            |c| {
-                let (pd, pi, pp, pph) = paper_table2(c.workload).unwrap();
-                c.extra(
-                    "paper",
-                    Json::object()
-                        .with("direct", pd)
-                        .with("indirect", pi)
-                        .with("pointer", pp)
-                        .with("phases", pph),
-                );
-            },
-        )
+        .section_with("rows", &PAPER_ORDER, CompileOptions::o2(), Measure::Streams, |c| {
+            let (pd, pi, pp, pph) = paper_table2(c.workload).unwrap();
+            c.extra(
+                "paper",
+                Json::object()
+                    .with("direct", pd)
+                    .with("indirect", pi)
+                    .with("pointer", pp)
+                    .with("phases", pph),
+            );
+        })
         .run();
     println!("== Table 2: prefetching data analysis (O2 + ADORE) ==");
     println!(

@@ -17,9 +17,12 @@ fn cli(scale: f64, jobs: usize) -> Cli {
 /// A small policy grid: one suite kernel plus one scenario family, so
 /// the jobs-invariance claim covers both workload sources.
 fn spec(jobs: usize) -> ExperimentSpec {
-    ExperimentSpec::paper_defaults("policy", &cli(0.05, jobs))
-        .baseline_dir(None)
-        .section("grid", &["mcf", "server"], CompileOptions::o2(), Measure::Policy)
+    ExperimentSpec::paper_defaults("policy", &cli(0.05, jobs)).baseline_dir(None).section(
+        "grid",
+        &["mcf", "server"],
+        CompileOptions::o2(),
+        Measure::Policy,
+    )
 }
 
 #[test]

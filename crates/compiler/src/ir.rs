@@ -274,8 +274,7 @@ impl Kernel {
                         return Err(format!("loop {i} references missing array {array}"));
                     }
                     RefSpec::Indirect { index_array, data_array }
-                        if index_array >= self.arrays.len()
-                            || data_array >= self.arrays.len() =>
+                        if index_array >= self.arrays.len() || data_array >= self.arrays.len() =>
                     {
                         return Err(format!("loop {i} references missing array"));
                     }
@@ -325,7 +324,12 @@ mod tests {
         let l = k.add_loop(LoopSpec::new(
             "l0",
             100,
-            vec![RefSpec::Direct { array: a, stride_elems: 1, write: false, alias_ambiguous: false }],
+            vec![RefSpec::Direct {
+                array: a,
+                stride_elems: 1,
+                write: false,
+                alias_ambiguous: false,
+            }],
         ));
         k.add_phase(10, vec![l]);
         assert!(k.validate().is_ok());
@@ -337,7 +341,12 @@ mod tests {
         let l = k.add_loop(LoopSpec::new(
             "l0",
             100,
-            vec![RefSpec::Direct { array: 3, stride_elems: 1, write: false, alias_ambiguous: false }],
+            vec![RefSpec::Direct {
+                array: 3,
+                stride_elems: 1,
+                write: false,
+                alias_ambiguous: false,
+            }],
         ));
         k.add_phase(1, vec![l]);
         assert!(k.validate().is_err());

@@ -45,6 +45,6 @@ pub use codegen::{
 };
 pub use ir::{AddrComplexity, ArrayDecl, Kernel, ListDecl, LoopSpec, Phase, RefSpec};
 pub use prefetch::{
-    delinquent_loop_filter, static_prefetch_plan, PrefetchItem, PrefetchPlan,
-    ASSUMED_MEM_LATENCY, LOCALITY_CUTOFF_BYTES,
+    delinquent_loop_filter, static_prefetch_plan, PrefetchItem, PrefetchPlan, ASSUMED_MEM_LATENCY,
+    LOCALITY_CUTOFF_BYTES,
 };

@@ -248,9 +248,8 @@ impl Asm {
     pub fn pad_bundles(&mut self, n: usize) {
         self.flush();
         for _ in 0..n {
-            self.bundles.push(
-                Bundle::pack(&[Insn::nop(SlotKind::M)]).expect("nop bundle always packs"),
-            );
+            self.bundles
+                .push(Bundle::pack(&[Insn::nop(SlotKind::M)]).expect("nop bundle always packs"));
         }
     }
 
@@ -267,10 +266,8 @@ impl Asm {
         }
         let base = code_base;
         for (bidx, slot, label) in &self.fixups {
-            let target_idx = *self
-                .labels
-                .get(label)
-                .ok_or_else(|| AsmError::UndefinedLabel(label.clone()))?;
+            let target_idx =
+                *self.labels.get(label).ok_or_else(|| AsmError::UndefinedLabel(label.clone()))?;
             let target = Addr(base + target_idx as u64 * Addr::BUNDLE_BYTES);
             let ok = self.bundles[*bidx].slots[*slot].op.set_branch_target(target);
             debug_assert!(ok, "fixup on non-branch");

@@ -114,11 +114,7 @@ impl Bundle {
             let kinds = template.kinds();
             // Try to place the instructions in order into compatible
             // slots, left to right, filling skipped slots with nops.
-            let mut slots = [
-                Insn::nop(kinds[0]),
-                Insn::nop(kinds[1]),
-                Insn::nop(kinds[2]),
-            ];
+            let mut slots = [Insn::nop(kinds[0]), Insn::nop(kinds[1]), Insn::nop(kinds[2])];
             let mut slot = 0usize;
             for insn in insns {
                 let want = insn.op.slot_kind();
@@ -155,11 +151,7 @@ impl Bundle {
 
     /// Iterates over non-nop instructions with their slot index.
     pub fn iter_real(&self) -> impl Iterator<Item = (u8, &Insn)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| !i.is_nop())
-            .map(|(s, i)| (s as u8, i))
+        self.slots.iter().enumerate().filter(|(_, i)| !i.is_nop()).map(|(s, i)| (s as u8, i))
     }
 
     /// Index of the first free (nop) slot of the requested kind, if any.

@@ -301,10 +301,7 @@ impl Op {
 
     /// True for any branch-unit operation.
     pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Op::Br { .. } | Op::BrCond { .. } | Op::BrCall { .. } | Op::BrRet | Op::Halt
-        )
+        matches!(self, Op::Br { .. } | Op::BrCond { .. } | Op::BrCall { .. } | Op::BrRet | Op::Halt)
     }
 
     /// The branch target, if this is a direct branch.
@@ -500,15 +497,7 @@ mod tests {
 
     #[test]
     fn cmp_op_mnemonics_round_trip() {
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-            CmpOp::Ltu,
-        ] {
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Ltu] {
             assert_eq!(op.to_string().parse::<CmpOp>(), Ok(op));
         }
         assert_eq!("frob".parse::<CmpOp>(), Err(()));

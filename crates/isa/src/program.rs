@@ -100,7 +100,6 @@ impl Program {
     pub fn symbol_at(&self, addr: Addr) -> Option<&str> {
         self.symbols.get(&addr.0).map(String::as_str)
     }
-
 }
 
 impl fmt::Display for Program {
@@ -157,8 +156,7 @@ mod tests {
     fn patching_a_bundle() {
         let mut p = Program::new(CODE_BASE, vec![nop_bundle(); 2]);
         let target = Addr(TRACE_POOL_BASE);
-        *p.bundle_at_mut(p.addr_of(1)).unwrap() =
-            Bundle::branch_only(Insn::new(Op::Br { target }));
+        *p.bundle_at_mut(p.addr_of(1)).unwrap() = Bundle::branch_only(Insn::new(Op::Br { target }));
         assert!(p.bundle_at(p.addr_of(1)).unwrap().has_branch());
     }
 

@@ -204,10 +204,8 @@ pub fn run_indexed<T: Send, S: Send, R: Send>(
         },
         |index, result| results[index] = Some(result),
     );
-    let results = results
-        .into_iter()
-        .map(|slot| slot.expect("every submitted job emitted"))
-        .collect();
+    let results =
+        results.into_iter().map(|slot| slot.expect("every submitted job emitted")).collect();
     (results, states)
 }
 
@@ -380,9 +378,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "job 5 failed")]
     fn a_panicking_job_reaches_the_caller() {
-        run_indexed(2, (0..16usize).collect(), |_| (), |_, _, item| {
-            assert!(item != 5, "job 5 failed");
-            item
-        });
+        run_indexed(
+            2,
+            (0..16usize).collect(),
+            |_| (),
+            |_, _, item| {
+                assert!(item != 5, "job 5 failed");
+                item
+            },
+        );
     }
 }

@@ -45,10 +45,7 @@ pub struct Report {
 impl Report {
     /// Starts a report for `tool` (also the output file stem).
     pub fn new(tool: &str) -> Report {
-        let stamp = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
+        let stamp = SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0);
         let body = Json::object()
             .with("schema_version", SCHEMA_VERSION)
             .with("tool", tool)
@@ -131,9 +128,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("readable");
         let parsed = Json::parse(&text).expect("valid JSON");
         assert_eq!(
-            parsed.get("rows").unwrap().as_array().unwrap()[0]
-                .get("cycles")
-                .and_then(Json::as_u64),
+            parsed.get("rows").unwrap().as_array().unwrap()[0].get("cycles").and_then(Json::as_u64),
             Some(42)
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -255,9 +255,8 @@ fn weighted_pick(rng: &mut Rng64, corpus: &[CorpusEntry]) -> usize {
 
 /// Plans one round's batch from the corpus state at round start.
 fn plan_round(round: usize, corpus: &[CorpusEntry], cfg: &CampaignConfig) -> Vec<Planned> {
-    let mut rng = Rng64::new(
-        cfg.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6361_6d70,
-    );
+    let mut rng =
+        Rng64::new(cfg.seed ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6361_6d70);
     let mut plan = Vec::with_capacity(cfg.batch);
     for _ in 0..cfg.batch {
         let case_seed = rng.next_u64();
@@ -277,12 +276,8 @@ fn plan_round(round: usize, corpus: &[CorpusEntry], cfg: &CampaignConfig) -> Vec
             } else {
                 None
             };
-            let (spec, ops) = mutate(
-                &corpus[parent].spec,
-                donor.map(|d| &corpus[d].spec),
-                case_seed,
-                &cfg.gen,
-            );
+            let (spec, ops) =
+                mutate(&corpus[parent].spec, donor.map(|d| &corpus[d].spec), case_seed, &cfg.gen);
             plan.push(Planned { spec, origin: "mutate", case_seed, ops });
         }
     }
@@ -536,7 +531,8 @@ mod tests {
 
     #[test]
     fn minimizer_ledger_accounts_for_every_candidate_on_any_worker_count() {
-        let cfg = |jobs| CampaignConfig { minimize_evals: 8, alternate_exec: true, ..small_cfg(jobs) };
+        let cfg =
+            |jobs| CampaignConfig { minimize_evals: 8, alternate_exec: true, ..small_cfg(jobs) };
         let a = run_campaign(&cfg(1));
         let b = run_campaign(&cfg(2));
         let l = &a.minimizer;
@@ -591,7 +587,10 @@ mod tests {
         assert!(m.detail.starts_with("injected"), "{}", m.detail);
         assert!(m.spec.items.len() < entry.spec.items.len(), "the candidate, not the entry");
         let l = &stats.minimizer;
-        assert_eq!((l.candidates, l.full_check, l.before_legs), (calls as u64, 2, calls as u64 - 2));
+        assert_eq!(
+            (l.candidates, l.full_check, l.before_legs),
+            (calls as u64, 2, calls as u64 - 2)
+        );
     }
 
     #[test]

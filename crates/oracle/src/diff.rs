@@ -286,12 +286,7 @@ fn run_coverage(outcome: CaseOutcome, report: &adore::RunReport) -> RunCoverage 
 /// generator's hot loops miss hard and produce DEAR samples, so ADORE
 /// reliably selects and patches traces.
 fn fuzz_cache() -> CacheConfig {
-    CacheConfig {
-        l1d_size: 4096,
-        l2_size: 16 * 1024,
-        l3_size: 48 * 1024,
-        ..CacheConfig::default()
-    }
+    CacheConfig { l1d_size: 4096, l2_size: 16 * 1024, l3_size: 48 * 1024, ..CacheConfig::default() }
 }
 
 /// Data-memory headroom beyond the spec arena, identical on all three
@@ -589,8 +584,7 @@ fn run_case(
     let image = spec.arena_image();
 
     // Reference interpreter.
-    let mut interp =
-        Interp::new(program.clone(), (spec.arena_bytes + INSTR_SCRATCH) as usize);
+    let mut interp = Interp::new(program.clone(), (spec.arena_bytes + INSTR_SCRATCH) as usize);
     spec.load_arena(interp.mem_mut(), &image);
     let ref_outcome = match interp.run(cfg.fuel) {
         Outcome::Halted => CaseOutcome::Halted,
@@ -607,7 +601,8 @@ fn run_case(
     if required.iter().any(|k| k.starts_with("outcome:") && *k != outcome_key) {
         return (Decided::AfterReference, None, none());
     }
-    let reference = capture_state(ref_outcome, |r| interp.gr(r), |p| interp.pr(p), |f| interp.fr(f));
+    let reference =
+        capture_state(ref_outcome, |r| interp.gr(r), |p| interp.pr(p), |f| interp.fr(f));
 
     // ADORE machine: sampling on, aggressive optimizer. It runs before
     // the plain leg because it alone produces most coverage keys.
@@ -672,7 +667,8 @@ fn run_case(
             return (Decided::FullCheck, Some(why), none());
         }
     };
-    let plain_state = capture_state(plain_outcome, |r| plain.gr(r), |p| plain.pr(p), |f| plain.fr(f));
+    let plain_state =
+        capture_state(plain_outcome, |r| plain.gr(r), |p| plain.pr(p), |f| plain.fr(f));
     if let Some(detail) = first_difference(&reference, &plain_state)
         .or_else(|| memory_difference(interp.mem(), plain.mem()))
     {
@@ -684,11 +680,7 @@ fn run_case(
     }
 
     let plain_jit = plain.jit_stats();
-    let compiled = [plain_jit, opt_jit]
-        .iter()
-        .flatten()
-        .map(|s| s.regions_compiled)
-        .sum::<u64>();
+    let compiled = [plain_jit, opt_jit].iter().flatten().map(|s| s.regions_compiled).sum::<u64>();
     let deopts = [plain_jit, opt_jit].iter().flatten().map(|s| s.deopts).sum::<u64>();
     if compiled > 0 {
         coverage.keys.push("tier:compiled".to_string());
@@ -699,9 +691,7 @@ fn run_case(
     coverage.keys.sort();
     coverage.keys.dedup();
 
-    let kept = required
-        .iter()
-        .all(|k| k.starts_with("feat:") || coverage.keys.contains(k));
+    let kept = required.iter().all(|k| k.starts_with("feat:") || coverage.keys.contains(k));
     let agree = CaseResult::Agree {
         outcome: ref_outcome,
         traces_patched: report.traces_patched,
@@ -774,9 +764,7 @@ pub fn shrink_with(
                     return (best, evals);
                 }
                 let candidate = best.without_items(lo, lo + chunk);
-                if candidate.items.len() < best.items.len()
-                    && keep(&candidate, &mut evals)
-                {
+                if candidate.items.len() < best.items.len() && keep(&candidate, &mut evals) {
                     best = candidate;
                     improved = true;
                     // Stay at `lo`: the next range shifted into place.
@@ -815,8 +803,8 @@ pub fn shrink_with(
 mod tests {
     use super::*;
     use crate::generator::{generate, GenConfig};
-    use isa::{CmpOp, Insn, Op};
     use crate::spec::{BranchKind, Item};
+    use isa::{CmpOp, Insn, Op};
 
     #[test]
     fn generated_cases_agree_across_all_three_executions() {
@@ -1119,11 +1107,7 @@ mod tests {
             Item::Branch { qp: Some(isa::Pr(7)), kind: BranchKind::Cond, label: "spin".into() },
         ];
         for k in 0..8 {
-            items.push(Item::Insn(Insn::new(Op::AddI {
-                d: isa::Gr(11),
-                a: isa::Gr(11),
-                imm: k,
-            })));
+            items.push(Item::Insn(Insn::new(Op::AddI { d: isa::Gr(11), a: isa::Gr(11), imm: k })));
         }
         items.push(Item::Insn(Insn::new(Op::MovL { d: isa::Gr(8), imm: 0x40 })));
         items.push(Item::Insn(Insn::new(Op::St {
@@ -1151,10 +1135,7 @@ mod tests {
             fails(c, ExecPath::Fast)
         });
         assert!(used <= budget && evals == used);
-        assert!(
-            min.items.len() < spec.items.len(),
-            "nothing shrank: {} items", min.items.len()
-        );
+        assert!(min.items.len() < spec.items.len(), "nothing shrank: {} items", min.items.len());
         // The minimized reproducer still fails, identically, on both
         // execution paths.
         assert!(fails(&min, ExecPath::Fast));

@@ -317,7 +317,12 @@ pub fn static_coverage(spec: &ProgSpec) -> Coverage {
 /// mutated programs stay inside the register-discipline contract;
 /// never emits labels, branches or `halt`. `heavy` additionally allows
 /// in-region memory ops through the pinned address registers.
-pub(crate) fn random_safe_items(rng: &mut Rng64, cfg: &GenConfig, n: usize, heavy: bool) -> Vec<Item> {
+pub(crate) fn random_safe_items(
+    rng: &mut Rng64,
+    cfg: &GenConfig,
+    n: usize,
+    heavy: bool,
+) -> Vec<Item> {
     let mut g = Gen {
         rng: Rng64::new(rng.next_u64()),
         arena_bytes: cfg.arena_bytes,
@@ -453,8 +458,7 @@ impl Gen {
             let imm = match self.rng.below(3) {
                 0 => self.rng.range_i64(-128, 128),
                 // An address inside the arena: makes ld.s hit real data.
-                1 => self.rng.range_u64(sim::DATA_BASE, sim::DATA_BASE + self.arena_bytes)
-                    as i64,
+                1 => self.rng.range_u64(sim::DATA_BASE, sim::DATA_BASE + self.arena_bytes) as i64,
                 _ => self.rng.next_u64() as i64,
             };
             self.put(Insn::new(Op::MovL { d, imm }), false);
@@ -526,7 +530,13 @@ impl Gen {
         let size_choice = *self.rng.choose(&[AccessSize::U8, AccessSize::U4]);
         self.count_size(size_choice);
         self.put(
-            Insn::new(Op::Ld { d: dst, base: addr, post_inc: stride, size: size_choice, spec: false }),
+            Insn::new(Op::Ld {
+                d: dst,
+                base: addr,
+                post_inc: stride,
+                size: size_choice,
+                spec: false,
+            }),
             false,
         );
         // Use the loaded value so misses stall and show up in the DEAR.
@@ -754,7 +764,10 @@ impl Gen {
                 let s = self.size();
                 self.count_size(s);
                 let d = self.data_reg();
-                self.put(Insn::new(Op::Ld { d, base: addr, post_inc: stride, size: s, spec: false }), true);
+                self.put(
+                    Insn::new(Op::Ld { d, base: addr, post_inc: stride, size: s, spec: false }),
+                    true,
+                );
             }
             1 => {
                 let s = self.size();
@@ -802,7 +815,11 @@ impl Gen {
         } else {
             pf
         };
-        self.items.push(Item::Branch { qp: Some(qp), kind: BranchKind::Cond, label: label.clone() });
+        self.items.push(Item::Branch {
+            qp: Some(qp),
+            kind: BranchKind::Cond,
+            label: label.clone(),
+        });
         for _ in 0..self.rng.range_u64(1, 4) {
             self.random_light_op();
         }
@@ -892,17 +909,11 @@ impl Gen {
                 if self.rng.bool() {
                     self.cov.ldf += 1;
                     let d = self.fp_reg();
-                    self.put(
-                        Insn::new(Op::Ldf { d, base: ADDR_REGS[reg_idx], post_inc: 0 }),
-                        true,
-                    );
+                    self.put(Insn::new(Op::Ldf { d, base: ADDR_REGS[reg_idx], post_inc: 0 }), true);
                 } else {
                     self.cov.stf += 1;
                     let s = self.fp_reg();
-                    self.put(
-                        Insn::new(Op::Stf { s, base: ADDR_REGS[reg_idx], post_inc: 0 }),
-                        true,
-                    );
+                    self.put(Insn::new(Op::Stf { s, base: ADDR_REGS[reg_idx], post_inc: 0 }), true);
                 }
             }
             6 => {

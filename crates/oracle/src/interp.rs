@@ -403,10 +403,7 @@ mod tests {
             a.st(AccessSize::U4, Gr(14), Gr(20), 4);
             a.halt();
         });
-        assert_eq!(
-            i.run(u64::MAX),
-            Outcome::Faulted(Fault::UnmappedStore { addr: 4, len: 4 })
-        );
+        assert_eq!(i.run(u64::MAX), Outcome::Faulted(Fault::UnmappedStore { addr: 4, len: 4 }));
         assert_eq!(i.gr(Gr(14)), 4); // earlier slot's effect survives
     }
 

@@ -103,10 +103,7 @@ pub fn mutate(
 /// Registers mutated code must never write: pinned address registers,
 /// loop counters, and ADORE's reserved block.
 fn protected_gr(r: Gr) -> bool {
-    ADDR_REGS.contains(&r)
-        || r == INNER_COUNTER
-        || r == OUTER_COUNTER
-        || Gr::RESERVED.contains(&r)
+    ADDR_REGS.contains(&r) || r == INNER_COUNTER || r == OUTER_COUNTER || Gr::RESERVED.contains(&r)
 }
 
 /// Predicates mutated code must never write: loop control plus ADORE's
@@ -138,9 +135,7 @@ fn mutable_insn(insn: &Insn) -> bool {
         | Op::Ldf { base, post_inc, .. }
         | Op::Stf { base, post_inc, .. }
         | Op::Lfetch { base, post_inc, .. } => !(post_inc != 0 && protected_gr(base)),
-        Op::Cmp { pt, pf, .. } | Op::CmpI { pt, pf, .. } => {
-            !protected_pr(pt) && !protected_pr(pf)
-        }
+        Op::Cmp { pt, pf, .. } | Op::CmpI { pt, pf, .. } => !protected_pr(pt) && !protected_pr(pf),
         Op::Fma { .. } | Op::Fadd { .. } | Op::Fmul { .. } => true,
         Op::Setf { .. } | Op::Nop(_) => true,
     }
@@ -324,9 +319,7 @@ fn top_level_positions(items: &[Item]) -> Vec<usize> {
             _ => None,
         })
         .collect();
-    (0..=halt)
-        .filter(|&p| !spans.iter().any(|&(def, branch)| def < p && p <= branch))
-        .collect()
+    (0..=halt).filter(|&p| !spans.iter().any(|&(def, branch)| def < p && p <= branch)).collect()
 }
 
 /// Copies a closed block from `donor` into a top-level position of
@@ -337,10 +330,7 @@ fn splice(spec: &mut ProgSpec, donor: &ProgSpec, rng: &mut Rng64) -> bool {
         return false;
     };
     let block = &donor.items[lo..hi];
-    if block
-        .iter()
-        .any(|it| matches!(it, Item::Branch { kind: BranchKind::Call, .. }))
-    {
+    if block.iter().any(|it| matches!(it, Item::Branch { kind: BranchKind::Call, .. })) {
         return false;
     }
     let positions = top_level_positions(&spec.items);
@@ -352,9 +342,11 @@ fn splice(spec: &mut ProgSpec, donor: &ProgSpec, rng: &mut Rng64) -> bool {
     // label and branch target inside it keeps it closed.
     let prefix = loop {
         let p = format!("m{:08x}_", rng.next_u64() & 0xffff_ffff);
-        let clash = spec.items.iter().chain(block.iter()).any(|it| {
-            matches!(it, Item::Label(name) if name.starts_with(&p))
-        });
+        let clash = spec
+            .items
+            .iter()
+            .chain(block.iter())
+            .any(|it| matches!(it, Item::Label(name) if name.starts_with(&p)));
         if !clash {
             break p;
         }
@@ -363,11 +355,9 @@ fn splice(spec: &mut ProgSpec, donor: &ProgSpec, rng: &mut Rng64) -> bool {
         .iter()
         .map(|it| match it {
             Item::Label(name) => Item::Label(format!("{prefix}{name}")),
-            Item::Branch { qp, kind, label } => Item::Branch {
-                qp: *qp,
-                kind: *kind,
-                label: format!("{prefix}{label}"),
-            },
+            Item::Branch { qp, kind, label } => {
+                Item::Branch { qp: *qp, kind: *kind, label: format!("{prefix}{label}") }
+            }
             other => other.clone(),
         })
         .collect();

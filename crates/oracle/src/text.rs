@@ -232,12 +232,9 @@ fn parse_insn(c: &mut Cursor<'_>) -> Result<Insn, ParseError> {
         "or" => Op::Or { d: c.gr()?, a: c.gr()?, b: c.gr()? },
         "xor" => Op::Xor { d: c.gr()?, a: c.gr()?, b: c.gr()? },
         "addi" => Op::AddI { d: c.gr()?, a: c.gr()?, imm: c.int("immediate")? },
-        "shladd" => Op::Shladd {
-            d: c.gr()?,
-            a: c.gr()?,
-            count: c.uint("shift count")? as u8,
-            b: c.gr()?,
-        },
+        "shladd" => {
+            Op::Shladd { d: c.gr()?, a: c.gr()?, count: c.uint("shift count")? as u8, b: c.gr()? }
+        }
         "movl" => Op::MovL { d: c.gr()?, imm: c.int("immediate")? },
         "mov" => Op::Mov { d: c.gr()?, s: c.gr()? },
         "cmp" => Op::Cmp { op: c.cmp_op()?, pt: c.pr()?, pf: c.pr()?, a: c.gr()?, b: c.gr()? },
@@ -321,8 +318,7 @@ pub fn parse_repro(text: &str) -> Result<ProgSpec, ParseError> {
         });
     }
 
-    let mut spec =
-        ProgSpec { seed: 0, arena_bytes: 0, mem_seed: 0, items: Vec::new() };
+    let mut spec = ProgSpec { seed: 0, arena_bytes: 0, mem_seed: 0, items: Vec::new() };
     for (n, raw) in lines {
         let line = n + 1;
         let trimmed = raw.trim();
@@ -371,7 +367,7 @@ pub fn parse_repro(text: &str) -> Result<ProgSpec, ParseError> {
         }
     }
     if spec.arena_bytes == 0 {
-        return Err(ParseError { line: 1, message: "missing or zero arena size".into() })
+        return Err(ParseError { line: 1, message: "missing or zero arena size".into() });
     }
     Ok(spec)
 }

@@ -153,8 +153,7 @@ mod tests {
         let free = pm1.run_with_windows(&mut m1, |_, _, _| {});
 
         let mut m2 = looping_machine(500_000, 500, 32);
-        let mut pm2 =
-            Perfmon::new(PerfmonConfig { ueb_windows: 4, overflow_copy_cost: 10_000 });
+        let mut pm2 = Perfmon::new(PerfmonConfig { ueb_windows: 4, overflow_copy_cost: 10_000 });
         let charged = pm2.run_with_windows(&mut m2, |_, _, _| {});
         assert!(charged > free, "handler cost must show up in cycles");
     }

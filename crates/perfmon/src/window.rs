@@ -44,19 +44,14 @@ impl ProfileWindow {
     /// (`prev = (cycles, retired, dear_misses)`).
     pub fn new(seq: u64, samples: Vec<Sample>, prev: (u64, u64, u64)) -> ProfileWindow {
         let (c0, r0, d0) = prev;
-        let (c1, r1, d1) = samples
-            .last()
-            .map(|s| (s.cycles, s.retired, s.dcache_misses))
-            .unwrap_or(prev);
+        let (c1, r1, d1) =
+            samples.last().map(|s| (s.cycles, s.retired, s.dcache_misses)).unwrap_or(prev);
         let cycles = c1.saturating_sub(c0);
         let retired = r1.saturating_sub(r0);
         let dear_misses = d1.saturating_sub(d0);
         let cpi = if retired > 0 { cycles as f64 / retired as f64 } else { 0.0 };
         let dpi = if retired > 0 { dear_misses as f64 / retired as f64 } else { 0.0 };
-        let pool = samples
-            .iter()
-            .filter(|s| s.pc.addr.0 >= isa::TRACE_POOL_BASE)
-            .count();
+        let pool = samples.iter().filter(|s| s.pc.addr.0 >= isa::TRACE_POOL_BASE).count();
         let pool_fraction =
             if samples.is_empty() { 0.0 } else { pool as f64 / samples.len() as f64 };
         let code_pcs: Vec<f64> = samples
@@ -195,10 +190,8 @@ mod tests {
 
     #[test]
     fn window_stats_are_deltas() {
-        let samples = vec![
-            sample(0, 0x4000_0000, 1_000, 500, 10),
-            sample(1, 0x4000_0010, 2_000, 1_500, 30),
-        ];
+        let samples =
+            vec![sample(0, 0x4000_0000, 1_000, 500, 10), sample(1, 0x4000_0010, 2_000, 1_500, 30)];
         let w = ProfileWindow::new(0, samples, (0, 0, 0));
         assert_eq!(w.cycles, 2_000);
         assert_eq!(w.retired, 1_500);
@@ -224,11 +217,7 @@ mod tests {
         // One wild outlier (a signal handler pc far away).
         samples.push(sample(20, 0xf000_0000, 2_100, 1_050, 0));
         let w = ProfileWindow::new(0, samples, (0, 0, 0));
-        assert!(
-            w.pc_center < 0x4100_0000 as f64,
-            "outlier should be rejected: {}",
-            w.pc_center
-        );
+        assert!(w.pc_center < 0x4100_0000 as f64, "outlier should be rejected: {}", w.pc_center);
     }
 
     #[test]
@@ -249,8 +238,9 @@ mod tests {
     #[test]
     fn all_pool_window_uses_pool_pcs() {
         let pool_base = isa::TRACE_POOL_BASE;
-        let samples: Vec<Sample> =
-            (0..8).map(|i| sample(i, pool_base + (i % 2) * 16, 100 * (i + 1), 50 * (i + 1), 0)).collect();
+        let samples: Vec<Sample> = (0..8)
+            .map(|i| sample(i, pool_base + (i % 2) * 16, 100 * (i + 1), 50 * (i + 1), 0))
+            .collect();
         let w = ProfileWindow::new(0, samples, (0, 0, 0));
         assert_eq!(w.pool_fraction, 1.0);
         assert!(w.pc_center >= pool_base as f64);

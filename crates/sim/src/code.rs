@@ -69,13 +69,7 @@ impl DecodedSlot {
         if fr_reads != [0u8; 3] {
             flags |= FLAG_FR_READS;
         }
-        DecodedSlot {
-            insn,
-            qp: insn.qp.map_or(0, |p| p.index() as u8),
-            gr_reads,
-            fr_reads,
-            flags,
-        }
+        DecodedSlot { insn, qp: insn.qp.map_or(0, |p| p.index() as u8), gr_reads, fr_reads, flags }
     }
 }
 
@@ -197,11 +191,8 @@ pub struct CodeStore {
 impl CodeStore {
     /// Predecodes every bundle of `program` (generation 0, empty pool).
     pub fn new(program: &Program) -> CodeStore {
-        let static_bundles = program
-            .bundles()
-            .iter()
-            .map(|b| DecodedBundle::decode(b, 0))
-            .collect();
+        let static_bundles =
+            program.bundles().iter().map(|b| DecodedBundle::decode(b, 0)).collect();
         CodeStore {
             code_base: program.code_base(),
             static_bundles,
@@ -241,19 +232,13 @@ impl CodeStore {
         let a = addr.bundle_align().0;
         if a >= TRACE_POOL_BASE {
             let idx = ((a - TRACE_POOL_BASE) / Addr::BUNDLE_BYTES) as usize;
-            (idx < self.pool.len()).then_some(CodeLoc {
-                pool: true,
-                index: idx as u32,
-            })
+            (idx < self.pool.len()).then_some(CodeLoc { pool: true, index: idx as u32 })
         } else {
             if a < self.code_base {
                 return None;
             }
             let idx = ((a - self.code_base) / Addr::BUNDLE_BYTES) as usize;
-            (idx < self.static_bundles.len()).then_some(CodeLoc {
-                pool: false,
-                index: idx as u32,
-            })
+            (idx < self.static_bundles.len()).then_some(CodeLoc { pool: false, index: idx as u32 })
         }
     }
 
@@ -277,8 +262,7 @@ impl CodeStore {
     pub fn install_pool(&mut self, bundles: &[Bundle]) {
         self.generation += 1;
         let generation = self.generation;
-        self.pool
-            .extend(bundles.iter().map(|b| DecodedBundle::decode(b, generation)));
+        self.pool.extend(bundles.iter().map(|b| DecodedBundle::decode(b, generation)));
     }
 
     /// Re-decodes the entry at `addr` after a patch replaced its
@@ -322,18 +306,8 @@ mod tests {
             size: AccessSize::U8,
             spec: false,
         });
-        let st = Insn::new(Op::St {
-            s: Gr(20),
-            base: Gr(15),
-            post_inc: 0,
-            size: AccessSize::U8,
-        });
-        let fma = Insn::new(Op::Fma {
-            d: Fr(9),
-            a: Fr(8),
-            b: Fr(7),
-            c: Fr(9),
-        });
+        let st = Insn::new(Op::St { s: Gr(20), base: Gr(15), post_inc: 0, size: AccessSize::U8 });
+        let fma = Insn::new(Op::Fma { d: Fr(9), a: Fr(8), b: Fr(7), c: Fr(9) });
         let b = Bundle::pack(&[ld, st, fma]).unwrap();
         let d = DecodedBundle::decode(&b, 3);
         assert_eq!(d.slots[0].gr_reads, [14, 0]);
@@ -348,12 +322,7 @@ mod tests {
 
     #[test]
     fn nops_and_cond_branches_are_flagged() {
-        let br = Insn::predicated(
-            Pr(1),
-            Op::BrCond {
-                target: Addr(CODE_BASE),
-            },
-        );
+        let br = Insn::predicated(Pr(1), Op::BrCond { target: Addr(CODE_BASE) });
         let b = Bundle::pack(&[br]).unwrap();
         let d = DecodedBundle::decode(&b, 0);
         let br_slot = b.slots.iter().position(|i| i.op.is_branch()).unwrap();
@@ -385,53 +354,14 @@ mod tests {
             Op::MovL { d, imm: 1 << 40 },
             Op::Mov { d, s: a },
             Op::Cmp { op, pt, pf, a, b },
-            Op::CmpI {
-                op,
-                pt,
-                pf,
-                a,
-                imm: 0,
-            },
-            Op::Ld {
-                d,
-                base: a,
-                post_inc: 8,
-                size,
-                spec: false,
-            },
-            Op::Ld {
-                d,
-                base: a,
-                post_inc: 0,
-                size,
-                spec: true,
-            },
-            Op::St {
-                s: d,
-                base: a,
-                post_inc: 8,
-                size,
-            },
-            Op::Ldf {
-                d: f,
-                base: a,
-                post_inc: 8,
-            },
-            Op::Stf {
-                s: f,
-                base: a,
-                post_inc: 8,
-            },
-            Op::Lfetch {
-                base: a,
-                post_inc: 64,
-            },
-            Op::Fma {
-                d: f,
-                a: g,
-                b: h,
-                c: f,
-            },
+            Op::CmpI { op, pt, pf, a, imm: 0 },
+            Op::Ld { d, base: a, post_inc: 8, size, spec: false },
+            Op::Ld { d, base: a, post_inc: 0, size, spec: true },
+            Op::St { s: d, base: a, post_inc: 8, size },
+            Op::Ldf { d: f, base: a, post_inc: 8 },
+            Op::Stf { s: f, base: a, post_inc: 8 },
+            Op::Lfetch { base: a, post_inc: 64 },
+            Op::Fma { d: f, a: g, b: h, c: f },
             Op::Fadd { d: f, a: g, b: h },
             Op::Fmul { d: f, a: g, b: h },
             Op::Getf { d, s: f },
@@ -487,59 +417,30 @@ mod tests {
     #[test]
     fn the_register_only_class_is_unpredicated_in_range_integer_alu_ops() {
         let ops = every_op();
-        let variants: std::collections::HashSet<_> = ops
-            .iter()
-            .map(|(op, _)| std::mem::discriminant(op))
-            .collect();
+        let variants: std::collections::HashSet<_> =
+            ops.iter().map(|(op, _)| std::mem::discriminant(op)).collect();
         assert_eq!(variants.len(), 28, "one entry per `Op` variant");
 
         for (op, class) in ops {
             // Alone in its bundle (a lone nop leaves no live slot), then
             // predicated, even on `p0`, and beside a memory op.
             assert_eq!(reg_only(&[Insn::new(op)]), class, "{op:?}");
-            assert!(
-                !reg_only(&[Insn::predicated(Pr(1), op)]),
-                "predicated {op:?}"
-            );
-            assert!(
-                !reg_only(&[Insn::predicated(Pr(0), op)]),
-                "p0-predicated {op:?}"
-            );
-            let st = Insn::new(Op::St {
-                s: Gr(1),
-                base: Gr(2),
-                post_inc: 0,
-                size: AccessSize::U8,
-            });
+            assert!(!reg_only(&[Insn::predicated(Pr(1), op)]), "predicated {op:?}");
+            assert!(!reg_only(&[Insn::predicated(Pr(0), op)]), "p0-predicated {op:?}");
+            let st = Insn::new(Op::St { s: Gr(1), base: Gr(2), post_inc: 0, size: AccessSize::U8 });
             if let Some(b) = Bundle::pack(&[st, Insn::new(op)]) {
-                assert!(
-                    !DecodedBundle::decode(&b, 0).reg_only,
-                    "{op:?} beside a store"
-                );
+                assert!(!DecodedBundle::decode(&b, 0).reg_only, "{op:?} beside a store");
             }
         }
 
         // A full bundle of class ops is in; a trailing `br.cond`, the
         // loop-closing bundle, is not.
-        let add = Insn::new(Op::Add {
-            d: Gr(20),
-            a: Gr(20),
-            b: Gr(20),
-        });
-        let addi = Insn::new(Op::AddI {
-            d: Gr(9),
-            a: Gr(9),
-            imm: -1,
-        });
+        let add = Insn::new(Op::Add { d: Gr(20), a: Gr(20), b: Gr(20) });
+        let addi = Insn::new(Op::AddI { d: Gr(9), a: Gr(9), imm: -1 });
         assert!(reg_only(&[add, addi]));
         assert!(!reg_only(&[
             addi,
-            Insn::predicated(
-                Pr(1),
-                Op::BrCond {
-                    target: Addr(CODE_BASE)
-                }
-            )
+            Insn::predicated(Pr(1), Op::BrCond { target: Addr(CODE_BASE) })
         ]));
     }
 
@@ -556,74 +457,22 @@ mod tests {
             |d, a, b| Op::Or { d, a, b },
             |d, a, b| Op::Xor { d, a, b },
         ];
-        let mut ops: Vec<Op> = three
-            .iter()
-            .flat_map(|mk| [mk(bad, x, y), mk(x, bad, y), mk(x, y, bad)])
-            .collect();
+        let mut ops: Vec<Op> =
+            three.iter().flat_map(|mk| [mk(bad, x, y), mk(x, bad, y), mk(x, y, bad)]).collect();
         let op = CmpOp::Eq;
         ops.extend([
-            Op::AddI {
-                d: bad,
-                a: x,
-                imm: 1,
-            },
-            Op::AddI {
-                d: x,
-                a: bad,
-                imm: 1,
-            },
+            Op::AddI { d: bad, a: x, imm: 1 },
+            Op::AddI { d: x, a: bad, imm: 1 },
             Op::Mov { d: bad, s: x },
             Op::Mov { d: x, s: bad },
             Op::MovL { d: bad, imm: 1 },
-            Op::Cmp {
-                op,
-                pt: bad_p,
-                pf: Pr(2),
-                a: x,
-                b: y,
-            },
-            Op::Cmp {
-                op,
-                pt: Pr(1),
-                pf: bad_p,
-                a: x,
-                b: y,
-            },
-            Op::Cmp {
-                op,
-                pt: Pr(1),
-                pf: Pr(2),
-                a: bad,
-                b: y,
-            },
-            Op::Cmp {
-                op,
-                pt: Pr(1),
-                pf: Pr(2),
-                a: x,
-                b: bad,
-            },
-            Op::CmpI {
-                op,
-                pt: bad_p,
-                pf: Pr(2),
-                a: x,
-                imm: 0,
-            },
-            Op::CmpI {
-                op,
-                pt: Pr(1),
-                pf: bad_p,
-                a: x,
-                imm: 0,
-            },
-            Op::CmpI {
-                op,
-                pt: Pr(1),
-                pf: Pr(2),
-                a: bad,
-                imm: 0,
-            },
+            Op::Cmp { op, pt: bad_p, pf: Pr(2), a: x, b: y },
+            Op::Cmp { op, pt: Pr(1), pf: bad_p, a: x, b: y },
+            Op::Cmp { op, pt: Pr(1), pf: Pr(2), a: bad, b: y },
+            Op::Cmp { op, pt: Pr(1), pf: Pr(2), a: x, b: bad },
+            Op::CmpI { op, pt: bad_p, pf: Pr(2), a: x, imm: 0 },
+            Op::CmpI { op, pt: Pr(1), pf: bad_p, a: x, imm: 0 },
+            Op::CmpI { op, pt: Pr(1), pf: Pr(2), a: bad, imm: 0 },
         ]);
         for op in ops {
             assert!(!reg_only(&[Insn::new(op)]), "{op:?}");
@@ -633,21 +482,9 @@ mod tests {
     #[test]
     fn locate_mirrors_bundle_addressing() {
         let store = CodeStore::new(&prog(vec![nop_bundle(), nop_bundle()]));
-        assert_eq!(
-            store.locate(Addr(CODE_BASE)),
-            Some(CodeLoc {
-                pool: false,
-                index: 0
-            })
-        );
+        assert_eq!(store.locate(Addr(CODE_BASE)), Some(CodeLoc { pool: false, index: 0 }));
         // Mid-bundle addresses resolve to the containing bundle.
-        assert_eq!(
-            store.locate(Addr(CODE_BASE + 17)),
-            Some(CodeLoc {
-                pool: false,
-                index: 1
-            })
-        );
+        assert_eq!(store.locate(Addr(CODE_BASE + 17)), Some(CodeLoc { pool: false, index: 1 }));
         assert_eq!(store.locate(Addr(CODE_BASE + 32)), None);
         assert_eq!(store.locate(Addr(CODE_BASE - 16)), None);
         assert_eq!(store.locate(Addr(TRACE_POOL_BASE)), None, "empty pool");

@@ -227,27 +227,15 @@ mod tests {
     }
 
     fn add(d: u8, a: u8, b: u8) -> Insn {
-        Insn::new(Op::Add {
-            d: Gr(d),
-            a: Gr(a),
-            b: Gr(b),
-        })
+        Insn::new(Op::Add { d: Gr(d), a: Gr(a), b: Gr(b) })
     }
 
     fn addi(d: u8, a: u8, imm: i64) -> Insn {
-        Insn::new(Op::AddI {
-            d: Gr(d),
-            a: Gr(a),
-            imm,
-        })
+        Insn::new(Op::AddI { d: Gr(d), a: Gr(a), imm })
     }
 
     fn movl(d: u8, imm: i64) -> Bundle {
-        Bundle::pack(&[
-            Insn::nop(SlotKind::M),
-            Insn::new(Op::MovL { d: Gr(d), imm }),
-        ])
-        .unwrap()
+        Bundle::pack(&[Insn::nop(SlotKind::M), Insn::new(Op::MovL { d: Gr(d), imm })]).unwrap()
     }
 
     fn branch_only(op: Op) -> Bundle {
@@ -295,10 +283,7 @@ mod tests {
         }
         Outcome {
             stops,
-            samples: samples
-                .iter()
-                .map(|s| (s.cycles, s.pc, s.retired))
-                .collect(),
+            samples: samples.iter().map(|s| (s.cycles, s.pc, s.retired)).collect(),
             cycles: m.cycles(),
             counters: m.pmu().counters,
             ip: m.ip(),
@@ -337,10 +322,7 @@ mod tests {
     fn chunked_stops(path: ExecPath, bundles: &[Bundle], step: u64) -> Vec<(StopReason, u64, u64)> {
         let config = MachineConfig {
             exec_path: path,
-            sampling: Some(SamplingConfig {
-                per_sample_cost: 20,
-                ..every_cycle(3).unwrap()
-            }),
+            sampling: Some(SamplingConfig { per_sample_cost: 20, ..every_cycle(3).unwrap() }),
             ..MachineConfig::default()
         };
         let mut m = Machine::new(Program::new(CODE_BASE, bundles.to_vec()), config);
@@ -374,14 +356,8 @@ mod tests {
         for consumer_slot in [1usize, 2] {
             let mut slots = [ld(20, 14), Insn::nop(SlotKind::I), Insn::nop(SlotKind::I)];
             slots[consumer_slot] = add(21, 20, 0);
-            let out = run_both(
-                &[movl(14, data), bundle(slots), branch_only(Op::Halt)],
-                None,
-            );
-            assert!(
-                out.counters.stall_mem > 0,
-                "slot {consumer_slot} must stall on the load"
-            );
+            let out = run_both(&[movl(14, data), bundle(slots), branch_only(Op::Halt)], None);
+            assert!(out.counters.stall_mem > 0, "slot {consumer_slot} must stall on the load");
             assert_eq!(out.stops, [StopReason::Halted]);
         }
     }
@@ -396,11 +372,7 @@ mod tests {
             &[
                 movl(14, data),
                 bundle([ld(20, 14), add(20, 0, 0), Insn::nop(SlotKind::I)]),
-                bundle([
-                    Insn::nop(SlotKind::M),
-                    add(21, 20, 0),
-                    Insn::nop(SlotKind::I),
-                ]),
+                bundle([Insn::nop(SlotKind::M), add(21, 20, 0), Insn::nop(SlotKind::I)]),
                 branch_only(Op::Halt),
             ],
             None,
@@ -414,11 +386,7 @@ mod tests {
         // Slot 1 loads from an unmapped address: slot 0 keeps its
         // effect, slot 2 never runs, the ip stays on the bundle and no
         // sample is taken for it even though one is due every cycle.
-        let addi = Insn::new(Op::AddI {
-            d: Gr(21),
-            a: Gr(0),
-            imm: 5,
-        });
+        let addi = Insn::new(Op::AddI { d: Gr(21), a: Gr(0), imm: 5 });
         let bundles = [
             movl(14, DATA_BASE as i64),
             movl(15, 0x10),
@@ -426,25 +394,11 @@ mod tests {
             branch_only(Op::Halt),
         ];
         let out = run_both(&bundles, every_cycle(1 << 10));
-        assert_eq!(
-            out.stops,
-            [StopReason::Faulted(Fault::UnmappedLoad {
-                addr: 0x10,
-                len: 8
-            })]
-        );
-        assert_eq!(
-            out.counters.retired,
-            3 + 3 + 2,
-            "the faulting slot is retired"
-        );
+        assert_eq!(out.stops, [StopReason::Faulted(Fault::UnmappedLoad { addr: 0x10, len: 8 })]);
+        assert_eq!(out.counters.retired, 3 + 3 + 2, "the faulting slot is retired");
         assert_eq!(out.counters.loads, 1, "slot 0 keeps its effect");
         assert_eq!(out.gr[21], 0, "slot 2 never runs");
-        assert_eq!(
-            out.ip,
-            Addr(CODE_BASE).offset_bundles(2),
-            "ip frozen at the faulting bundle"
-        );
+        assert_eq!(out.ip, Addr(CODE_BASE).offset_bundles(2), "ip frozen at the faulting bundle");
         assert!(
             out.samples.iter().all(|&(_, pc, _)| pc.addr != out.ip),
             "no sample for the faulting bundle: {:?}",
@@ -464,11 +418,7 @@ mod tests {
             bundle([
                 Insn::nop(SlotKind::M),
                 add(21, 21, 9),
-                Insn::new(Op::AddI {
-                    d: Gr(9),
-                    a: Gr(9),
-                    imm: -1,
-                }),
+                Insn::new(Op::AddI { d: Gr(9), a: Gr(9), imm: -1 }),
             ]),
             bundle([
                 Insn::nop(SlotKind::M),
@@ -481,9 +431,7 @@ mod tests {
                 }),
                 Insn::predicated(
                     isa::Pr(1),
-                    Op::BrCond {
-                        target: Addr(CODE_BASE).offset_bundles(1),
-                    },
+                    Op::BrCond { target: Addr(CODE_BASE).offset_bundles(1) },
                 ),
             ]),
             branch_only(Op::Halt),
@@ -506,22 +454,13 @@ mod tests {
         ];
         assert!(reg_only(&bundles, 2));
         let out = run_both(&bundles, None);
-        assert!(
-            out.counters.stall_mem > 0,
-            "the consumer must wait for the load"
-        );
+        assert!(out.counters.stall_mem > 0, "the consumer must wait for the load");
     }
 
     #[test]
     fn register_only_writes_to_r0_and_p0_stay_no_ops() {
         let cmpi = |pt: u8, pf: u8| {
-            Insn::new(Op::CmpI {
-                op: CmpOp::Eq,
-                pt: Pr(pt),
-                pf: Pr(pf),
-                a: Gr(9),
-                imm: 7,
-            })
+            Insn::new(Op::CmpI { op: CmpOp::Eq, pt: Pr(pt), pf: Pr(pf), a: Gr(9), imm: 7 })
         };
         let bundles = [
             movl(9, 7),
@@ -530,13 +469,7 @@ mod tests {
             // `p0` gets the false result of `r9 != r9`; `r21 = r0 + r9`.
             bundle([
                 Insn::nop(SlotKind::M),
-                Insn::new(Op::Cmp {
-                    op: CmpOp::Ne,
-                    pt: Pr(0),
-                    pf: Pr(2),
-                    a: Gr(9),
-                    b: Gr(9),
-                }),
+                Insn::new(Op::Cmp { op: CmpOp::Ne, pt: Pr(0), pf: Pr(2), a: Gr(9), b: Gr(9) }),
                 add(21, 0, 9),
             ]),
             // Still issues: `p0` is true.
@@ -570,27 +503,14 @@ mod tests {
         let out = run_both(&bundles, every_cycle(2));
         let (last, fills) = out.stops.split_last().unwrap();
         assert_eq!(*last, StopReason::Halted);
-        assert!(
-            fills.len() >= 4,
-            "the buffer fills repeatedly: {:?}",
-            out.stops
-        );
+        assert!(fills.len() >= 4, "the buffer fills repeatedly: {:?}", out.stops);
         assert!(fills.iter().all(|&s| s == StopReason::SampleBufferOverflow));
-        let on_reg_only = out
-            .samples
-            .iter()
-            .filter(|&&(_, pc, _)| pc.addr != halt)
-            .count();
+        let on_reg_only = out.samples.iter().filter(|&&(_, pc, _)| pc.addr != halt).count();
         assert!(on_reg_only >= 8, "samples land on register-only bundles");
         assert_eq!(out.gr[9], 24);
 
         let fast = chunked_stops(ExecPath::Fast, &bundles, 1);
-        assert!(
-            fast.iter()
-                .filter(|s| s.0 == StopReason::CycleLimit)
-                .count()
-                >= 4
-        );
+        assert!(fast.iter().filter(|s| s.0 == StopReason::CycleLimit).count() >= 4);
         assert_eq!(fast, chunked_stops(ExecPath::Reference, &bundles, 1));
     }
 
@@ -605,16 +525,10 @@ mod tests {
         let halt_bundle = Addr(CODE_BASE).offset_bundles(4);
         let unbounded = run_both(&bundles, every_cycle(1 << 10));
         let &(_, last_pc, _) = unbounded.samples.last().expect("the run samples");
-        assert_eq!(
-            last_pc.addr, halt_bundle,
-            "the halt bundle takes the last sample"
-        );
+        assert_eq!(last_pc.addr, halt_bundle, "the halt bundle takes the last sample");
 
         let filled = run_both(&bundles, every_cycle(unbounded.samples.len()));
-        assert_eq!(
-            filled.stops,
-            [StopReason::SampleBufferOverflow, StopReason::Halted]
-        );
+        assert_eq!(filled.stops, [StopReason::SampleBufferOverflow, StopReason::Halted]);
         assert_eq!(filled.samples, unbounded.samples);
         assert_eq!(filled.cycles, unbounded.cycles);
     }

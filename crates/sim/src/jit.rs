@@ -342,9 +342,7 @@ fn compile_region<const MEM: bool>(
         let mut region_ends = false;
         for &slot in db.live() {
             let insn = db.slots[slot as usize].insn;
-            if insn.qp.is_none()
-                && matches!(insn.op, Op::Br { .. } | Op::BrRet | Op::Halt)
-            {
+            if insn.qp.is_none() && matches!(insn.op, Op::Br { .. } | Op::BrRet | Op::Halt) {
                 // Execution can never fall past an unconditional
                 // transfer, so the region need not extend further.
                 region_ends = true;
@@ -358,11 +356,7 @@ fn compile_region<const MEM: bool>(
             break;
         }
     }
-    Some(CompiledRegion {
-        start,
-        generation,
-        bundles,
-    })
+    Some(CompiledRegion { start, generation, bundles })
 }
 
 /// Translates one instruction into a closure that checks its qualifying
@@ -403,30 +397,8 @@ fn compile_op<const MEM: bool>(insn: Insn, pc: Pc, fall_through: Addr) -> Option
         Op::Mov { d, s } => thin!(Mov { d, s }),
         Op::Cmp { op, pt, pf, a, b } => thin!(Cmp { op, pt, pf, a, b }),
         Op::CmpI { op, pt, pf, a, imm } => thin!(CmpI { op, pt, pf, a, imm }),
-        Op::Ld {
-            d,
-            base,
-            post_inc,
-            size,
-            spec,
-        } => thin!(Ld {
-            d,
-            base,
-            post_inc,
-            size,
-            spec
-        }),
-        Op::St {
-            s,
-            base,
-            post_inc,
-            size,
-        } => thin!(St {
-            s,
-            base,
-            post_inc,
-            size
-        }),
+        Op::Ld { d, base, post_inc, size, spec } => thin!(Ld { d, base, post_inc, size, spec }),
+        Op::St { s, base, post_inc, size } => thin!(St { s, base, post_inc, size }),
         Op::Ldf { d, base, post_inc } => thin!(Ldf { d, base, post_inc }),
         Op::Stf { s, base, post_inc } => thin!(Stf { s, base, post_inc }),
         Op::Lfetch { base, post_inc } => thin!(Lfetch { base, post_inc }),
@@ -473,8 +445,7 @@ mod tests {
         let mut m = Machine::new(sum_loop_program(iters), cfg);
         m.mem_mut().alloc(mapped as u64 * 8, 8);
         for i in 0..mapped {
-            m.mem_mut()
-                .write(0x1000_0000 + i as u64 * 8, 8, (i * 3) as u64);
+            m.mem_mut().write(0x1000_0000 + i as u64 * 8, 8, (i * 3) as u64);
         }
         m
     }
@@ -542,53 +513,19 @@ mod tests {
         a.add(Gr(12), Gr(12), Gr(13));
         a.sub(Gr(18), Gr(12), Gr(11));
         a.shladd(Gr(19), Gr(11), 2, Gr(18));
-        a.emit(Op::And {
-            d: Gr(25),
-            a: Gr(11),
-            b: Gr(26),
-        });
-        a.emit(Op::Or {
-            d: Gr(20),
-            a: Gr(19),
-            b: Gr(13),
-        });
-        a.emit(Op::Xor {
-            d: Gr(21),
-            a: Gr(20),
-            b: Gr(12),
-        });
+        a.emit(Op::And { d: Gr(25), a: Gr(11), b: Gr(26) });
+        a.emit(Op::Or { d: Gr(20), a: Gr(19), b: Gr(13) });
+        a.emit(Op::Xor { d: Gr(21), a: Gr(20), b: Gr(12) });
         a.mov(Gr(22), Gr(21));
         a.movl(Gr(24), -7);
         a.cmp(CmpOp::Eq, Pr(3), Pr(4), Gr(25), Gr(0));
         a.emit(pred(3, Op::AddI { d: Gr(27), a: Gr(27), imm: 5 }));
         a.emit(pred(4, Op::AddI { d: Gr(28), a: Gr(28), imm: 3 }));
-        a.emit(pred(
-            3,
-            Op::St {
-                s: Gr(22),
-                base: Gr(14),
-                post_inc: 8,
-                size: AccessSize::U8,
-            },
-        ));
+        a.emit(pred(3, Op::St { s: Gr(22), base: Gr(14), post_inc: 8, size: AccessSize::U8 }));
+        a.emit(pred(4, Op::St { s: Gr(24), base: Gr(14), post_inc: 8, size: AccessSize::U2 }));
         a.emit(pred(
             4,
-            Op::St {
-                s: Gr(24),
-                base: Gr(14),
-                post_inc: 8,
-                size: AccessSize::U2,
-            },
-        ));
-        a.emit(pred(
-            4,
-            Op::Ld {
-                d: Gr(23),
-                base: Gr(10),
-                post_inc: 0,
-                size: AccessSize::U1,
-                spec: false,
-            },
+            Op::Ld { d: Gr(23), base: Gr(10), post_inc: 0, size: AccessSize::U1, spec: false },
         ));
         a.emit(Op::Setf { d: Fr(3), s: Gr(13) });
         a.ldf(Fr(4), Gr(15), 8);
@@ -651,9 +588,7 @@ mod tests {
             assert_eq!(bits(&fast), bits(&thr), "profile={profile}");
             assert_eq!(fast.pr, thr.pr, "profile={profile}");
             let bytes = |m: &Machine| -> Vec<u64> {
-                (0..0x2000 / 8)
-                    .map(|w| m.mem().read(crate::DATA_BASE + 8 * w, 8))
-                    .collect()
+                (0..0x2000 / 8).map(|w| m.mem().read(crate::DATA_BASE + 8 * w, 8)).collect()
             };
             assert_eq!(bytes(&fast), bytes(&thr), "profile={profile}");
             assert_eq!(fast.retired(), thr.retired(), "profile={profile}");
@@ -666,10 +601,7 @@ mod tests {
                 );
             }
             // Both predicate arms ran, and so did the call.
-            assert_eq!(
-                [27, 28, 33, 34].map(|r| thr.gr(Gr(r))),
-                [5 * 100, 3 * 100, 100, 3 * 200]
-            );
+            assert_eq!([27, 28, 33, 34].map(|r| thr.gr(Gr(r))), [5 * 100, 3 * 100, 100, 3 * 200]);
         }
     }
 
@@ -709,10 +641,7 @@ mod tests {
         assert_eq!(m.run(u64::MAX), StopReason::Halted);
         let stats = m.jit_stats().unwrap();
         assert!(stats.deopts >= 1, "stale region must deopt: {stats:?}");
-        assert!(
-            stats.regions_compiled >= 2,
-            "patched loop must re-warm and recompile: {stats:?}"
-        );
+        assert!(stats.regions_compiled >= 2, "patched loop must re-warm and recompile: {stats:?}");
         // Architectural result unchanged by the whole episode.
         let mut fast = sum_loop_machine(ExecPath::Fast, 50_000, 50_004);
         fast.run(u64::MAX);

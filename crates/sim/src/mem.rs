@@ -34,11 +34,7 @@ impl fmt::Debug for Memory {
 impl Memory {
     /// Creates an arena of `capacity` bytes at [`DATA_BASE`].
     pub fn new(capacity: usize) -> Memory {
-        Memory {
-            base: DATA_BASE,
-            data: vec![0; capacity],
-            brk: DATA_BASE,
-        }
+        Memory { base: DATA_BASE, data: vec![0; capacity], brk: DATA_BASE }
     }
 
     /// Base address of the arena.
@@ -150,10 +146,7 @@ impl Memory {
     ///
     /// Panics on unmapped addresses.
     pub fn write(&mut self, addr: u64, len: u64, value: u64) {
-        assert!(
-            self.try_write(addr, len, value),
-            "unmapped write of {len} bytes at {addr:#x}"
-        );
+        assert!(self.try_write(addr, len, value), "unmapped write of {len} bytes at {addr:#x}");
     }
 
     /// Reads an `f64`.
@@ -244,11 +237,7 @@ mod tests {
         assert!(m.try_write(end - 8, 8, 7));
         assert_eq!(m.try_read(end - 8, 8), Some(7));
         assert!(!m.try_write(end - 4, 8, u64::MAX), "straddles the end");
-        assert_eq!(
-            m.try_read(end - 8, 8),
-            Some(7),
-            "a refused write writes nothing"
-        );
+        assert_eq!(m.try_read(end - 8, 8), Some(7), "a refused write writes nothing");
         assert_eq!(m.try_read(end - 4, 8), None);
         assert_eq!(m.try_read(m.base() - 1, 1), None);
         assert_eq!(m.try_read(u64::MAX - 4, 8), None, "wraps");

@@ -192,12 +192,8 @@ impl Pmu {
     pub fn record_tlb_miss(&mut self, pc: Pc, addr: u64, latency: u64) {
         self.counters.dtlb_misses += 1;
         if self.dear_armed {
-            self.dear = Some(DearRecord {
-                load_pc: pc,
-                miss_addr: addr,
-                latency,
-                kind: DearKind::TlbMiss,
-            });
+            self.dear =
+                Some(DearRecord { load_pc: pc, miss_addr: addr, latency, kind: DearKind::TlbMiss });
             self.dear_armed = false;
         }
     }
@@ -211,11 +207,7 @@ impl Pmu {
     /// Records a branch outcome in the BTB.
     pub fn record_branch(&mut self, source: Pc, target: Addr, taken: bool) {
         self.counters.branches += 1;
-        self.btb.record(BtbEntry {
-            source,
-            target,
-            taken,
-        });
+        self.btb.record(BtbEntry { source, target, taken });
     }
 }
 
@@ -297,10 +289,7 @@ mod tests {
         // A second qualifying miss does NOT overwrite the latched record.
         pmu.record_load(pc(0x4000_0010, 1), 0x1000_0040, 160, false);
         assert_eq!(pmu.dear.unwrap().load_pc, pc(0x4000_0000, 0));
-        assert_eq!(
-            pmu.counters.dear_misses, 2,
-            "counters still count everything"
-        );
+        assert_eq!(pmu.counters.dear_misses, 2, "counters still count everything");
         // After re-arming, the next qualifying miss is captured.
         pmu.rearm_dear();
         pmu.record_load(pc(0x4000_0020, 2), 0x1000_0080, 13, false);

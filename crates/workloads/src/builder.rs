@@ -115,14 +115,7 @@ impl InitAction {
                     mem.write(base + 4 * i, 4, v);
                 }
             }
-            InitAction::CircularList {
-                base,
-                nodes,
-                node_bytes,
-                next_offset,
-                run_length,
-                seed,
-            } => {
+            InitAction::CircularList { base, nodes, node_bytes, next_offset, run_length, seed } => {
                 let order = list_order(nodes, run_length, seed);
                 for i in 0..nodes as usize {
                     let node = base + order[i] * node_bytes;
@@ -230,14 +223,8 @@ impl WorkloadBuilder {
     pub fn list(&mut self, nodes: u64, node_bytes: u64, run_length: u64) -> usize {
         let base = self.alloc(nodes * node_bytes + 256);
         let seed = self.next_seed();
-        let action = InitAction::CircularList {
-            base,
-            nodes,
-            node_bytes,
-            next_offset: 0,
-            run_length,
-            seed,
-        };
+        let action =
+            InitAction::CircularList { base, nodes, node_bytes, next_offset: 0, run_length, seed };
         let head = action.head();
         self.inits.push(action);
         self.kernel.add_list(ListDecl {

@@ -105,9 +105,9 @@ fn server(scale: f64) -> Workload {
         .with_compute(2, 0)
         .with_batched_uses(),
     );
-    let append = b.kernel.add_loop(
-        LoopSpec::new("log_append", 400, vec![store(log, 16)]).with_compute(2, 0),
-    );
+    let append = b
+        .kernel
+        .add_loop(LoopSpec::new("log_append", 400, vec![store(log, 16)]).with_compute(2, 0));
     let bal1 = ballast(&mut b, "parse_request", 30_000);
     let bal2 = ballast(&mut b, "build_response", 30_000);
     let cold0 = cold_loop(&mut b, "server_cold0");
@@ -136,7 +136,10 @@ fn graph(scale: f64) -> Workload {
         LoopSpec::new(
             "bfs_frontier",
             500,
-            vec![direct(row_ptr, 2), RefSpec::Indirect { index_array: col_idx, data_array: visited }],
+            vec![
+                direct(row_ptr, 2),
+                RefSpec::Indirect { index_array: col_idx, data_array: visited },
+            ],
         )
         .with_compute(3, 0),
     );

@@ -76,11 +76,7 @@ const _: () = {
 
 impl Workload {
     /// Builds a workload from a finished builder.
-    pub fn from_builder(
-        b: WorkloadBuilder,
-        name: &'static str,
-        kind: WorkloadKind,
-    ) -> Workload {
+    pub fn from_builder(b: WorkloadBuilder, name: &'static str, kind: WorkloadKind) -> Workload {
         let (kernel, inits, arena_bytes) = b.finish();
         Workload { name, kind, kernel, arena_bytes, inits }
     }

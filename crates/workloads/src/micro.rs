@@ -69,7 +69,12 @@ pub fn gaussian(n_big: u64, n_small: u64, outer_iters: u64) -> Workload {
         LoopSpec::new(
             "eliminate_big",
             n_big / 8,
-            vec![RefSpec::Direct { array: m, stride_elems: 8, write: false, alias_ambiguous: false }],
+            vec![RefSpec::Direct {
+                array: m,
+                stride_elems: 8,
+                write: false,
+                alias_ambiguous: false,
+            }],
         )
         .with_compute(0, 2),
     );
@@ -77,7 +82,12 @@ pub fn gaussian(n_big: u64, n_small: u64, outer_iters: u64) -> Workload {
         LoopSpec::new(
             "eliminate_small",
             n_small / 8,
-            vec![RefSpec::Direct { array: m, stride_elems: 8, write: false, alias_ambiguous: false }],
+            vec![RefSpec::Direct {
+                array: m,
+                stride_elems: 8,
+                write: false,
+                alias_ambiguous: false,
+            }],
         )
         .with_compute(0, 2),
     );
@@ -98,8 +108,18 @@ pub fn memcpy(bytes: u64, outer_iters: u64) -> Workload {
             "copy",
             words,
             vec![
-                RefSpec::Direct { array: src, stride_elems: 1, write: false, alias_ambiguous: false },
-                RefSpec::Direct { array: dst, stride_elems: 1, write: true, alias_ambiguous: false },
+                RefSpec::Direct {
+                    array: src,
+                    stride_elems: 1,
+                    write: false,
+                    alias_ambiguous: false,
+                },
+                RefSpec::Direct {
+                    array: dst,
+                    stride_elems: 1,
+                    write: true,
+                    alias_ambiguous: false,
+                },
             ],
         )
         .with_compute(1, 0),

@@ -45,9 +45,9 @@ fn cold_loop(b: &mut WorkloadBuilder, name: &str) -> usize {
     // L2-resident walk gains nothing from prefetching — the scheduled
     // prefetches are genuinely useless, as the paper describes.
     let small = b.array(6 << 10, 8, true); // 48 KB, L2-resident
-    // Two fragments: still a static-prefetch candidate, but no modulo
-    // scheduler will pipeline a multi-block body, so `O2`-with-SWP does
-    // not accelerate these (they are background code, not kernels).
+                                           // Two fragments: still a static-prefetch candidate, but no modulo
+                                           // scheduler will pipeline a multi-block body, so `O2`-with-SWP does
+                                           // not accelerate these (they are background code, not kernels).
     b.kernel.add_loop(
         LoopSpec::new(name, 2200, vec![direct(small, 1), direct(small, 1)])
             .with_compute(2, 0)
@@ -112,8 +112,12 @@ fn bzip2(scale: f64) -> Workload {
     let idx = b.index_array(1 << 19, 1 << 20);
     let data = b.array(1 << 20, 4, false);
     let l3 = b.kernel.add_loop(
-        LoopSpec::new("unbzip", 250, vec![RefSpec::Indirect { index_array: idx, data_array: data }])
-            .with_compute(2, 0),
+        LoopSpec::new(
+            "unbzip",
+            250,
+            vec![RefSpec::Indirect { index_array: idx, data_array: data }],
+        )
+        .with_compute(2, 0),
     );
     let bal2 = ballast(&mut b, "crc_pass", 42_000);
     let cold0 = cold_loop(&mut b, "bzip2_cold0");
@@ -175,9 +179,8 @@ fn vpr(scale: f64) -> Workload {
             .with_compute(4, 2)
             .with_complexity(AddrComplexity::FpConversion),
     );
-    let tidy = b.kernel.add_loop(
-        LoopSpec::new("tidy", 120, vec![direct(local, 8)]).with_compute(3, 0),
-    );
+    let tidy =
+        b.kernel.add_loop(LoopSpec::new("tidy", 120, vec![direct(local, 8)]).with_compute(3, 0));
     let bal = ballast(&mut b, "swap_eval", 30_000);
     let cold0 = cold_loop(&mut b, "vpr_cold0");
     let cold0b = cold_loop(&mut b, "vpr_cold0b");
@@ -219,20 +222,19 @@ fn gap(scale: f64) -> Workload {
             .with_compute(4, 0)
             .with_complexity(AddrComplexity::Call),
     );
-    let minor1 = b.kernel.add_loop(
-        LoopSpec::new("scan_bags", 400, vec![direct(bags, 1)]).with_compute(3, 0),
-    );
+    let minor1 = b
+        .kernel
+        .add_loop(LoopSpec::new("scan_bags", 400, vec![direct(bags, 1)]).with_compute(3, 0));
     let main2 = b.kernel.add_loop(
         LoopSpec::new("permute", 400, vec![direct(heap, 112)])
             .with_compute(4, 0)
             .with_complexity(AddrComplexity::Call),
     );
-    let minor2 = b.kernel.add_loop(
-        LoopSpec::new("unpack", 400, vec![direct(bags, 2)]).with_compute(2, 0),
-    );
-    let minor3 = b.kernel.add_loop(
-        LoopSpec::new("copy_objs", 400, vec![direct(bags, 1)]).with_compute(2, 0),
-    );
+    let minor2 =
+        b.kernel.add_loop(LoopSpec::new("unpack", 400, vec![direct(bags, 2)]).with_compute(2, 0));
+    let minor3 = b
+        .kernel
+        .add_loop(LoopSpec::new("copy_objs", 400, vec![direct(bags, 1)]).with_compute(2, 0));
     let bal1 = ballast(&mut b, "small_mul", 25_000);
     let bal2 = ballast(&mut b, "vec_ops", 25_000);
     let bal3 = ballast(&mut b, "gc_mark", 25_000);
@@ -295,12 +297,10 @@ fn gcc(scale: f64) -> Workload {
             .with_compute(5, 0)
             .with_code_bloat(6),
     );
-    let l2 = b.kernel.add_loop(
-        LoopSpec::new("sym_pass", 80, vec![direct(sym, 8)]).with_compute(6, 0),
-    );
-    let l3 = b.kernel.add_loop(
-        LoopSpec::new("flow_pass", 80, vec![direct(dfa, 8)]).with_compute(6, 0),
-    );
+    let l2 =
+        b.kernel.add_loop(LoopSpec::new("sym_pass", 80, vec![direct(sym, 8)]).with_compute(6, 0));
+    let l3 =
+        b.kernel.add_loop(LoopSpec::new("flow_pass", 80, vec![direct(dfa, 8)]).with_compute(6, 0));
     let bal1 = ballast(&mut b, "parse_tokens", 45_000);
     let bal2 = ballast(&mut b, "emit_asm", 45_000);
     let cold0 = cold_loop(&mut b, "gcc_cold0");
@@ -415,12 +415,10 @@ fn applu(scale: f64) -> Workload {
             direct(a, 40)
         })
         .collect();
-    let l1 = b.kernel.add_loop(
-        LoopSpec::new("blts", 500, refs1).with_compute(2, 4).with_batched_uses(),
-    );
-    let l2 = b.kernel.add_loop(
-        LoopSpec::new("buts", 500, refs2).with_compute(2, 4).with_batched_uses(),
-    );
+    let l1 =
+        b.kernel.add_loop(LoopSpec::new("blts", 500, refs1).with_compute(2, 4).with_batched_uses());
+    let l2 =
+        b.kernel.add_loop(LoopSpec::new("buts", 500, refs2).with_compute(2, 4).with_batched_uses());
     let bal1 = ballast(&mut b, "jacld", 220_000);
     let bal2 = ballast(&mut b, "jacu", 220_000);
     let cold0 = cold_loop(&mut b, "applu_cold0");
@@ -471,17 +469,25 @@ fn facerec(scale: f64) -> Workload {
     let gabor = b.array(1 << 20, 8, true);
     let graph = b.array(1 << 19, 8, true);
     let p1a = b.kernel.add_loop(
-        LoopSpec::new("gabor_conv", 250, vec![direct(img, 48), direct(gabor, 48), direct(gabor, 64)])
-            .with_compute(1, 3)
-            .with_batched_uses(),
+        LoopSpec::new(
+            "gabor_conv",
+            250,
+            vec![direct(img, 48), direct(gabor, 48), direct(gabor, 64)],
+        )
+        .with_compute(1, 3)
+        .with_batched_uses(),
     );
     let p1b = b.kernel.add_loop(
         LoopSpec::new("gabor_acc", 200, vec![direct(img, 64), store(gabor, 64)]).with_compute(1, 2),
     );
     let p2a = b.kernel.add_loop(
-        LoopSpec::new("graph_sim", 250, vec![direct(graph, 32), direct(img, 56), direct(gabor, 56)])
-            .with_compute(1, 3)
-            .with_batched_uses(),
+        LoopSpec::new(
+            "graph_sim",
+            250,
+            vec![direct(graph, 32), direct(img, 56), direct(gabor, 56)],
+        )
+        .with_compute(1, 3)
+        .with_batched_uses(),
     );
     let p3a = b.kernel.add_loop(
         LoopSpec::new("match_face", 250, vec![direct(graph, 40), direct(img, 72)])
@@ -652,20 +658,14 @@ mod tests {
         // gzip has very few phase reps (too short to optimize).
         assert!(by("gzip").kernel.phases[0].reps < by("swim").kernel.phases[0].reps);
         // lucas/vpr use fp-conversion addressing; gap uses calls.
-        let is_hot = |l: &&compiler::LoopSpec| {
-            !l.refs.is_empty() && !l.name.contains("_cold")
-        };
+        let is_hot = |l: &&compiler::LoopSpec| !l.refs.is_empty() && !l.name.contains("_cold");
         assert!(by("lucas")
             .kernel
             .loops
             .iter()
             .filter(is_hot)
             .all(|l| l.complexity == AddrComplexity::FpConversion));
-        assert!(by("gap")
-            .kernel
-            .loops
-            .iter()
-            .any(|l| l.complexity == AddrComplexity::Call));
+        assert!(by("gap").kernel.loops.iter().any(|l| l.complexity == AddrComplexity::Call));
         // applu batches its uses and has many refs per loop.
         assert!(by("applu")
             .kernel
@@ -711,11 +711,7 @@ mod tests {
         let all = suite(0.1);
         let w = all.iter().find(|w| w.name == "swim").unwrap();
         let o3 = compiler::compile(&w.kernel, &compiler::CompileOptions::o3()).unwrap();
-        let cold_names: Vec<_> = o3
-            .loops
-            .iter()
-            .filter(|l| l.name.contains("_cold"))
-            .collect();
+        let cold_names: Vec<_> = o3.loops.iter().filter(|l| l.name.contains("_cold")).collect();
         assert!(!cold_names.is_empty());
         assert!(cold_names.iter().all(|l| l.has_static_prefetch));
         let swp = compiler::compile(&w.kernel, &compiler::CompileOptions::o2_original()).unwrap();

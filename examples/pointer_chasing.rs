@@ -30,13 +30,7 @@ fn main() {
     let hops: u64 = 12;
 
     let mut k = Kernel::new("chase-example");
-    let list = k.add_list(ListDecl {
-        head,
-        node_bytes,
-        next_offset: 0,
-        payload_offset: 8,
-        nodes,
-    });
+    let list = k.add_list(ListDecl { head, node_bytes, next_offset: 0, payload_offset: 8, nodes });
     let l = k.add_loop(
         LoopSpec::new("walk", 800, vec![RefSpec::PointerChase { list }])
             .with_compute(4, 0)
@@ -46,13 +40,8 @@ fn main() {
 
     // Jump-pointer mark loop: next at offset 0, jump pointer at 8,
     // payload read through the jump pointer at offset 24.
-    let jlist = k.add_list(ListDecl {
-        head: jhead,
-        node_bytes,
-        next_offset: 0,
-        payload_offset: 24,
-        nodes,
-    });
+    let jlist =
+        k.add_list(ListDecl { head: jhead, node_bytes, next_offset: 0, payload_offset: 24, nodes });
     let jl = k.add_loop(
         LoopSpec::new("mark", 800, vec![RefSpec::JumpPointer { list: jlist, jump_offset: 8 }])
             .with_compute(4, 0)

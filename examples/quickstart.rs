@@ -38,8 +38,11 @@ fn main() {
     let mut plain = Machine::new(program(), MachineConfig::default());
     plain.mem_mut().alloc(arena, 64);
     plain.run(u64::MAX);
-    println!("plain run:  {:>12} cycles  (CPI {:.2})",
-        plain.cycles(), plain.cycles() as f64 / plain.retired() as f64);
+    println!(
+        "plain run:  {:>12} cycles  (CPI {:.2})",
+        plain.cycles(),
+        plain.cycles() as f64 / plain.retired() as f64
+    );
 
     // 2. The same binary under ADORE: the PMU samples cache misses, the
     //    phase detector finds the stable loop, the optimizer builds a
@@ -51,8 +54,11 @@ fn main() {
     machine.mem_mut().alloc(arena, 64);
     let report = run(&mut machine, &config);
 
-    println!("under ADORE:{:>12} cycles  (CPI {:.2})",
-        report.cycles, report.cycles as f64 / report.retired as f64);
+    println!(
+        "under ADORE:{:>12} cycles  (CPI {:.2})",
+        report.cycles,
+        report.cycles as f64 / report.retired as f64
+    );
     println!(
         "  phases optimized: {}, traces patched: {}, prefetch streams: {:?}",
         report.phases_optimized, report.traces_patched, report.stats

@@ -36,10 +36,9 @@ fn corpus_replays_without_mismatch() {
             continue;
         }
         let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let spec =
-            parse_repro(&text).unwrap_or_else(|e| panic!("{}: parse: {e}", path.display()));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let spec = parse_repro(&text).unwrap_or_else(|e| panic!("{}: parse: {e}", path.display()));
         let expect_inconclusive = stem.starts_with("expect_inconclusive");
         // Budget-pinning entries stay on the cycle-exact paths: the
         // threaded tier compresses cycles (that is its purpose), so a
@@ -80,8 +79,10 @@ fn corpus_replays_without_mismatch() {
                             path.display()
                         );
                     }
-                    eprintln!("{} [{exec_path}]: inconclusive as expected ({leg}: {why})",
-                        path.display());
+                    eprintln!(
+                        "{} [{exec_path}]: inconclusive as expected ({leg}: {why})",
+                        path.display()
+                    );
                 }
                 CaseResult::Undecided(why) => panic!(
                     "{} [{exec_path}]: no verdict (corpus entries must terminate): {why}",
@@ -160,20 +161,13 @@ fn jump_pointer_reproducer_plants_a_jump_prefetch() {
         .join("jump_pointer_hot_loop.txt");
     let text = std::fs::read_to_string(&path).expect("read jump-pointer reproducer");
     let spec = parse_repro(&text).expect("parse jump-pointer reproducer");
-    assert_ne!(
-        spec.seed % 4,
-        2,
-        "this seed residue disables jump scheduling in the fuzz config"
-    );
+    assert_ne!(spec.seed % 4, 2, "this seed residue disables jump scheduling in the fuzz config");
     for exec_path in [ExecPath::Fast, ExecPath::Reference] {
         let cfg = DiffConfig { exec_path, ..DiffConfig::default() };
         let (result, cov) = check_case(&spec, &cfg, &mut CaseRunner::new());
         match result {
             CaseResult::Agree { traces_patched, .. } => {
-                assert!(
-                    traces_patched >= 1,
-                    "[{exec_path}] the chase loop was never patched"
-                );
+                assert!(traces_patched >= 1, "[{exec_path}] the chase loop was never patched");
                 assert!(
                     cov.keys.iter().any(|k| k == "prefetch:jump"),
                     "[{exec_path}] no jump prefetch was scheduled; coverage: {:?}",

@@ -152,8 +152,8 @@ fn patching_preserves_program_semantics_full() {
 fn check_suite_workloads_run_under_adore(p: &Profile) {
     let config = fast_adore();
     for w in workloads::suite(p.suite_scale_small) {
-        let bin = compile(&w.kernel, &CompileOptions::o2())
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let bin =
+            compile(&w.kernel, &CompileOptions::o2()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let mcfg = config.machine_config(MachineConfig::default());
         let mut m = w.prepare(&bin, mcfg);
         let report = run(&mut m, &config);
@@ -190,17 +190,11 @@ fn check_mcf_gains_and_lucas_does_not(p: &Profile) {
     };
 
     let (mcf_gain, mcf_report) = gain("mcf");
-    assert!(
-        mcf_gain > p.mcf_min_gain,
-        "mcf should speed up substantially, got {mcf_gain}"
-    );
+    assert!(mcf_gain > p.mcf_min_gain, "mcf should speed up substantially, got {mcf_gain}");
     assert!(mcf_report.stats.pointer >= 1, "via pointer-chase prefetching: {mcf_report:?}");
 
     let (lucas_gain, lucas_report) = gain("lucas");
-    assert!(
-        lucas_gain < 1.05,
-        "lucas (fp-conversion addresses) should not gain, got {lucas_gain}"
-    );
+    assert!(lucas_gain < 1.05, "lucas (fp-conversion addresses) should not gain, got {lucas_gain}");
     let rejections: Vec<adore::Rejection> = lucas_report
         .decisions
         .iter()
@@ -210,9 +204,12 @@ fn check_mcf_gains_and_lucas_does_not(p: &Profile) {
         })
         .collect();
     assert!(
-        rejections.iter().any(|r| matches!(r, adore::Rejection::UnanalyzableSlice
-            | adore::Rejection::LoopInvariantAddress
-            | adore::Rejection::NotALoad)),
+        rejections.iter().any(|r| matches!(
+            r,
+            adore::Rejection::UnanalyzableSlice
+                | adore::Rejection::LoopInvariantAddress
+                | adore::Rejection::NotALoad
+        )),
         "and the failure should be visible as unanalyzable slices: {rejections:?}"
     );
 }
@@ -289,11 +286,7 @@ fn check_sampling_overhead_within_bounds(p: &Profile) {
     let mut m = w.prepare(&bin, config.machine_config(MachineConfig::default()));
     let report = run(&mut m, &config);
     let overhead = report.cycles as f64 / base.cycles() as f64 - 1.0;
-    assert!(
-        overhead < p.overhead_max,
-        "overhead should be 1-2%: {:.3}%",
-        overhead * 100.0
-    );
+    assert!(overhead < p.overhead_max, "overhead should be 1-2%: {:.3}%", overhead * 100.0);
     assert_eq!(report.traces_patched, 0);
 }
 

@@ -86,12 +86,7 @@ fn run_one(w: &workloads::Workload, bin: &compiler::CompiledBinary, path: ExecPa
     let mut config = MachineConfig::default();
     config.exec_path = path;
     let mut m = w.prepare(bin, config);
-    assert_eq!(
-        m.run(u64::MAX),
-        StopReason::Halted,
-        "{} must halt on {path}",
-        w.name
-    );
+    assert_eq!(m.run(u64::MAX), StopReason::Halted, "{} must halt on {path}", w.name);
     snapshot(&m)
 }
 
@@ -117,24 +112,13 @@ fn run_adore_leg(
     bin: &compiler::CompiledBinary,
     path: ExecPath,
 ) -> String {
-    assert!(
-        path.is_cycle_exact(),
-        "golden snapshots need a cycle-exact path, got {path}"
-    );
+    assert!(path.is_cycle_exact(), "golden snapshots need a cycle-exact path, got {path}");
     let config = paper_adore_config();
-    let base = MachineConfig {
-        exec_path: path,
-        ..MachineConfig::default()
-    };
+    let base = MachineConfig { exec_path: path, ..MachineConfig::default() };
     let mut m = w.prepare(bin, config.machine_config(base));
     let report = adore::run(&mut m, &config);
     assert!(m.is_halted(), "{} must halt under ADORE on {path}", w.name);
-    format!(
-        "{} windows={} traces_patched={}",
-        snapshot(&m),
-        report.windows,
-        report.traces_patched
-    )
+    format!("{} windows={} traces_patched={}", snapshot(&m), report.windows, report.traces_patched)
 }
 
 /// Runs the whole suite plus the scenario families at `scale`, built
@@ -151,11 +135,7 @@ fn observed_lines(
             let bin = compile(&w.kernel, opts).unwrap_or_else(|e| panic!("{}: {e}", w.name));
             let fast = leg(w, &bin, ExecPath::Fast);
             let reference = leg(w, &bin, ExecPath::Reference);
-            assert_eq!(
-                fast, reference,
-                "{}: fast and reference paths diverged",
-                w.name
-            );
+            assert_eq!(fast, reference, "{}: fast and reference paths diverged", w.name);
             (w.name.to_string(), fast)
         })
         .collect()
@@ -292,10 +272,7 @@ fn divergence_diff_names_the_first_differing_counter() {
 
 #[test]
 fn golden_cycle_exactness_tiny() {
-    check_against_golden(
-        "tiny",
-        observed_lines(TINY_SCALE, &CompileOptions::default(), run_one),
-    );
+    check_against_golden("tiny", observed_lines(TINY_SCALE, &CompileOptions::default(), run_one));
 }
 
 /// The sampled tier: every workload at the tiny scale, compiled at O2
@@ -314,8 +291,5 @@ fn golden_adore_legs_tiny() {
 #[test]
 #[ignore = "quick-scale golden pass; tools/ci.sh runs it in release"]
 fn golden_cycle_exactness_quick() {
-    check_against_golden(
-        "quick",
-        observed_lines(QUICK_SCALE, &CompileOptions::default(), run_one),
-    );
+    check_against_golden("quick", observed_lines(QUICK_SCALE, &CompileOptions::default(), run_one));
 }

@@ -251,11 +251,7 @@ fn chunked_runs_equal_uninterrupted_runs() {
             limit = limit.saturating_add(next_chunk());
             let stop = m.run(limit);
             stops.push((stop, m.cycles(), m.retired()));
-            samples.extend(
-                m.drain_samples()
-                    .iter()
-                    .map(|s| (s.cycles, s.pc, s.retired)),
-            );
+            samples.extend(m.drain_samples().iter().map(|s| (s.cycles, s.pc, s.retired)));
             match stop {
                 StopReason::CycleLimit | StopReason::SampleBufferOverflow => continue,
                 StopReason::Halted => return (samples, stops),
@@ -322,11 +318,8 @@ fn chunked_runs_equal_uninterrupted_runs() {
         if path == ExecPath::Fast {
             let mut reference = build(ExecPath::Reference);
             let mut replay = chunks.iter().copied();
-            let (_, reference_stops) = run_chunked(
-                &mut reference,
-                || replay.next().unwrap_or(u64::MAX),
-                case,
-            );
+            let (_, reference_stops) =
+                run_chunked(&mut reference, || replay.next().unwrap_or(u64::MAX), case);
             assert_eq!(chunked_stops, reference_stops, "case {case} ({path})");
         }
 
@@ -335,11 +328,7 @@ fn chunked_runs_equal_uninterrupted_runs() {
         if path.is_cycle_exact() {
             assert_eq!(whole_samples, chunked_samples, "case {case} ({path})");
             assert_eq!(whole.cycles(), chunked.cycles(), "case {case} ({path})");
-            assert_eq!(
-                whole.pmu().counters,
-                chunked.pmu().counters,
-                "case {case} ({path})"
-            );
+            assert_eq!(whole.pmu().counters, chunked.pmu().counters, "case {case} ({path})");
             assert_eq!(
                 whole.caches().cache_stats(),
                 chunked.caches().cache_stats(),
@@ -363,8 +352,8 @@ fn family_chunked_runs_equal_uninterrupted_runs() {
     use compiler::{compile, CompileOptions};
     use sim::{ExecPath, StopReason};
     for (wi, w) in workloads::families(0.02).iter().enumerate() {
-        let bin = compile(&w.kernel, &CompileOptions::o2())
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let bin =
+            compile(&w.kernel, &CompileOptions::o2()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let mut retired_by_tier: Vec<u64> = Vec::new();
         for path in ExecPath::ALL {
             let build = || {
@@ -528,12 +517,8 @@ fn prefetch_scheduling_preserves_program_instructions() {
                 }
             }
         }
-        let original: Vec<Insn> = bundles
-            .iter()
-            .flat_map(|b| b.slots.iter())
-            .filter(|i| !i.is_nop())
-            .copied()
-            .collect();
+        let original: Vec<Insn> =
+            bundles.iter().flat_map(|b| b.slots.iter()).filter(|i| !i.is_nop()).copied().collect();
         let trace = adore::Trace {
             start: Addr(CODE_BASE),
             origins: (0..n).map(|i| p.addr_of(i)).collect(),
@@ -605,8 +590,7 @@ fn free_slot_counting_is_consistent() {
         Insn::new(Op::AddI { d: Gr(3), a: Gr(4), imm: 1 }),
     ];
     let b = Bundle::pack(&insns).unwrap();
-    let manual = (0..3)
-        .filter(|&i| b.template.kinds()[i] == SlotKind::M && b.slots[i].is_nop())
-        .count();
+    let manual =
+        (0..3).filter(|&i| b.template.kinds()[i] == SlotKind::M && b.slots[i].is_nop()).count();
     assert_eq!(manual > 0, b.free_slot(SlotKind::M).is_some());
 }

@@ -85,11 +85,8 @@ fn cpi_regression_is_unpatched_and_ledgered_on_both_exec_paths() {
             .entries()
             .find(|(kind, _)| *kind == PassKind::UnpatchMonitor)
             .expect("unpatch_monitor must be in the default pipeline ledger");
-        let regressed = monitor
-            .rejections
-            .get(Rejection::CpiRegressed.label())
-            .copied()
-            .unwrap_or(0);
+        let regressed =
+            monitor.rejections.get(Rejection::CpiRegressed.label()).copied().unwrap_or(0);
         assert!(
             regressed >= 1,
             "[{exec_path}] ledger must count the regressed patches: {monitor:?}"
@@ -144,11 +141,8 @@ fn bad_trialed_policy_trips_the_brake_and_recommits_static() {
             .entries()
             .find(|(kind, _)| *kind == PassKind::UnpatchMonitor)
             .expect("unpatch_monitor must be in the default pipeline ledger");
-        let policy_regressed = monitor
-            .rejections
-            .get(Rejection::PolicyRegressed.label())
-            .copied()
-            .unwrap_or(0);
+        let policy_regressed =
+            monitor.rejections.get(Rejection::PolicyRegressed.label()).copied().unwrap_or(0);
         assert!(
             policy_regressed >= 1,
             "[{exec_path}] ledger must record the policy fallback: {monitor:?}"
@@ -162,12 +156,10 @@ fn bad_trialed_policy_trips_the_brake_and_recommits_static() {
             "[{exec_path}] controller must count the fallback: {:?}",
             report.policy
         );
-        let fallback = report
-            .policy
-            .decisions
-            .iter()
-            .find(|d| d.action == "fallback")
-            .unwrap_or_else(|| panic!("[{exec_path}] no fallback decision: {:?}", report.policy));
+        let fallback =
+            report.policy.decisions.iter().find(|d| d.action == "fallback").unwrap_or_else(|| {
+                panic!("[{exec_path}] no fallback decision: {:?}", report.policy)
+            });
         assert_eq!(fallback.arm, "wide", "[{exec_path}] the trialed WIDE arm regressed");
         assert!(
             fallback.score < 0.0,
