@@ -1,25 +1,31 @@
 //! Persistent content-addressed baseline store.
 //!
-//! The in-memory [`crate::engine::BaselineCache`] deduplicates plain
+//! The engine's in-memory baseline cache deduplicates plain
 //! (no-prefetch, unmonitored) runs *within* one grid; this store
 //! persists those runs *across* processes, so re-running the same grid
 //! — or a different binary that shares cells — skips the expensive
 //! simulation and only re-pays compilation.
 //!
-//! **Key derivation.** An entry is addressed by an FNV-1a hash over
-//! everything the plain run's outcome depends on:
+//! **Key derivation.** [`BaselineStore::key`] is the one identity of a
+//! plain run: the engine's in-memory memo and this store both address
+//! a baseline by it. It is an FNV-1a hash over everything the plain
+//! run's outcome depends on, each part derived rather than listed by
+//! hand:
 //!
-//! * [`STORE_VERSION`] (bump whenever simulator timing changes);
+//! * the digest of the source a plain run executes — every `.rs` file
+//!   of the `isa`, `sim`, `compiler` and `workloads` crates plus this
+//!   crate's `lib.rs`, which writes the stats row — computed by this
+//!   crate's build script. The simulator's timing constants, codegen
+//!   and workload generation reach the key this way, so editing any of
+//!   them makes the next run cold (as does any other edit there, tests
+//!   included, and a toolchain upgrade that changes the digest);
 //! * the workload identity: name, `Debug` rendering of the kernel IR,
 //!   arena size, and `Debug` rendering of the init actions — the
 //!   kernel content varies with `--scale`, so two scales never
 //!   collide;
-//! * the compile options (via the same deterministic `opts_key`
-//!   string the in-memory cache uses);
-//! * the `Debug` rendering of the [`MachineConfig`]. It carries only
-//!   the settable fields: the cache geometry, latencies and DTLB are
-//!   constants in `sim` and reach the key through [`STORE_VERSION`]
-//!   alone.
+//! * the `Debug` rendering of the [`CompileOptions`] (its prefetch
+//!   filter is an ordered set, so the text is canonical);
+//! * the `Debug` rendering of the [`MachineConfig`].
 //!
 //! The `AdoreConfig` is deliberately **excluded**: a plain baseline
 //! never runs ADORE, and every ablation variant of a cell must share
@@ -41,18 +47,14 @@ use obs::Json;
 use sim::{Counters, MachineConfig};
 use workloads::Workload;
 
-use crate::engine::opts_key;
-
-/// Version of the stored-entry semantics. Bump whenever simulator
-/// timing, workload generation or the entry layout changes: stale
-/// entries from older versions then miss instead of poisoning results.
-///
-/// That includes every timing constant of `sim` (the cache geometry
-/// and latencies in `sim::cache`, the DTLB in `sim::tlb`, the core
-/// latencies and trace-pool size in `sim::machine`): the key hashes
-/// [`MachineConfig`]'s `Debug` text, which does not carry them, so
-/// changing one without a bump serves stale baselines silently.
+/// Version of the stored-entry layout. Bump it when the fields of an
+/// entry file change: entries of another version then miss instead of
+/// failing to parse. Changes to what a plain run computes need no bump;
+/// the key's source digest covers them.
 pub const STORE_VERSION: u64 = 1;
+
+/// The build script's digest of the source a plain run executes.
+const PLAIN_RUN_DIGEST: &str = env!("PLAIN_RUN_DIGEST");
 
 /// A content-addressed on-disk store of plain-run baselines.
 ///
@@ -66,9 +68,9 @@ pub struct BaselineStore {
     misses: AtomicUsize,
 }
 
-/// The persisted outcome of one plain run — everything
-/// [`crate::engine::Baseline`] needs except the compiled binary, which
-/// is cheap to rebuild and is reproduced by recompiling.
+/// The persisted outcome of one plain run — everything the engine's
+/// memoized baseline holds except the compiled binary, which is cheap
+/// to rebuild and is reproduced by recompiling.
 #[derive(Debug, Clone)]
 pub struct StoredBaseline {
     /// Total cycles of the plain run.
@@ -92,18 +94,10 @@ impl BaselineStore {
     }
 
     /// The content-addressed key of a (workload, options, machine)
-    /// triple. See the module docs for what the hash covers and why
-    /// `AdoreConfig` is excluded.
+    /// triple under the current source. See the module docs for what
+    /// the hash covers and why `AdoreConfig` is excluded.
     pub fn key(w: &Workload, opts: &CompileOptions, machine: &MachineConfig) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(STORE_VERSION);
-        h.write_str(w.name);
-        h.write_str(&format!("{:?}", w.kernel));
-        h.write_u64(w.arena_bytes);
-        h.write_str(&format!("{:?}", w.inits));
-        h.write_str(&opts_key(opts));
-        h.write_str(&format!("{machine:?}"));
-        h.finish()
+        key_with(PLAIN_RUN_DIGEST, w, opts, machine)
     }
 
     fn entry_path(&self, key: u64) -> PathBuf {
@@ -179,6 +173,19 @@ impl BaselineStore {
     pub fn stats(&self) -> (usize, usize) {
         (self.hits.load(Ordering::SeqCst), self.misses.load(Ordering::SeqCst))
     }
+}
+
+/// [`BaselineStore::key`] under the source digest `digest`.
+fn key_with(digest: &str, w: &Workload, opts: &CompileOptions, machine: &MachineConfig) -> u64 {
+    let mut h = Fnv::new();
+    h.write_str(digest);
+    h.write_str(w.name);
+    h.write_str(&format!("{:?}", w.kernel));
+    h.write_u64(w.arena_bytes);
+    h.write_str(&format!("{:?}", w.inits));
+    h.write_str(&format!("{opts:?}"));
+    h.write_str(&format!("{machine:?}"));
+    h.finish()
 }
 
 /// Re-derives the checksummed payload subset of a stored entry.
@@ -360,5 +367,38 @@ mod tests {
         assert_ne!(k(a, &o2), k(b, &o2), "different workloads must not collide");
         assert_ne!(k(a, &o2), k(a, &o3), "different options must not collide");
         assert_eq!(k(a, &o2), k(a, &o2), "key is a pure function");
+        let mut uncapped = MachineConfig::default();
+        uncapped.cache.mem_service_interval = 0;
+        assert_ne!(
+            BaselineStore::key(a, &o2, &uncapped),
+            k(a, &o2),
+            "different machines must not collide"
+        );
+    }
+
+    #[test]
+    fn key_changes_with_the_source_digest() {
+        let w = &workloads::suite(0.05)[0];
+        let (o2, m) = (CompileOptions::o2(), MachineConfig::default());
+        assert_eq!(BaselineStore::key(w, &o2, &m), key_with(PLAIN_RUN_DIGEST, w, &o2, &m));
+        assert_ne!(
+            key_with("0000000000000000", w, &o2, &m),
+            key_with("0000000000000001", w, &o2, &m),
+            "an edit to the plain run's source must miss"
+        );
+    }
+
+    #[test]
+    fn key_ignores_prefetch_filter_insertion_order() {
+        let w = &workloads::suite(0.05)[0];
+        let m = MachineConfig::default();
+        let with_filter = |names: &[&str]| {
+            let mut o = CompileOptions::o3();
+            o.prefetch_filter = Some(names.iter().map(|n| n.to_string()).collect());
+            BaselineStore::key(w, &o, &m)
+        };
+        assert_eq!(with_filter(&["a", "b", "c"]), with_filter(&["c", "a", "b"]));
+        assert_ne!(with_filter(&["a", "b"]), with_filter(&["a", "c"]));
+        assert_ne!(with_filter(&[]), BaselineStore::key(w, &CompileOptions::o3(), &m));
     }
 }

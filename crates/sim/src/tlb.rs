@@ -11,8 +11,7 @@
 //! fully associative entries over 16 KB pages and a 25-cycle walk.
 
 // The DTLB's fixed geometry, approximating the Itanium 2 L2 DTLB with
-// 16 KB pages. Changing any of these changes cycle counts: bump
-// `bench::store::STORE_VERSION` (see the note in `crate::cache`).
+// 16 KB pages.
 
 /// DTLB entries (fully associative).
 const TLB_ENTRIES: usize = 128;

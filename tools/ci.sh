@@ -5,7 +5,9 @@
 #   tools/ci.sh
 #
 # Steps:
-#   1. release build of every crate, warnings denied, and the
+#   1. formatting check (`cargo fmt --all --check`, settings in
+#      rustfmt.toml; the standalone perf/ package is not covered),
+#      release build of every crate, warnings denied, and the
 #      workspace's rustdoc with its warnings (broken or private intra-doc
 #      links) denied
 #   2. full test suite (unit + integration + doc tests), wall-clock
@@ -125,7 +127,8 @@ EOF
 $(cat)" "$@"
 }
 
-echo "== build (release, -D warnings) and rustdoc (-D warnings) =="
+echo "== format check, build (release, -D warnings) and rustdoc (-D warnings) =="
+cargo fmt --all --check
 cargo build --release --workspace --benches
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
