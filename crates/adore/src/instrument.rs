@@ -85,19 +85,7 @@ pub fn instrument_trace(
     };
 
     // Two free reserved registers: the write cursor and the limit.
-    let used: std::collections::HashSet<Gr> = trace
-        .bundles
-        .iter()
-        .flat_map(|b| b.slots.iter())
-        .flat_map(|i| {
-            let mut regs = i.op.gr_reads();
-            regs.extend(i.op.gr_write());
-            regs.extend(i.op.gr_post_inc_write().map(|(r, _)| r));
-            regs
-        })
-        .filter(|r| r.is_reserved())
-        .collect();
-    let mut free = Gr::RESERVED.iter().copied().filter(|r| !used.contains(r));
+    let mut free = trace.free_reserved().into_iter();
     let rbuf = free.next()?;
     let rlimit = free.next()?;
 
@@ -182,19 +170,7 @@ pub fn promote(
         Op::Ld { base, .. } | Op::Ldf { base, .. } => base,
         _ => return None,
     };
-    let used: std::collections::HashSet<Gr> = trace
-        .bundles
-        .iter()
-        .flat_map(|b| b.slots.iter())
-        .flat_map(|i| {
-            let mut regs = i.op.gr_reads();
-            regs.extend(i.op.gr_write());
-            regs.extend(i.op.gr_post_inc_write().map(|(r, _)| r));
-            regs
-        })
-        .filter(|r| r.is_reserved())
-        .collect();
-    let rp = Gr::RESERVED.iter().copied().find(|r| !used.contains(r))?;
+    let rp = *trace.free_reserved().first()?;
 
     let mut body = trace.bundles.clone();
     let mut back_edge = back_edge;

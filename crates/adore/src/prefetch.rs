@@ -186,23 +186,9 @@ pub(crate) fn schedule_streams(
     let mut stats = InsertionStats::default();
     let mut fates = Vec::new();
 
-    // Reserved registers already referenced by the trace body belong to
-    // prefetch code from an earlier optimization pass of this trace;
-    // only the remaining ones are free (incremental re-optimization).
-    let used: HashSet<Gr> = trace
-        .bundles
-        .iter()
-        .flat_map(|b| b.slots.iter())
-        .flat_map(|i| {
-            let mut regs = i.op.gr_reads();
-            regs.extend(i.op.gr_write());
-            regs.extend(i.op.gr_post_inc_write().map(|(r, _)| r));
-            regs
-        })
-        .filter(|r| r.is_reserved())
-        .collect();
-    let mut free_regs: Vec<Gr> =
-        Gr::RESERVED.iter().copied().filter(|r| !used.contains(r)).collect();
+    // Incremental re-optimization: only the reserved registers an
+    // earlier pass over this trace left unused are free.
+    let mut free_regs = trace.free_reserved();
     let mut streams: HashSet<(Gr, i64)> = HashSet::new();
     let mut chased: HashSet<Gr> = HashSet::new();
     let mut jumped: HashSet<(Gr, i64)> = HashSet::new();

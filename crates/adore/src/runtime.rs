@@ -12,7 +12,7 @@
 
 use obs::{Json, ToJson};
 use perfmon::{Perfmon, PerfmonConfig};
-use sim::{Machine, MachineConfig, SamplingConfig, StopReason};
+use sim::{Machine, MachineConfig, SamplingConfig, StopReason, INSTR_SCRATCH};
 
 use crate::decision::Decision;
 use crate::phase::PhaseConfig;
@@ -200,6 +200,11 @@ pub fn run_legs(
             c.sampling == first.sampling && c.perfmon == first.perfmon,
             "joined ADORE legs must share the sampling and perfmon configuration"
         );
+    }
+    // §6 instrumentation records into buffers past the program's data;
+    // map them before any leg runs, so joined legs share the arena.
+    if configs.iter().any(|c| c.instrument_unanalyzable) {
+        machine.mem_mut().reserve(INSTR_SCRATCH);
     }
     let mut legs: Vec<Option<Leg<'_>>> = configs.iter().map(|c| Some(Leg::new(c))).collect();
     let mut reports: Vec<Option<LegReport>> = configs.iter().map(|_| None).collect();

@@ -14,7 +14,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use isa::{Addr, Bundle, Insn, Op, Pc, Pr, Program, SlotKind};
+use isa::{Addr, Bundle, Gr, Insn, Op, Pc, Pr, Program, SlotKind};
 use perfmon::UserEventBuffer;
 
 use crate::reject::Rejection;
@@ -88,6 +88,21 @@ impl Trace {
     /// The instruction at a trace position.
     pub fn insn_at(&self, pos: (usize, u8)) -> Option<&Insn> {
         self.bundles.get(pos.0).and_then(|b| b.slots.get(pos.1 as usize))
+    }
+
+    /// The reserved registers no instruction of the trace reads or
+    /// writes, in [`Gr::RESERVED`] order: the scratch registers code
+    /// inserted into the trace may claim. The others belong to code an
+    /// earlier optimization of the same trace inserted.
+    pub fn free_reserved(&self) -> Vec<Gr> {
+        let mut free = Gr::RESERVED.to_vec();
+        for op in self.bundles.iter().flat_map(|b| b.slots.iter()).map(|i| &i.op) {
+            let post_inc = op.gr_post_inc_write().map(|(r, _)| r);
+            for r in op.gr_reads().into_iter().chain(op.gr_write()).chain(post_inc) {
+                free.retain(|&f| f != r);
+            }
+        }
+        free
     }
 }
 

@@ -12,8 +12,9 @@ use sim::{MachineConfig, SamplingConfig};
 /// workload's phases stabilize and get optimized.
 const SCALE: f64 = 0.2;
 
-fn run(name: &str) -> RunReport {
+fn run(name: &str, instrument_unanalyzable: bool) -> RunReport {
     let mut config = AdoreConfig::enabled();
+    config.instrument_unanalyzable = instrument_unanalyzable;
     config.sampling = SamplingConfig {
         interval_cycles: 2_000,
         buffer_capacity: 200,
@@ -51,7 +52,7 @@ fn fates(decisions: &[Decision], i: usize) -> usize {
 #[test]
 fn every_delinquent_load_has_exactly_one_fate() {
     for name in ["mcf", "art", "lucas"] {
-        let report = run(name);
+        let report = run(name, false);
         let decisions = &report.decisions;
         let mut loads = 0;
         for (i, d) in decisions.iter().enumerate() {
@@ -69,5 +70,27 @@ fn every_delinquent_load_has_exactly_one_fate() {
             "lucas" => assert!(unanalyzable, "lucas: its fp-conversion slices must be rejected"),
             _ => assert!(deployed, "{name}: no stream was deployed"),
         }
+    }
+}
+
+#[test]
+fn instrumentation_buffers_lie_past_the_workload_data() {
+    // The §6 recording buffers are runtime allocations: they must not
+    // land inside the planned data (lucas's first array starts at the
+    // arena base).
+    let w = workloads::by_name("lucas", SCALE).expect("suite workload");
+    let data_end = sim::DATA_BASE + w.arena_bytes - workloads::builder::TAIL_SLACK;
+    let report = run("lucas", true);
+    let buffers: Vec<u64> = report
+        .decisions
+        .iter()
+        .filter_map(|d| match &d.outcome {
+            Outcome::Instrumented { buffer, .. } => Some(*buffer),
+            _ => None,
+        })
+        .collect();
+    assert!(!buffers.is_empty(), "lucas's unanalyzable loads should be instrumented");
+    for buffer in buffers {
+        assert!(buffer >= data_end, "buffer {buffer:#x} overlaps data ending at {data_end:#x}");
     }
 }

@@ -21,10 +21,10 @@
 //!   `comparison` (default) | `pipeline_comparison` | `overhead` |
 //!   `streams` | `timeline` | `guided` | `breakdown` | `policy` |
 //!   `explain`;
-//! * `coverage` — for `measure:"guided"`, the fraction of sampled miss
+//! * `coverage` — for `measure:"guided"` only, the fraction of sampled miss
 //!   latency the kept loops must cover, a number in (0, 1] (default
 //!   0.9);
-//! * `compare` — for `measure:"compare_compile"`, the other options
+//! * `compare` — for `measure:"compare_compile"` only, the other options
 //!   preset (default `o2_original`).
 //!
 //! Response lines (stdout, one per request, strict submission order):
@@ -35,10 +35,11 @@
 //!
 //! A malformed request still produces its response line, with an
 //! `error` field inside the row: unparsable JSON, a missing or unknown
-//! workload, an unknown `opts`, `measure` or `compare` name, a field of
-//! the wrong type, or a `coverage` outside (0, 1]. Volatile statistics
-//! (persistent-store hits and misses) go to stderr only, so the stdout
-//! stream is byte-identical for any `--jobs` value.
+//! workload, a field not listed above, a `coverage` or `compare` on
+//! another measure, an unknown `opts`, `measure` or `compare` name, a
+//! field of the wrong type, or a `coverage` outside (0, 1]. Volatile
+//! statistics (persistent-store hits and misses) go to stderr only, so
+//! the stdout stream is byte-identical for any `--jobs` value.
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -93,9 +94,32 @@ fn str_field<'r>(req: &'r Json, key: &str) -> Result<Option<&'r str>, String> {
     req.get(key).map(|v| v.as_str().ok_or_else(|| format!("`{key}` must be a string"))).transpose()
 }
 
+/// The request fields `lab serve` reads, each with the one measure it
+/// applies to (`None`: any measure). Any other field is an error.
+const FIELDS: [(&str, Option<&str>); 7] = [
+    ("workload", None),
+    ("tool", None),
+    ("section", None),
+    ("opts", None),
+    ("measure", None),
+    ("coverage", Some("guided")),
+    ("compare", Some("compare_compile")),
+];
+
 fn parse_measure(req: &Json) -> Result<Measure, String> {
     let name = str_field(req, "measure")?.unwrap_or("comparison");
     let mut measure = Measure::named(name).ok_or_else(|| format!("unknown measure `{name}`"))?;
+    if let Json::Object(fields) = req {
+        for (key, _) in fields {
+            match FIELDS.iter().find(|(field, _)| field == key) {
+                None => return Err(format!("unknown field `{key}`")),
+                Some((_, Some(only))) if *only != name => {
+                    return Err(format!("`{key}` applies only to measure `{only}`"))
+                }
+                _ => {}
+            }
+        }
+    }
     match &mut measure {
         Measure::GuidedPrefetch { coverage } => {
             if let Some(c) = req.get("coverage") {

@@ -112,6 +112,30 @@ fn a_bad_request_fails_only_its_own_row() {
 }
 
 #[test]
+fn unknown_request_fields_are_error_rows() {
+    // A misspelled or misapplied field fails its own row instead of
+    // running the default measure.
+    let requests = concat!(
+        r#"{"workload":"mcf","tool":"unit","section":"s","mesure":"guided","coverag":0.5}"#,
+        "\n",
+        r#"{"workload":"art","tool":"unit","section":"s","measure":"comparison","coverage":0.5}"#,
+        "\n",
+        r#"{"workload":"art","tool":"unit","section":"s","measure":"plain","compare":"o3"}"#,
+        "\n",
+        r#"{"workload":"art","tool":"unit","section":"s","measure":"comparison"}"#,
+        "\n",
+    );
+    let (stream, cells, errors) = serve_stream(2, requests);
+    assert_eq!((cells, errors), (4, 3), "{stream}");
+    let rows: Vec<Json> =
+        stream.lines().map(|l| Json::parse(l).unwrap().get("row").unwrap().clone()).collect();
+    assert_eq!(je(&rows[0]).unwrap(), "unknown field `mesure`");
+    assert_eq!(je(&rows[1]).unwrap(), "`coverage` applies only to measure `guided`");
+    assert_eq!(je(&rows[2]).unwrap(), "`compare` applies only to measure `compare_compile`");
+    assert!(je(&rows[3]).is_none(), "{stream}");
+}
+
+#[test]
 fn every_measure_name_round_trips_through_serve() {
     // Serve parses a request's `measure` from the engine's own name
     // table, so every measure (`explain` included) is servable and

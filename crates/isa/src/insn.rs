@@ -345,6 +345,20 @@ impl Op {
         }
     }
 
+    /// Floating-point registers read by this operation, in operand
+    /// order (`a, b, c` for `fma`, `a, b` for `fadd`/`fmul`, the source
+    /// of `stf`/`getf`). Allocation-free, unlike [`Op::gr_reads`]: the
+    /// simulator's scoreboard walks it for every executed slot.
+    pub fn fr_reads(&self) -> impl Iterator<Item = Fr> {
+        let (regs, n) = match *self {
+            Op::Fma { a, b, c, .. } => ([a, b, c], 3),
+            Op::Fadd { a, b, .. } | Op::Fmul { a, b, .. } => ([a, b, Fr::ZERO], 2),
+            Op::Stf { s, .. } | Op::Getf { s, .. } => ([s, Fr::ZERO, Fr::ZERO], 1),
+            _ => ([Fr::ZERO; 3], 0),
+        };
+        regs.into_iter().take(n)
+    }
+
     /// The general register written by this operation, if any.
     pub fn gr_write(&self) -> Option<Gr> {
         match *self {
@@ -557,6 +571,12 @@ mod tests {
         assert_eq!(st.gr_reads(), vec![Gr(20), Gr(14)]);
         assert_eq!(st.gr_write(), None);
         assert_eq!(st.gr_post_inc_write(), None);
+
+        let fma = Op::Fma { d: Fr(6), a: Fr(8), b: Fr(7), c: Fr(9) };
+        assert_eq!(fma.fr_reads().collect::<Vec<_>>(), [Fr(8), Fr(7), Fr(9)]);
+        let getf = Op::Getf { d: Gr(3), s: Fr(4) };
+        assert_eq!(getf.fr_reads().collect::<Vec<_>>(), [Fr(4)]);
+        assert_eq!(ld.fr_reads().count(), 0);
     }
 
     #[test]

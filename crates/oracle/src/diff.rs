@@ -30,6 +30,7 @@ use isa::{Fr, Gr, Pr};
 use perfmon::PerfmonConfig;
 use sim::{
     CacheConfig, ExecPath, Fault, Machine, MachineConfig, Memory, SamplingConfig, StopReason,
+    INSTR_SCRATCH,
 };
 
 use crate::generator::static_coverage;
@@ -289,15 +290,15 @@ fn fuzz_cache() -> CacheConfig {
     CacheConfig { l1d_size: 4096, l2_size: 16 * 1024, l3_size: 48 * 1024, ..CacheConfig::default() }
 }
 
-/// Data-memory headroom beyond the spec arena, identical on all three
-/// legs (so unmapped-address faults and the byte-exact arena compare
-/// stay meaningful). The ADORE leg's §6 instrumentation allocates its
-/// recording buffers here; the runtime zeroes them once harvested, so
-/// a transparent instrumentation run leaves every byte as a run that
-/// never instrumented would. Only the bump pointer differs, and the
-/// compare covers bytes, not allocation state.
-const INSTR_SCRATCH: u64 = 64 * 1024;
-
+/// The machine every simulator leg starts from. Every leg's arena,
+/// the reference interpreter's included, carries the same
+/// [`INSTR_SCRATCH`] headroom past the spec arena (so unmapped-address
+/// faults and the byte-exact arena compare stay meaningful). The ADORE
+/// leg's §6 instrumentation allocates its recording buffers there; the
+/// runtime zeroes them once harvested, so a transparent instrumentation
+/// run leaves every byte as a run that never instrumented would. Only
+/// the bump pointer differs, and the compare covers bytes, not
+/// allocation state.
 fn base_machine_config(spec: &ProgSpec, cfg: &DiffConfig) -> MachineConfig {
     MachineConfig {
         cache: fuzz_cache(),

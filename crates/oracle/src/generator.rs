@@ -76,9 +76,10 @@ impl Default for GenConfig {
     }
 }
 
-/// Counts of generator features present in emitted programs; summed
-/// across cases into the fuzz report so coverage regressions are
-/// visible in `results/fuzz.json`.
+/// Counts of generator features present in a program, as
+/// [`static_coverage`] reads them off its items; summed across cases
+/// into the fuzz report so coverage regressions are visible in
+/// `results/fuzz.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct Coverage {
@@ -191,16 +192,9 @@ impl Coverage {
     }
 }
 
-/// Generates one fuzz case from `seed`.
+/// Generates one fuzz case from `seed`, with its [`static_coverage`].
 pub fn generate(seed: u64, cfg: &GenConfig) -> (ProgSpec, Coverage) {
-    let mut g = Gen {
-        rng: Rng64::new(seed ^ 0x6f72_61636c_6521),
-        arena_bytes: cfg.arena_bytes,
-        items: Vec::new(),
-        cov: Coverage::default(),
-        next_label: 0,
-        subs: Vec::new(),
-    };
+    let mut g = Gen::new(seed ^ 0x006f_7261_636c_6521, cfg);
     g.program();
     let spec = ProgSpec {
         seed,
@@ -208,19 +202,18 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> (ProgSpec, Coverage) {
         mem_seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
         items: g.items,
     };
-    (spec, g.cov)
+    let cov = static_coverage(&spec);
+    (spec, cov)
 }
 
-/// Recomputes an approximate static feature [`Coverage`] for an
-/// arbitrary spec by scanning its items — the uniform feature
-/// extractor for programs whose generation-time counters don't exist
-/// (mutated children, imported corpus reproducers). Structural
+/// The feature [`Coverage`] of any spec — generated, mutated or an
+/// imported corpus reproducer — read off its items. Structural
 /// features are reconstructed from the item stream: a backward branch
 /// is a loop (one targeting a `hot_outer` label a hot loop, one
 /// targeting a `jmp_outer` label a jump-chase loop), a forward
 /// conditional branch a skip block, `(p0)` on one an always-taken
 /// edge. Deliberately static: it counts what the program *contains*,
-/// mirroring the counters the generator bumps while emitting.
+/// not what a run executes.
 pub fn static_coverage(spec: &ProgSpec) -> Coverage {
     let mut cov = Coverage::default();
     let mut defined = std::collections::HashMap::new();
@@ -323,14 +316,7 @@ pub(crate) fn random_safe_items(
     n: usize,
     heavy: bool,
 ) -> Vec<Item> {
-    let mut g = Gen {
-        rng: Rng64::new(rng.next_u64()),
-        arena_bytes: cfg.arena_bytes,
-        items: Vec::new(),
-        cov: Coverage::default(),
-        next_label: 0,
-        subs: Vec::new(),
-    };
+    let mut g = Gen::new(rng.next_u64(), cfg);
     for _ in 0..n {
         if heavy {
             g.random_op(false);
@@ -345,13 +331,22 @@ struct Gen {
     rng: Rng64,
     arena_bytes: u64,
     items: Vec<Item>,
-    cov: Coverage,
     next_label: u64,
     /// Names of generated subroutines (bodies appended after `halt`).
     subs: Vec<String>,
 }
 
 impl Gen {
+    fn new(seed: u64, cfg: &GenConfig) -> Gen {
+        Gen {
+            rng: Rng64::new(seed),
+            arena_bytes: cfg.arena_bytes,
+            items: Vec::new(),
+            next_label: 0,
+            subs: Vec::new(),
+        }
+    }
+
     fn region(&self, reg_idx: usize) -> (u64, u64) {
         let size = self.arena_bytes / ADDR_REGS.len() as u64;
         (sim::DATA_BASE + reg_idx as u64 * size, size)
@@ -403,36 +398,16 @@ impl Gen {
         *self.rng.choose(&[AccessSize::U1, AccessSize::U2, AccessSize::U4, AccessSize::U8])
     }
 
-    fn count_size(&mut self, s: AccessSize) {
-        match s {
-            AccessSize::U1 => self.cov.ld1 += 1,
-            AccessSize::U2 => self.cov.ld2 += 1,
-            AccessSize::U4 => self.cov.ld4 += 1,
-            AccessSize::U8 => self.cov.ld8 += 1,
-        }
-    }
-
-    fn count_store_size(&mut self, s: AccessSize) {
-        match s {
-            AccessSize::U1 => self.cov.st1 += 1,
-            AccessSize::U2 => self.cov.st2 += 1,
-            AccessSize::U4 => self.cov.st4 += 1,
-            AccessSize::U8 => self.cov.st8 += 1,
-        }
-    }
-
     /// Emits `insn`, maybe predicated (when `predicable`), maybe
     /// followed by a bundle stop.
     fn put(&mut self, insn: Insn, predicable: bool) {
         let insn = if predicable && insn.qp.is_none() && self.rng.chance(PREDICATION_PROB) {
-            self.cov.predicated += 1;
             Insn::predicated(self.read_pr(), insn.op)
         } else {
             insn
         };
         self.items.push(Item::Insn(insn));
         if self.rng.chance(FLUSH_PROB) {
-            self.cov.flushes += 1;
             self.items.push(Item::Flush);
         }
     }
@@ -443,7 +418,6 @@ impl Gen {
         let (base, size) = self.region(reg_idx);
         let span = (size - margin) / 8;
         let addr = base + 8 * self.rng.below(span.max(1));
-        self.cov.rebases += 1;
         self.put(Insn::new(Op::MovL { d: ADDR_REGS[reg_idx], imm: addr as i64 }), false);
     }
 
@@ -466,7 +440,6 @@ impl Gen {
         for _ in 0..self.rng.range_u64(1, 3) {
             let d = self.fp_reg();
             let s = self.data_reg();
-            self.cov.xfer += 1;
             self.put(Insn::new(Op::Setf { d, s }), false);
         }
 
@@ -502,7 +475,6 @@ impl Gen {
     /// inner body streams through an arena region with a post-increment
     /// load — the shape ADORE patches with prefetches.
     fn hot_loop(&mut self) {
-        self.cov.hot_loops += 1;
         let reg_idx = self.rng.below(ADDR_REGS.len() as u64) as usize;
         let addr = ADDR_REGS[reg_idx];
         let stride = *self.rng.choose(&[8i64, 16]);
@@ -528,7 +500,6 @@ impl Gen {
         self.items.push(Item::Label(inner_label.clone()));
 
         let size_choice = *self.rng.choose(&[AccessSize::U8, AccessSize::U4]);
-        self.count_size(size_choice);
         self.put(
             Insn::new(Op::Ld {
                 d: dst,
@@ -590,8 +561,6 @@ impl Gen {
     /// the chase dereferences was stored by the build loop, so all
     /// loads stay in-arena and can be non-speculative.
     fn jump_chase_loop(&mut self) {
-        self.cov.loops += 1; // the build loop
-        self.cov.jump_loops += 1;
         let reg_idx = self.rng.below(ADDR_REGS.len() as u64) as usize;
         let ring_reg = ADDR_REGS[reg_idx];
         // The partner register dereferences jump pointers; its values
@@ -620,7 +589,6 @@ impl Gen {
 
         // Build loop: node.next = base + ((cur + step) & mask),
         // node.jump = base + ((cur + hops*step) & mask).
-        self.cov.st8 += 2;
         self.put(Insn::new(Op::MovL { d: rbase, imm: base as i64 }), false);
         self.put(Insn::new(Op::MovL { d: rcur, imm: 0 }), false);
         self.put(Insn::new(Op::MovL { d: rmask, imm: mask }), false);
@@ -655,10 +623,8 @@ impl Gen {
         // resolves to Pattern::JumpPointer.
         let acc = rcur; // setup scratch, free after the build loop
         let dst = rnext;
-        self.cov.ld8 += 3;
         self.put(Insn::new(Op::MovL { d: OUTER_COUNTER, imm: outer }), false);
         self.items.push(Item::Label(outer_label.clone()));
-        self.cov.rebases += 1;
         self.put(Insn::new(Op::MovL { d: ring_reg, imm: base as i64 }), false);
         self.put(Insn::new(Op::MovL { d: INNER_COUNTER, imm: trips }), false);
         self.items.push(Item::Label(inner_label.clone()));
@@ -720,7 +686,6 @@ impl Gen {
     /// A short counted loop, optionally walking an arena region with
     /// one bounded post-increment memory op.
     fn simple_loop(&mut self) {
-        self.cov.loops += 1;
         let trips = self.rng.range_u64(4, 64) as i64;
         let label = self.fresh_label("loop");
 
@@ -762,7 +727,6 @@ impl Gen {
         match self.rng.below(5) {
             0 => {
                 let s = self.size();
-                self.count_size(s);
                 let d = self.data_reg();
                 self.put(
                     Insn::new(Op::Ld { d, base: addr, post_inc: stride, size: s, spec: false }),
@@ -771,22 +735,18 @@ impl Gen {
             }
             1 => {
                 let s = self.size();
-                self.count_store_size(s);
                 let src = self.data_reg();
                 self.put(Insn::new(Op::St { s: src, base: addr, post_inc: stride, size: s }), true);
             }
             2 => {
-                self.cov.ldf += 1;
                 let d = self.fp_reg();
                 self.put(Insn::new(Op::Ldf { d, base: addr, post_inc: stride }), true);
             }
             3 => {
-                self.cov.stf += 1;
                 let s = self.fp_reg();
                 self.put(Insn::new(Op::Stf { s, base: addr, post_inc: stride }), true);
             }
             _ => {
-                self.cov.lfetch += 1;
                 self.put(Insn::new(Op::Lfetch { base: addr, post_inc: stride }), true);
             }
         }
@@ -794,7 +754,6 @@ impl Gen {
 
     /// A forward conditional skip over a few instructions.
     fn skip_block(&mut self) {
-        self.cov.skip_blocks += 1;
         let (pt, pf) = self.cmp_pair();
         let a = self.data_reg();
         let op = self.cmp_op();
@@ -808,7 +767,6 @@ impl Gen {
         let label = self.fresh_label("skip");
         let qp = if self.rng.chance(0.1) {
             // Rare always-taken edge (p0 is hardwired true).
-            self.cov.always_taken += 1;
             Pr(0)
         } else if self.rng.bool() {
             pt
@@ -828,7 +786,6 @@ impl Gen {
 
     /// A call to a (possibly fresh) straight-line subroutine.
     fn call_site(&mut self) {
-        self.cov.calls += 1;
         let name = if !self.subs.is_empty() && self.rng.bool() {
             self.rng.choose(&self.subs).clone()
         } else {
@@ -854,11 +811,9 @@ impl Gen {
             if self.rng.below(8) == 0 {
                 // Bare `br.ret` with an empty call stack: a consistent
                 // ReturnUnderflow fault in every execution.
-                self.cov.bare_ret += 1;
                 self.put(Insn::new(Op::BrRet), false);
                 return;
             }
-            self.cov.wild_mem += 1;
             let base = self.data_reg();
             if self.rng.bool() {
                 let s = self.size();
@@ -881,7 +836,6 @@ impl Gen {
                     self.rebase(reg_idx, 64);
                 }
                 let s = self.size();
-                self.count_size(s);
                 let d = self.data_reg();
                 self.put(
                     Insn::new(Op::Ld {
@@ -897,7 +851,6 @@ impl Gen {
             4 => {
                 let reg_idx = self.rng.below(ADDR_REGS.len() as u64) as usize;
                 let s = self.size();
-                self.count_store_size(s);
                 let src = self.data_reg();
                 self.put(
                     Insn::new(Op::St { s: src, base: ADDR_REGS[reg_idx], post_inc: 0, size: s }),
@@ -907,11 +860,9 @@ impl Gen {
             5 => {
                 let reg_idx = self.rng.below(ADDR_REGS.len() as u64) as usize;
                 if self.rng.bool() {
-                    self.cov.ldf += 1;
                     let d = self.fp_reg();
                     self.put(Insn::new(Op::Ldf { d, base: ADDR_REGS[reg_idx], post_inc: 0 }), true);
                 } else {
-                    self.cov.stf += 1;
                     let s = self.fp_reg();
                     self.put(Insn::new(Op::Stf { s, base: ADDR_REGS[reg_idx], post_inc: 0 }), true);
                 }
@@ -920,15 +871,9 @@ impl Gen {
                 // Speculative load from a *data* register: arbitrary
                 // address, non-faulting; sometimes d == base to cover
                 // the load-then-post-increment aliasing quirk.
-                self.cov.spec_ld += 1;
                 let base = self.data_reg();
                 let alias = self.rng.below(4) == 0;
-                let d = if alias {
-                    self.cov.spec_ld_alias += 1;
-                    base
-                } else {
-                    self.data_reg()
-                };
+                let d = if alias { base } else { self.data_reg() };
                 let s = self.size();
                 let post_inc = 8 * self.rng.range_i64(-2, 3);
                 self.put(Insn::new(Op::Ld { d, base, post_inc, size: s, spec: true }), true);
@@ -936,7 +881,6 @@ impl Gen {
             7 => {
                 // lfetch through a data register: wild addresses are
                 // architecturally inert.
-                self.cov.lfetch += 1;
                 let base = self.data_reg();
                 let post_inc = 8 * self.rng.range_i64(-2, 3);
                 self.put(Insn::new(Op::Lfetch { base, post_inc }), true);
@@ -954,7 +898,6 @@ impl Gen {
                 }
             }
             9 => {
-                self.cov.fp_arith += 1;
                 let d = self.fp_reg();
                 let a = self.fp_reg();
                 let b = self.fp_reg();
@@ -968,7 +911,6 @@ impl Gen {
                 }
             }
             10 => {
-                self.cov.xfer += 1;
                 if self.rng.bool() {
                     let d = self.data_reg();
                     let s = self.fp_reg();
@@ -1031,14 +973,12 @@ impl Gen {
                 self.put(Insn::new(Op::MovL { d, imm }), true);
             }
             7 => {
-                self.cov.fp_arith += 1;
                 let fd = self.fp_reg();
                 let a = self.fp_reg();
                 let b = self.fp_reg();
                 self.put(Insn::new(Op::Fadd { d: fd, a, b }), true);
             }
             8 => {
-                self.cov.xfer += 1;
                 let s = self.fp_reg();
                 self.put(Insn::new(Op::Getf { d, s }), true);
             }
@@ -1093,8 +1033,8 @@ mod tests {
         let cfg = GenConfig::default();
         let mut total = Coverage::default();
         for seed in 0..300 {
-            let (_, cov) = generate(seed, &cfg);
-            total.absorb(&cov);
+            let (spec, _) = generate(seed, &cfg);
+            total.absorb(&static_coverage(&spec));
         }
         for (name, count) in total.fields() {
             assert!(count > 0, "feature {name} never generated in 300 seeds");

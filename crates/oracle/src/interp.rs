@@ -26,7 +26,7 @@
 //!   instruction: earlier slots keep their effects, the faulting slot
 //!   has none.
 
-use isa::{Addr, Op, Program};
+use isa::{Addr, Fr, Gr, Op, Pr, Program};
 use sim::{Fault, Memory};
 
 /// Why [`Interp::run`] returned.
@@ -90,24 +90,22 @@ impl Interp {
     }
 
     /// Reads a general register.
-    pub fn gr(&self, r: isa::Gr) -> i64 {
+    pub fn gr(&self, r: Gr) -> i64 {
         self.gr[r.index()]
     }
 
     /// Writes a general register (setup; `r0` stays zero).
-    pub fn set_gr(&mut self, r: isa::Gr, v: i64) {
-        if r.index() != 0 {
-            self.gr[r.index()] = v;
-        }
+    pub fn set_gr(&mut self, r: Gr, v: i64) {
+        write_gr(&mut self.gr, r, v);
     }
 
     /// Reads a floating-point register.
-    pub fn fr(&self, r: isa::Fr) -> f64 {
+    pub fn fr(&self, r: Fr) -> f64 {
         self.fr[r.index()]
     }
 
     /// Reads a predicate register.
-    pub fn pr(&self, r: isa::Pr) -> bool {
+    pub fn pr(&self, r: Pr) -> bool {
         self.pr[r.index()]
     }
 
@@ -127,221 +125,166 @@ impl Interp {
         self.halted
     }
 
-    /// Runs until halt, fault, or `fuel` retired instructions.
+    /// Runs until halt, fault, or `fuel` retired instructions (checked
+    /// before each bundle).
     pub fn run(&mut self, fuel: u64) -> Outcome {
-        while !self.halted {
-            if let Some(f) = self.fault {
+        let Interp { program, mem, gr, fr, pr, ret_stack, ip, retired, halted, fault } = self;
+        loop {
+            if *halted {
+                return Outcome::Halted;
+            }
+            if let Some(f) = *fault {
                 return Outcome::Faulted(f);
             }
-            if self.retired >= fuel {
+            if *retired >= fuel {
                 return Outcome::OutOfFuel;
             }
-            self.step_bundle();
-        }
-        Outcome::Halted
-    }
-
-    fn write_gr(&mut self, r: isa::Gr, v: i64) {
-        if r.index() != 0 {
-            self.gr[r.index()] = v;
-        }
-    }
-
-    fn write_fr(&mut self, r: isa::Fr, v: f64) {
-        if r.index() > 1 {
-            self.fr[r.index()] = v;
-        }
-    }
-
-    fn write_pr(&mut self, r: isa::Pr, v: bool) {
-        if r.index() != 0 {
-            self.pr[r.index()] = v;
-        }
-    }
-
-    fn step_bundle(&mut self) {
-        let bundle_addr = self.ip;
-        let Some(bundle) = self.program.bundle_at(bundle_addr).cloned() else {
-            self.fault = Some(Fault::UnmappedFetch(bundle_addr));
-            return;
-        };
-
-        let mut taken: Option<Addr> = None;
-        let fall_through = bundle_addr.offset_bundles(1);
-
-        for slot in 0..3usize {
-            let insn = bundle.slots[slot];
-            self.retired += 1;
-
-            if let Some(qp) = insn.qp {
-                if !self.pr[qp.index()] {
+            let Some(bundle) = program.bundle_at(*ip) else {
+                *fault = Some(Fault::UnmappedFetch(*ip));
+                continue;
+            };
+            let fall_through = ip.offset_bundles(1);
+            let mut next = fall_through;
+            for insn in &bundle.slots {
+                *retired += 1;
+                if insn.qp.is_some_and(|qp| !pr[qp.index()]) {
                     continue;
                 }
-            }
-
-            match insn.op {
-                Op::Nop(_) | Op::Alloc => {}
-                Op::Add { d, a, b } => {
-                    let v = self.gr[a.index()].wrapping_add(self.gr[b.index()]);
-                    self.write_gr(d, v);
-                }
-                Op::AddI { d, a, imm } => {
-                    let v = self.gr[a.index()].wrapping_add(imm);
-                    self.write_gr(d, v);
-                }
-                Op::Sub { d, a, b } => {
-                    let v = self.gr[a.index()].wrapping_sub(self.gr[b.index()]);
-                    self.write_gr(d, v);
-                }
-                Op::Shladd { d, a, count, b } => {
-                    let v = (self.gr[a.index()] << count).wrapping_add(self.gr[b.index()]);
-                    self.write_gr(d, v);
-                }
-                Op::And { d, a, b } => {
-                    self.write_gr(d, self.gr[a.index()] & self.gr[b.index()]);
-                }
-                Op::Or { d, a, b } => {
-                    self.write_gr(d, self.gr[a.index()] | self.gr[b.index()]);
-                }
-                Op::Xor { d, a, b } => {
-                    self.write_gr(d, self.gr[a.index()] ^ self.gr[b.index()]);
-                }
-                Op::MovL { d, imm } => self.write_gr(d, imm),
-                Op::Mov { d, s } => {
-                    let v = self.gr[s.index()];
-                    self.write_gr(d, v);
-                }
-                Op::Cmp { op, pt, pf, a, b } => {
-                    let r = op.eval(self.gr[a.index()], self.gr[b.index()]);
-                    self.write_pr(pt, r);
-                    self.write_pr(pf, !r);
-                }
-                Op::CmpI { op, pt, pf, a, imm } => {
-                    let r = op.eval(self.gr[a.index()], imm);
-                    self.write_pr(pt, r);
-                    self.write_pr(pf, !r);
-                }
-                Op::Ld { d, base, post_inc, size, spec } => {
-                    let addr = self.gr[base.index()] as u64;
-                    let value = if spec {
-                        self.mem.read_spec(addr, size.bytes())
-                    } else if self.mem.contains(addr, size.bytes()) {
-                        self.mem.read(addr, size.bytes())
-                    } else {
-                        self.fault = Some(Fault::UnmappedLoad { addr, len: size.bytes() });
-                        break;
-                    };
-                    // Destination first, then post-increment: d == base
-                    // increments the loaded value (simulator contract).
-                    self.write_gr(d, value as i64);
-                    if post_inc != 0 {
-                        let nb = self.gr[base.index()].wrapping_add(post_inc);
-                        self.write_gr(base, nb);
+                match insn.op {
+                    Op::Nop(_) | Op::Alloc => {}
+                    Op::Add { d, a, b } => {
+                        write_gr(gr, d, gr[a.index()].wrapping_add(gr[b.index()]))
                     }
-                }
-                Op::St { s, base, post_inc, size } => {
-                    let addr = self.gr[base.index()] as u64;
-                    if !self.mem.contains(addr, size.bytes()) {
-                        self.fault = Some(Fault::UnmappedStore { addr, len: size.bytes() });
-                        break;
+                    Op::AddI { d, a, imm } => write_gr(gr, d, gr[a.index()].wrapping_add(imm)),
+                    Op::Sub { d, a, b } => {
+                        write_gr(gr, d, gr[a.index()].wrapping_sub(gr[b.index()]))
                     }
-                    self.mem.write(addr, size.bytes(), self.gr[s.index()] as u64);
-                    if post_inc != 0 {
-                        let nb = self.gr[base.index()].wrapping_add(post_inc);
-                        self.write_gr(base, nb);
+                    Op::Shladd { d, a, count, b } => {
+                        write_gr(gr, d, (gr[a.index()] << count).wrapping_add(gr[b.index()]))
                     }
-                }
-                Op::Ldf { d, base, post_inc } => {
-                    let addr = self.gr[base.index()] as u64;
-                    if !self.mem.contains(addr, 8) {
-                        self.fault = Some(Fault::UnmappedLoad { addr, len: 8 });
-                        break;
+                    Op::And { d, a, b } => write_gr(gr, d, gr[a.index()] & gr[b.index()]),
+                    Op::Or { d, a, b } => write_gr(gr, d, gr[a.index()] | gr[b.index()]),
+                    Op::Xor { d, a, b } => write_gr(gr, d, gr[a.index()] ^ gr[b.index()]),
+                    Op::MovL { d, imm } => write_gr(gr, d, imm),
+                    Op::Mov { d, s } => write_gr(gr, d, gr[s.index()]),
+                    Op::Cmp { op, pt, pf, a, b } => {
+                        write_cmp(pr, pt, pf, op.eval(gr[a.index()], gr[b.index()]))
                     }
-                    let value = self.mem.read_f64(addr);
-                    self.write_fr(d, value);
-                    if post_inc != 0 {
-                        let nb = self.gr[base.index()].wrapping_add(post_inc);
-                        self.write_gr(base, nb);
+                    Op::CmpI { op, pt, pf, a, imm } => {
+                        write_cmp(pr, pt, pf, op.eval(gr[a.index()], imm))
                     }
-                }
-                Op::Stf { s, base, post_inc } => {
-                    let addr = self.gr[base.index()] as u64;
-                    if !self.mem.contains(addr, 8) {
-                        self.fault = Some(Fault::UnmappedStore { addr, len: 8 });
-                        break;
+                    Op::Ld { d, base, post_inc, size, spec } => {
+                        let addr = gr[base.index()] as u64;
+                        let value = match mem.try_read(addr, size.bytes()) {
+                            Some(v) => v,
+                            None if spec => 0,
+                            None => {
+                                *fault = Some(Fault::UnmappedLoad { addr, len: size.bytes() });
+                                break;
+                            }
+                        };
+                        // Destination first, then post-increment: d == base
+                        // increments the loaded value (simulator contract).
+                        write_gr(gr, d, value as i64);
+                        post_increment(gr, base, post_inc);
                     }
-                    self.mem.write_f64(addr, self.fr[s.index()]);
-                    if post_inc != 0 {
-                        let nb = self.gr[base.index()].wrapping_add(post_inc);
-                        self.write_gr(base, nb);
+                    Op::St { s, base, post_inc, size } => {
+                        let addr = gr[base.index()] as u64;
+                        if !mem.try_write(addr, size.bytes(), gr[s.index()] as u64) {
+                            *fault = Some(Fault::UnmappedStore { addr, len: size.bytes() });
+                            break;
+                        }
+                        post_increment(gr, base, post_inc);
                     }
-                }
-                Op::Lfetch { base, post_inc } => {
+                    Op::Ldf { d, base, post_inc } => {
+                        let addr = gr[base.index()] as u64;
+                        let Some(bits) = mem.try_read(addr, 8) else {
+                            *fault = Some(Fault::UnmappedLoad { addr, len: 8 });
+                            break;
+                        };
+                        write_fr(fr, d, f64::from_bits(bits));
+                        post_increment(gr, base, post_inc);
+                    }
+                    Op::Stf { s, base, post_inc } => {
+                        let addr = gr[base.index()] as u64;
+                        if !mem.try_write(addr, 8, fr[s.index()].to_bits()) {
+                            *fault = Some(Fault::UnmappedStore { addr, len: 8 });
+                            break;
+                        }
+                        post_increment(gr, base, post_inc);
+                    }
                     // Non-faulting hint: the post-increment is the only
                     // architectural effect.
-                    if post_inc != 0 {
-                        let nb = self.gr[base.index()].wrapping_add(post_inc);
-                        self.write_gr(base, nb);
+                    Op::Lfetch { base, post_inc } => post_increment(gr, base, post_inc),
+                    Op::Fma { d, a, b, c } => {
+                        write_fr(fr, d, fr[a.index()].mul_add(fr[b.index()], fr[c.index()]))
+                    }
+                    Op::Fadd { d, a, b } => write_fr(fr, d, fr[a.index()] + fr[b.index()]),
+                    Op::Fmul { d, a, b } => write_fr(fr, d, fr[a.index()] * fr[b.index()]),
+                    Op::Getf { d, s } => write_gr(gr, d, fr[s.index()] as i64),
+                    Op::Setf { d, s } => write_fr(fr, d, gr[s.index()] as f64),
+                    Op::Br { target } | Op::BrCond { target } => {
+                        next = target.bundle_align();
+                        break;
+                    }
+                    Op::BrCall { target } => {
+                        ret_stack.push(fall_through);
+                        next = target.bundle_align();
+                        break;
+                    }
+                    Op::BrRet => {
+                        let Some(target) = ret_stack.pop() else {
+                            *fault = Some(Fault::ReturnUnderflow);
+                            break;
+                        };
+                        next = target.bundle_align();
+                        break;
+                    }
+                    Op::Halt => {
+                        *halted = true;
+                        break;
                     }
                 }
-                Op::Fma { d, a, b, c } => {
-                    let v = self.fr[a.index()].mul_add(self.fr[b.index()], self.fr[c.index()]);
-                    self.write_fr(d, v);
-                }
-                Op::Fadd { d, a, b } => {
-                    let v = self.fr[a.index()] + self.fr[b.index()];
-                    self.write_fr(d, v);
-                }
-                Op::Fmul { d, a, b } => {
-                    let v = self.fr[a.index()] * self.fr[b.index()];
-                    self.write_fr(d, v);
-                }
-                Op::Getf { d, s } => {
-                    let v = self.fr[s.index()] as i64;
-                    self.write_gr(d, v);
-                }
-                Op::Setf { d, s } => {
-                    let v = self.gr[s.index()] as f64;
-                    self.write_fr(d, v);
-                }
-                Op::Br { target } | Op::BrCond { target } => {
-                    taken = Some(target);
-                }
-                Op::BrCall { target } => {
-                    self.ret_stack.push(fall_through);
-                    taken = Some(target);
-                }
-                Op::BrRet => {
-                    let Some(target) = self.ret_stack.pop() else {
-                        self.fault = Some(Fault::ReturnUnderflow);
-                        break;
-                    };
-                    taken = Some(target);
-                }
-                Op::Halt => {
-                    self.halted = true;
-                }
             }
-            if taken.is_some() || self.halted {
-                break;
+            // A fault freezes the ip at the faulting bundle.
+            if fault.is_none() {
+                *ip = next;
             }
         }
+    }
+}
 
-        if self.fault.is_some() {
-            return;
+fn write_gr(gr: &mut [i64; 128], r: Gr, v: i64) {
+    if r.index() != 0 {
+        gr[r.index()] = v;
+    }
+}
+
+fn write_fr(fr: &mut [f64; 128], r: Fr, v: f64) {
+    if r.index() > 1 {
+        fr[r.index()] = v;
+    }
+}
+
+/// A compare's result `r` into `pt` and its complement into `pf`.
+fn write_cmp(pr: &mut [bool; 64], pt: Pr, pf: Pr, r: bool) {
+    for (p, v) in [(pt, r), (pf, !r)] {
+        if p.index() != 0 {
+            pr[p.index()] = v;
         }
+    }
+}
 
-        self.ip = match taken {
-            Some(t) => t.bundle_align(),
-            None => fall_through,
-        };
+fn post_increment(gr: &mut [i64; 128], base: Gr, inc: i64) {
+    if inc != 0 {
+        write_gr(gr, base, gr[base.index()].wrapping_add(inc));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa::{AccessSize, Asm, CmpOp, Fr, Gr, Pr, CODE_BASE};
+    use isa::{AccessSize, Asm, CmpOp, CODE_BASE};
     use sim::DATA_BASE;
 
     fn interp_for(body: impl FnOnce(&mut Asm)) -> Interp {

@@ -59,12 +59,10 @@ impl DecodedSlot {
         for (i, r) in reads.iter().take(2).enumerate() {
             gr_reads[i] = r.index() as u8;
         }
-        let fr_reads = match insn.op {
-            Op::Fma { a, b, c, .. } => [a.index() as u8, b.index() as u8, c.index() as u8],
-            Op::Fadd { a, b, .. } | Op::Fmul { a, b, .. } => [a.index() as u8, b.index() as u8, 0],
-            Op::Stf { s, .. } | Op::Getf { s, .. } => [s.index() as u8, 0, 0],
-            _ => [0u8; 3],
-        };
+        let mut fr_reads = [0u8; 3];
+        for (i, f) in insn.op.fr_reads().enumerate() {
+            fr_reads[i] = f.index() as u8;
+        }
         let mut flags = 0u8;
         if fr_reads != [0u8; 3] {
             flags |= FLAG_FR_READS;

@@ -123,7 +123,7 @@ impl Machine {
 
                 // Scoreboard: identical stall order to the reference
                 // path (GR reads in `gr_reads()` order, then FR reads in
-                // op order); padded entries index always-ready
+                // `fr_reads()` order); padded entries index always-ready
                 // registers and are guaranteed no-ops.
                 if self.cycle < self.pending_until {
                     for r in ds.gr_reads {

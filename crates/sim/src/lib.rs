@@ -51,6 +51,6 @@ pub use machine::{
     ExecPath, Fault, Machine, MachineConfig, PatchError, SamplingConfig, StopReason,
     DEFAULT_SAMPLING_SEED,
 };
-pub use mem::{Memory, DATA_BASE};
+pub use mem::{Memory, DATA_BASE, INSTR_SCRATCH};
 pub use pmu::{BranchTraceBuffer, BtbEntry, Counters, DearKind, DearRecord, Pmu, Sample};
 pub use tlb::Tlb;

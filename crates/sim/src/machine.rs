@@ -959,27 +959,10 @@ impl Machine {
                 let src = self.gr_source[r.index()];
                 self.stall_until(ready, src);
             }
-            match insn.op {
-                Op::Fma { a, b, c, .. } => {
-                    for f in [a, b, c] {
-                        let ready = self.fr_ready[f.index()];
-                        let src = self.fr_source[f.index()];
-                        self.stall_until(ready, src);
-                    }
-                }
-                Op::Fadd { a, b, .. } | Op::Fmul { a, b, .. } => {
-                    for f in [a, b] {
-                        let ready = self.fr_ready[f.index()];
-                        let src = self.fr_source[f.index()];
-                        self.stall_until(ready, src);
-                    }
-                }
-                Op::Stf { s, .. } | Op::Getf { s, .. } => {
-                    let ready = self.fr_ready[s.index()];
-                    let src = self.fr_source[s.index()];
-                    self.stall_until(ready, src);
-                }
-                _ => {}
+            for f in insn.op.fr_reads() {
+                let ready = self.fr_ready[f.index()];
+                let src = self.fr_source[f.index()];
+                self.stall_until(ready, src);
             }
 
             match self.exec_slot_op::<true, true>(insn.op, pc, fall_through) {

@@ -13,6 +13,12 @@ use std::fmt;
 /// Default base address of the data arena.
 pub const DATA_BASE: u64 = 0x1000_0000;
 
+/// Arena bytes past a program's own data that belong to the runtime
+/// optimizer: its §6 instrumentation allocates the recording buffers
+/// there. A run that instruments [reserves](Memory::reserve) them; the
+/// differential oracle sizes every leg's arena with them up front.
+pub const INSTR_SCRATCH: u64 = 64 * 1024;
+
 /// A flat byte-addressable data arena.
 #[derive(Clone, PartialEq)]
 pub struct Memory {
@@ -74,6 +80,13 @@ impl Memory {
         );
         self.brk = end;
         addr
+    }
+
+    /// Grows the arena, zero-filled, until at least `bytes` remain
+    /// allocatable; a no-op when they already do.
+    pub fn reserve(&mut self, bytes: u64) {
+        let short = bytes.saturating_sub(self.remaining());
+        self.data.resize(self.data.len() + short as usize, 0);
     }
 
     /// Returns the arena to its freshly-constructed state — every byte

@@ -10,6 +10,11 @@ use sim::{Memory, DATA_BASE};
 
 use crate::rng::{Rng64, Zipfian};
 
+/// Mapped bytes past a workload's last planned array. Every simulated
+/// cycle count depends on it: it decides which prefetches running off
+/// the data's end are dropped as unmapped.
+pub const TAIL_SLACK: u64 = 4096;
+
 /// A deferred memory-initialization action.
 #[derive(Debug, Clone)]
 pub enum InitAction {
@@ -274,14 +279,15 @@ impl WorkloadBuilder {
         })
     }
 
-    /// Total arena bytes required.
+    /// Total arena bytes required: the planned data plus
+    /// [`TAIL_SLACK`].
     pub fn arena_bytes(&self) -> u64 {
-        self.cursor - DATA_BASE + 4096
+        self.cursor - DATA_BASE + TAIL_SLACK
     }
 
     /// Finishes, returning the kernel, init actions, and arena size.
     pub fn finish(self) -> (Kernel, Vec<InitAction>, u64) {
-        let arena = self.cursor - DATA_BASE + 4096;
+        let arena = self.arena_bytes();
         (self.kernel, self.inits, arena)
     }
 }

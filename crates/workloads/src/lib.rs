@@ -60,7 +60,8 @@ pub struct Workload {
     pub kind: WorkloadKind,
     /// The kernel IR (with concrete data addresses).
     pub kernel: Kernel,
-    /// Required arena capacity in bytes.
+    /// Required arena capacity in bytes: the planned data layout plus
+    /// [`builder::TAIL_SLACK`].
     pub arena_bytes: u64,
     /// Memory-initialization actions.
     pub inits: Vec<InitAction>,
@@ -81,11 +82,14 @@ impl Workload {
         Workload { name, kind, kernel, arena_bytes, inits }
     }
 
-    /// Creates a machine for a compiled binary of this workload:
-    /// sizes the arena and replays the data initialization.
+    /// Creates a machine for a compiled binary of this workload: sizes
+    /// the arena, allocates the planned data layout (so allocations the
+    /// runtime optimizer makes land past it) and replays the data
+    /// initialization.
     pub fn prepare(&self, bin: &compiler::CompiledBinary, mut config: MachineConfig) -> Machine {
         config.mem_capacity = self.arena_bytes as usize;
         let mut m = Machine::new(bin.program.clone(), config);
+        m.mem_mut().alloc(self.arena_bytes - builder::TAIL_SLACK, 1);
         for init in &self.inits {
             init.apply(m.mem_mut());
         }

@@ -8,6 +8,8 @@
 //! simulated cycle count derived from them) can never drift under a
 //! dependency upgrade.
 
+use std::sync::{Mutex, PoisonError};
+
 /// A SplitMix64 generator.
 ///
 /// Reference: Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -138,11 +140,7 @@ impl Zipfian {
     pub fn new(n: u64, theta: f64) -> Zipfian {
         assert!(n > 0, "empty key space");
         assert!(theta > 0.0 && theta < 1.0, "theta must be in (0, 1)");
-        // Sequential sum keeps the value platform-deterministic.
-        let mut zetan = 0.0f64;
-        for i in 1..=n {
-            zetan += 1.0 / (i as f64).powf(theta);
-        }
+        let zetan = zeta(n, theta);
         let zeta2 = 1.0 + 1.0 / 2f64.powf(theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -162,6 +160,26 @@ impl Zipfian {
         let r = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         r.min(self.n - 1)
     }
+}
+
+/// `ζ(n, θ) = Σ 1/i^θ` over `i` in `1..=n`, summed once per `(n, θ)`
+/// per process: over the server family's key space one sum costs tens
+/// of milliseconds, and every prepare of its data would repeat it. The
+/// sequential sum keeps the value platform-deterministic.
+fn zeta(n: u64, theta: f64) -> f64 {
+    static MEMO: Mutex<Vec<(u64, u64, f64)>> = Mutex::new(Vec::new());
+    // An entry is pushed whole, so a poisoned memo is still valid.
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    let key = (n, theta.to_bits());
+    if let Some(&(.., z)) = memo.iter().find(|&&(m, t, _)| (m, t) == key) {
+        return z;
+    }
+    let mut z = 0.0f64;
+    for i in 1..=n {
+        z += 1.0 / (i as f64).powf(theta);
+    }
+    memo.push((n, key.1, z));
+    z
 }
 
 #[cfg(test)]
@@ -267,6 +285,14 @@ mod tests {
         let mut c = Rng64::new(78);
         let sc: Vec<u64> = (0..512).map(|_| z.next(&mut c)).collect();
         assert_ne!(sa, sc, "different seeds must give different streams");
+    }
+
+    #[test]
+    fn memoized_zeta_is_the_sequential_sum() {
+        let sum = (1..=5_000u64).fold(0.0f64, |z, i| z + 1.0 / (i as f64).powf(0.7));
+        assert_eq!(zeta(5_000, 0.7).to_bits(), sum.to_bits());
+        assert_eq!(zeta(5_000, 0.7).to_bits(), sum.to_bits(), "the memo hit");
+        assert_ne!(zeta(5_000, 0.6), sum, "θ is part of the key");
     }
 
     #[test]

@@ -23,9 +23,10 @@
 #      engine.baseline_store subsection); the warm
 #      run must hit the store for every baseline (zero recomputes) and
 #      beat the cold run's wall-clock (both are logged)
-#   4b. resident-service smoke: two spec cells piped into `lab serve`
-#      must stream byte-identical responses at --jobs 1 and --jobs 4,
-#      and each streamed row must equal the batch engine's row for the
+#   4b. resident-service smoke: three spec cells piped into `lab serve`
+#      must stream byte-identical responses at --jobs 1 and --jobs 4;
+#      the one with an unknown field must be an error row, and each
+#      other streamed row must equal the batch engine's row for the
 #      same (tool, section, workload) cell, modulo the batch grid's
 #      paper_speedup_pct merge extra
 #   4c. scenario-family smoke: the `lab families --quick` grid (server /
@@ -190,16 +191,23 @@ print(f"  ok: {n} canonical bytes identical across --jobs and store state;"
 EOF
 rm -rf "$store_dir"
 
-echo "== smoke: lab serve, two cells streamed at --jobs 1 vs --jobs 4 =="
+echo "== smoke: lab serve, three requests streamed at --jobs 1 vs --jobs 4 =="
+# The middle request carries an unknown field: its row must be an
+# error row (so serve exits 1) and the rows around it unaffected.
 serve_req='{"workload":"mcf","tool":"fig7","section":"part_a","opts":"o2","measure":"comparison"}
+{"workload":"mcf","tool":"fig7","section":"part_a","opts":"o2","mesure":"guided"}
 {"workload":"art","tool":"fig7","section":"part_a","opts":"o2","measure":"comparison"}'
+serve_stream() {
+    local status=0
+    printf '%s\n' "$serve_req" | cargo run --release -q -p adore-bench --bin lab -- \
+        serve --quick --jobs "$1" --no-baseline-store > "$R/serve.jobs$1.jsonl" || status=$?
+    [ "$status" = 1 ] || { echo "serve must exit 1 for its one error row, got $status" >&2; exit 1; }
+}
 t0=$(date +%s%N)
-printf '%s\n' "$serve_req" | cargo run --release -q -p adore-bench --bin lab -- \
-    serve --quick --jobs 1 --no-baseline-store > "$R/serve.jobs1.jsonl"
+serve_stream 1
 serve1_ms=$(ms_since "$t0")
 t0=$(date +%s%N)
-printf '%s\n' "$serve_req" | cargo run --release -q -p adore-bench --bin lab -- \
-    serve --quick --jobs 4 --no-baseline-store > "$R/serve.jobs4.jsonl"
+serve_stream 4
 serve4_ms=$(ms_since "$t0")
 echo "wall-clock: serve jobs=1 ${serve1_ms}ms, jobs=4 ${serve4_ms}ms"
 cmp "$R/serve.jobs1.jsonl" "$R/serve.jobs4.jsonl" \
@@ -215,14 +223,16 @@ R = os.environ["ADORE_RESULTS_DIR"]
 # rows must be equal except for the grid-only paper_speedup_pct extra.
 batch = {r["bench"]: r for r in json.load(open(f"{R}/fig7.json"))["part_a"]}
 served = [json.loads(line) for line in open(f"{R}/serve.jobs1.jsonl")]
-assert [s["index"] for s in served] == [0, 1], "stream must be in submission order"
+assert [s["index"] for s in served] == [0, 1, 2], "stream must be in submission order"
+bad = served.pop(1)["row"]
+assert bad.get("error") == "unknown field `mesure`", f"unknown field not rejected: {bad}"
 for s in served:
     assert s["section"] == "part_a"
     row = s["row"]
     want = dict(batch[row["bench"]])
     del want["paper_speedup_pct"]
     assert row == want, f"serve row for {row['bench']} differs from the batch engine row"
-print(f"  ok: {len(served)} streamed rows identical to batch engine rows")
+print(f"  ok: {len(served)} streamed rows identical to batch engine rows, 1 error row")
 EOF
 
 echo "== smoke: lab families --quick, --jobs 1 vs --jobs 2 =="
